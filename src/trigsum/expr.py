@@ -557,8 +557,8 @@ def to_text(e: Expr) -> str:
         left = _wrap(a, _PREC_MUL)
         right = _wrap(b, _PREC_MUL + 1)
         # an integer right after '/' would re-lex as part of a rational
-        # literal; parenthesize rational denominators to keep the node
-        if b.kind == "rat":
+        # literal; parenthesize any denominator that starts with a digit
+        if right[0].isdigit():
             right = f"({right})"
         return f"{left}/{right}"
     if e.kind == "pow":

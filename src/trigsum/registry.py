@@ -19,8 +19,9 @@ exact coefficients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, partial
 from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,7 +29,8 @@ import mpmath as mp
 import numpy as np
 
 from . import exact
-from .dirichlet import PrecisionContext, dirichlet_oracle
+from .dirichlet import (ORACLE_SERIES, PeriodicPattern, PrecisionContext,
+                        _to_mpf, dirichlet_oracle)
 from .exact import PiPolynomial, bernoulli_star, harmonic
 
 __all__ = [
@@ -197,23 +199,54 @@ def _zeta_even_float(k: int, digits: int) -> mp.mpf:
         n += 1
 
 
+def _fact_ratio_inv(a: int, b: int) -> mp.mpf:
+    """a! / b! for a <= b, as 1 / ((a+1) ... b)."""
+    out = mp.mpf(1)
+    for i in range(a + 1, b + 1):
+        out /= i
+    return out
+
+
 @dataclass(frozen=True)
 class ResidualRule:
-    """sign * sum_{k>=1} coeff(k) u^(power(k)) with positive rational
-    coeff(k) of factorial decay.
+    """sign * sum_{k>=1} coeff(k) u^(power(k)), the residual series of the
+    Thm 16 (alternating=False) and Thm 21 (alternating=True) closed forms,
+    with coeff(k) = weight(k) B*_k / (2k (2r+2k)!) > 0.
 
     coeff gives the exact rational coefficient (used by the structural
     tests); evaluation runs in floating point through coeff_mpf, which
-    rewrites the Bernoulli factor as an even zeta value so no oversized
-    rationals appear.  decay_exponent is the k^-(e) envelope exponent at
-    the largest admissible u (the closed endpoint); the tail after
-    truncation at k is bounded by t_k * k / (e - 1).
+    applies the same rule with B*_k = 2 (2k)! zeta(2k) / (2 pi)^(2k) so no
+    oversized rationals appear.  decay_exponent is the k^-(e) envelope
+    exponent at the largest admissible u (the closed endpoint); the tail
+    after truncation at k is bounded by t_k * k / (e - 1).
     """
-    sign: int
-    coeff: Callable[[int], Fraction]
-    coeff_mpf: Callable[[int, int], mp.mpf]
-    power: Callable[[int], int]
-    decay_exponent: int
+    r: int
+    alternating: bool
+
+    @property
+    def sign(self) -> int:
+        return (-1) ** (self.r + self.alternating)
+
+    @property
+    def decay_exponent(self) -> int:
+        return 2 * self.r + 1
+
+    def power(self, k: int) -> int:
+        return 2 * self.r + 2 * k
+
+    def _rule(self, k: int, four, num, den):
+        """weight(k) * num / (2k den), given num / den = B*_k / (2r+2k)!
+        and ``four`` = 4 in the arithmetic of num (an mpf keeps 4^k cheap)."""
+        weight = four ** k - 1 if self.alternating else 1
+        return weight * num / (2 * k * den)
+
+    def coeff(self, k: int) -> Fraction:
+        return self._rule(k, 4, bernoulli_star(k), factorial(self.power(k)))
+
+    def coeff_mpf(self, k: int, digits: int) -> mp.mpf:
+        return self._rule(k, mp.mpf(4), 2 * _zeta_even_float(k, digits)
+                          * _fact_ratio_inv(2 * k, self.power(k)),
+                          (2 * mp.pi) ** (2 * k))
 
     def eval(self, u: mp.mpf, eps: mp.mpf, max_terms: int = 200_000) -> mp.mpf:
         digits = mp.mp.dps
@@ -234,14 +267,72 @@ class ResidualRule:
 # ---------------------------------------------------------------------------
 # identity records
 
+@dataclass(frozen=True)
+class TermSpec:
+    """The n-th series term as one fact: amplitude w(m) m^(-s(r)) times
+    cos(m pi x0) for each Theorem 23 shift x0, at frequency m = a n + b.
+
+    ``pattern`` gives the periodic sign weights w over m; its scale carries
+    the 1/sqrt2 of the signed odd-denominator series.  ``s`` is the pair
+    (s1, s0) of s(r) = s1 r + s0, which is also the decay exponent of the
+    amplitudes.  A nonzero ``pole`` p replaces m^(-s) by (m^2 - p^2)^(-s/2)
+    for even s, the base 1/(m^2 - 1) of Example 2.
+    """
+    a: int
+    b: int
+    pattern: PeriodicPattern
+    s: Tuple[int, int]
+    shifts: Tuple[Fraction, ...] = ()
+    pole: int = 0
+
+    def frequency(self, n):
+        return self.a * n + self.b
+
+    def exponent(self, r: int) -> int:
+        return self.s[0] * r + self.s[1]
+
+    @cached_property
+    def _weights(self) -> Tuple[Fraction, ...]:
+        """The sign weights w(m), indexed by m mod the pattern period."""
+        P = self.pattern.period
+        table = dict(self.pattern.weights)
+        return tuple(table.get(j or P, Fraction(0)) for j in range(P))
+
+    def amplitude(self, m, r: int):
+        """Amplitude at frequency m: m is a float64 array (grid partial sums,
+        computed in float64) or one mpf (exact partial sums, computed at the
+        working precision)."""
+        P = self.pattern.period
+        if isinstance(m, np.ndarray):
+            cos, pi, num = np.cos, np.pi, float
+            with mp.workprec(53):  # round each step as float64 does
+                scale = float(self.pattern.scale_value())
+            table = scale * np.array([float(w) for w in self._weights])
+            coef = table[(m % P).astype(np.intp)]
+        else:
+            cos, pi, num = mp.cos, mp.pi, _to_mpf
+            w = self._weights[int(m) % P]
+            coef = self.pattern.scale_value() * w.numerator
+            if w.denominator != 1:
+                coef /= w.denominator
+        s = self.exponent(r)
+        if self.pole:
+            amp = coef * (1 / (m * m - self.pole ** 2) ** (s // 2))
+        else:
+            amp = coef * m ** -s
+        for x0 in self.shifts:
+            amp = amp * cos(m * pi * num(x0))
+        return amp
+
+
 @dataclass
 class IdentityRecord:
-    """One catalogued identity: series term rule plus exact closed form.
+    """One catalogued identity: series term spec plus exact closed form.
 
     Intervals are in units of c (Fourier records, including the pinned
-    c = pi examples) with open/closed endpoint flags; ``freq`` gives the
-    integer frequency multiplier of pi x/c for series index n, ``amp`` its
-    exact amplitude.  kind "value" records have no x-dependence.
+    c = pi examples) with open/closed endpoint flags; ``term`` gives the
+    frequency multiplier of pi x/c and the exact amplitude of the n-th term
+    for n >= n_start.  kind "value" records have no x-dependence.
     """
     id: str
     label: str
@@ -254,13 +345,11 @@ class IdentityRecord:
     closed_right: bool
     period: Fraction
     n_start: int
-    freq: Optional[Callable[[np.ndarray], np.ndarray]]
-    amp: Callable[[np.ndarray, int], np.ndarray]
+    term: TermSpec
     poly: Callable[[int], Dict[int, Coeff]]
     log_term: Optional[Callable[[int], Tuple[Coeff, int]]] = None
     residual: Optional[Callable[[int], ResidualRule]] = None
     cos_coeff: Optional[Callable[[int], Coeff]] = None
-    decay: Callable[[int], int] = lambda r: 2 * r
 
     def effective_r(self, r: Optional[int]) -> int:
         if self.r_fixed is not None:
@@ -409,10 +498,6 @@ def _shifted_poly(poly: Dict[int, Coeff], x0: Fraction) -> Dict[int, Coeff]:
     return {p: c for p, c in out.items() if not c.is_zero()}
 
 
-def _poly_eq59(r: int) -> Dict[int, Coeff]:
-    return _shifted_poly(_poly_cor6(r), Fraction(1, 4))
-
-
 def _poly_eq69(_r: int) -> Dict[int, Coeff]:
     return {0: Coeff.pi_monomial(Fraction(5, 768), 4),
             1: Coeff.pi_monomial(Fraction(1, 128), 3),
@@ -433,223 +518,161 @@ def _poly_example2(_r: int) -> Dict[int, Coeff]:
     return {0: Coeff.rational(Fraction(-1, 2))}
 
 
-# --- residual rules ---------------------------------------------------------
-
-def _fact_ratio_inv(a: int, b: int) -> mp.mpf:
-    """a! / b! for a <= b, as 1 / ((a+1) ... b)."""
-    out = mp.mpf(1)
-    for i in range(a + 1, b + 1):
-        out /= i
-    return out
-
-
-def _residual_thm16(r: int) -> ResidualRule:
-    # B_k*/(2k (2r+2k)!) == 2 zeta(2k) (2k)! / ((2 pi)^(2k) 2k (2r+2k)!)
-    def coeff_mpf(k: int, digits: int) -> mp.mpf:
-        return (2 * _zeta_even_float(k, digits)
-                * _fact_ratio_inv(2 * k, 2 * r + 2 * k)
-                / (2 * k * (2 * mp.pi) ** (2 * k)))
-
-    return ResidualRule(
-        sign=(-1) ** r,
-        coeff=lambda k: bernoulli_star(k) / (2 * k * factorial(2 * r + 2 * k)),
-        coeff_mpf=coeff_mpf,
-        power=lambda k: 2 * r + 2 * k,
-        decay_exponent=2 * r + 1,
-    )
-
-
-def _residual_thm21(r: int) -> ResidualRule:
-    def coeff_mpf(k: int, digits: int) -> mp.mpf:
-        return ((mp.mpf(4) ** k - 1) * 2 * _zeta_even_float(k, digits)
-                * _fact_ratio_inv(2 * k, 2 * r + 2 * k)
-                / (2 * k * (2 * mp.pi) ** (2 * k)))
-
-    return ResidualRule(
-        sign=(-1) ** (r + 1),
-        coeff=lambda k: (Fraction(4 ** k - 1) * bernoulli_star(k)
-                         / (2 * k * factorial(2 * r + 2 * k))),
-        coeff_mpf=coeff_mpf,
-        power=lambda k: 2 * r + 2 * k,
-        decay_exponent=2 * r + 1,
-    )
-
-
 def _log_thm16(r: int) -> Tuple[Coeff, int]:
     return Coeff.rational(Fraction((-1) ** (r + 1), factorial(2 * r))), 2 * r
 
 
-# --- amplitude rules (vectorized; n is a float64 array) ---------------------
-
-def _alt_sign(n: np.ndarray) -> np.ndarray:
-    return np.where(n % 2 == 1, 1.0, -1.0)
-
-
-def _quarter_sign(n: np.ndarray) -> np.ndarray:
-    # (-1)^floor(n/2)
-    return np.where((n // 2) % 2 == 0, 1.0, -1.0)
-
-
-_SQRT2_INV = 1 / np.sqrt(2.0)
+def theorem23_shift(identity_id: str | IdentityRecord, x0: Fraction,
+                    r: Optional[int] = None) -> IdentityRecord:
+    """Shifted identity: the term spec gains the shift x0 (in units of c),
+    so each amplitude gains the factor cos(m pi x0); the closed form becomes
+    the average of the source at x -+ x0 (exact on the pi-monomial
+    polynomial part), and the interval shrinks to (a + x0, b - x0)."""
+    rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
+    if rec.kind != "fourier" or rec.interval is None:
+        raise RegistryError(f"{rec.id} does not support the cosh shift")
+    if rec.log_term is not None or rec.residual is not None or rec.cos_coeff is not None:
+        raise RegistryError(f"{rec.id} has non-polynomial closed-form parts")
+    a, b = rec.interval
+    if not (0 <= x0 < (b - a) / 2):
+        raise RegistryError(f"x0 = {x0} outside [0, {(b - a) / 2})")
+    if x0 == 0:
+        return rec
+    base_poly = rec.poly
+    return replace(
+        rec, id=f"{rec.id}@{x0}", label=f"{rec.label} shifted by {x0} c",
+        interval=(a + x0, b - x0),
+        term=replace(rec.term, shifts=rec.term.shifts + (x0,)),
+        poly=lambda rr: _shifted_poly(base_poly(rr), x0))
 
 
 def _make_records() -> Dict[str, IdentityRecord]:
     f = Fraction
+    zeta, eta, lam, beta, frakD, calD = (ORACLE_SERIES[k] for k in (
+        "zeta", "eta", "lambda", "beta", "frakD", "calD"))
+    even, odd = (2, 0), (2, 1)   # s(r) = 2r, 2r + 1
+    thm16_residual = partial(ResidualRule, alternating=False)
+    thm21_residual = partial(ResidualRule, alternating=True)
+    cor6 = IdentityRecord(
+        id="cor6-lambda", label="odd-denominator cosine series over [0, c]",
+        kind="fourier", trig="cos", r_min=1, r_fixed=None,
+        interval=(f(0), f(1)), closed_left=True, closed_right=True,
+        period=f(2), n_start=1, term=TermSpec(2, -1, lam, even),
+        poly=_poly_cor6)
     records = [
         IdentityRecord(
             id="thm11-cos", label="cosine series of n^(-2r) over [0, 2c]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: n ** (-2.0 * r),
-            poly=_poly_thm11_cos, decay=lambda r: 2 * r),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, even),
+            poly=_poly_thm11_cos),
         IdentityRecord(
             id="thm11-sin", label="sine series of n^(-2r-1) over [0, 2c]",
             kind="fourier", trig="sin", r_min=1, r_fixed=None,
             interval=(f(0), f(2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: n ** (-2.0 * r - 1),
-            poly=_poly_thm11_sin, decay=lambda r: 2 * r + 1),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
+            poly=_poly_thm11_sin),
         IdentityRecord(
             id="thm16-zeta-odd-cos",
             label="cosine series of n^(-2r-1) with log and residual terms",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: n ** (-2.0 * r - 1),
-            poly=_poly_thm16, log_term=_log_thm16, residual=_residual_thm16,
-            decay=lambda r: 2 * r + 1),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
+            poly=_poly_thm16, log_term=_log_thm16, residual=thm16_residual),
         IdentityRecord(
             id="thm18-cos", label="alternating cosine series of n^(-2r) over [-c, c]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(-1), f(1)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: _alt_sign(n) * n ** (-2.0 * r),
-            poly=_poly_thm18_cos, decay=lambda r: 2 * r),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, even),
+            poly=_poly_thm18_cos),
         IdentityRecord(
             id="thm18-sin", label="alternating sine series of n^(-2r-1) over [-c, c]",
             kind="fourier", trig="sin", r_min=1, r_fixed=None,
             interval=(f(-1), f(1)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: _alt_sign(n) * n ** (-2.0 * r - 1),
-            poly=_poly_thm18_sin, decay=lambda r: 2 * r + 1),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
+            poly=_poly_thm18_sin),
         IdentityRecord(
             id="thm21-eta-odd",
             label="alternating cosine series of n^(-2r-1) with Bernoulli residual",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(-1), f(1)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: _alt_sign(n) * n ** (-2.0 * r - 1),
-            poly=_poly_thm21, residual=_residual_thm21,
-            decay=lambda r: 2 * r + 1),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
+            poly=_poly_thm21, residual=thm21_residual),
         IdentityRecord(
             id="cor5-beta", label="beta-family cosine series over [-c/2, c/2]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(-1, 2), f(1, 2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=0,
-            freq=lambda n: 2 * n + 1,
-            amp=lambda n, r: np.where(n % 2 == 0, 1.0, -1.0) * (2 * n + 1) ** (-2.0 * r - 1),
-            poly=_poly_cor5, decay=lambda r: 2 * r + 1),
-        IdentityRecord(
-            id="cor6-lambda", label="odd-denominator cosine series over [0, c]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(0), f(1)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: 2 * n - 1,
-            amp=lambda n, r: (2 * n - 1) ** (-2.0 * r),
-            poly=_poly_cor6, decay=lambda r: 2 * r),
+            period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd),
+            poly=_poly_cor5),
+        cor6,
         IdentityRecord(
             id="cor7-frakd", label="signed odd-denominator cosine series over [0, c/4]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: 2 * n - 1,
-            amp=lambda n, r: _SQRT2_INV * _quarter_sign(n) * (2 * n - 1) ** (-2.0 * r),
-            poly=_poly_cor7, decay=lambda r: 2 * r),
+            period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
+            poly=_poly_cor7),
         IdentityRecord(
             id="cor8-cald", label="signed odd-denominator odd-power cosine series over [0, c/4]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=0,
-            freq=lambda n: 2 * n + 1,
-            amp=lambda n, r: _SQRT2_INV * _quarter_sign(n) * (2 * n + 1) ** (-2.0 * r - 1),
-            poly=_poly_cor8, decay=lambda r: 2 * r + 1),
+            period=f(2), n_start=0, term=TermSpec(2, 1, calD, odd),
+            poly=_poly_cor8),
         IdentityRecord(
             id="eq56-frakd-value", label="signed odd-denominator Dirichlet value",
             kind="value", trig=None, r_min=1, r_fixed=None,
             interval=None, closed_left=False, closed_right=False,
             period=f(2), n_start=1,
-            freq=None,
-            amp=lambda n, r: _quarter_sign(n) * (2 * n - 1) ** (-2.0 * r),
-            poly=_poly_eq56, decay=lambda r: 2 * r),
-        IdentityRecord(
-            id="eq59-lambda-shift",
-            label="quarter-shifted odd-denominator cosine series over [c/4, 3c/4]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(1, 4), f(3, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: 2 * n - 1,
-            amp=lambda n, r: (np.cos((2 * n - 1) * np.pi / 4)
-                              * (2 * n - 1) ** (-2.0 * r)),
-            poly=_poly_eq59, decay=lambda r: 2 * r),
+            term=TermSpec(2, -1, PeriodicPattern(frakD.period, frakD.weights), even),
+            poly=_poly_eq56),
         IdentityRecord(
             id="eq69-frakd-poly", label="cubic closed form on [c/4, 3c/4]",
             kind="fourier", trig="cos", r_min=2, r_fixed=2,
             interval=(f(1, 4), f(3, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: 2 * n - 1,
-            amp=lambda n, r: _SQRT2_INV * _quarter_sign(n) * (2 * n - 1) ** (-4.0),
-            poly=_poly_eq69, decay=lambda r: 4),
+            period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
+            poly=_poly_eq69),
         IdentityRecord(
             id="eq70-frakd-poly", label="quadratic closed form on [0, c/4]",
             kind="fourier", trig="cos", r_min=2, r_fixed=2,
             interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1,
-            freq=lambda n: 2 * n - 1,
-            amp=lambda n, r: _SQRT2_INV * _quarter_sign(n) * (2 * n - 1) ** (-4.0),
-            poly=_poly_eq70, decay=lambda r: 4),
+            period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
+            poly=_poly_eq70),
         IdentityRecord(
             id="example1-cospow", label="sin(nx) cos^n x / n over (0, pi)",
             kind="cospow", trig="sin", r_min=1, r_fixed=1,
             interval=(f(0), f(1)), closed_left=False, closed_right=False,
-            period=f(1), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: 1.0 / n,
-            poly=_poly_example1, decay=lambda r: 1),
+            period=f(1), n_start=1, term=TermSpec(1, 0, zeta, (0, 1)),
+            poly=_poly_example1),
         IdentityRecord(
             id="example2-fourier",
             label="alternating cos(3 n x) over (-pi/3, pi/3), c = pi",
             kind="fourier", trig="cos", r_min=1, r_fixed=1,
             interval=(f(-1, 3), f(1, 3)), closed_left=False, closed_right=False,
-            period=f(2, 3), n_start=1,
-            freq=lambda n: 3 * n,
-            amp=lambda n, r: _alt_sign(n) / ((3 * n - 1.0) * (3 * n + 1.0)),
+            period=f(2, 3), n_start=1, term=TermSpec(3, 0, eta, even, pole=1),
             poly=_poly_example2,
-            cos_coeff=lambda r: Coeff({("sqrt3pi", 1): Fraction(1, 9)}),
-            decay=lambda r: 2),
+            cos_coeff=lambda r: Coeff({("sqrt3pi", 1): Fraction(1, 9)})),
         IdentityRecord(
             id="lemma4-sin-log", label="sine series of 1/n over (0, 2c)",
             kind="fourier", trig="sin", r_min=0, r_fixed=0,
             interval=(f(0), f(2)), closed_left=False, closed_right=False,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: 1.0 / n,
-            poly=_poly_thm11_sin, decay=lambda r: 1),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
+            poly=_poly_thm11_sin),
         IdentityRecord(
             id="lemma4-sin-alt", label="alternating sine series of 1/n over (-c, c)",
             kind="fourier", trig="sin", r_min=0, r_fixed=0,
             interval=(f(-1), f(1)), closed_left=False, closed_right=False,
-            period=f(2), n_start=1,
-            freq=lambda n: n, amp=lambda n, r: _alt_sign(n) / n,
-            poly=_poly_thm18_sin, decay=lambda r: 1),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
+            poly=_poly_thm18_sin),
         IdentityRecord(
             id="lemma4-cos-arctan",
             label="alternating odd cosine series of 1/(2n+1) over (-c/2, c/2)",
             kind="fourier", trig="cos", r_min=0, r_fixed=0,
             interval=(f(-1, 2), f(1, 2)), closed_left=False, closed_right=False,
-            period=f(2), n_start=0,
-            freq=lambda n: 2 * n + 1,
-            amp=lambda n, r: np.where(n % 2 == 0, 1.0, -1.0) / (2 * n + 1),
-            poly=_poly_cor5, decay=lambda r: 1),
+            period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd),
+            poly=_poly_cor5),
     ]
+    records.append(replace(
+        theorem23_shift(cor6, f(1, 4)), id="eq59-lambda-shift",
+        label="quarter-shifted odd-denominator cosine series over [c/4, 3c/4]"))
     return {rec.id: rec for rec in records}
 
 
@@ -724,54 +747,15 @@ def partial_sum_eval(identity_id: str | IdentityRecord, r: Optional[int],
 
 
 def _term_mp(rec: IdentityRecord, r: int, n: int, xc: mp.mpf) -> mp.mpf:
-    if rec.kind == "cospow":
-        x = mp.pi * xc
-        return mp.sin(n * x) * mp.cos(x) ** n / n
-    amp = _amp_mp(rec, r, n)
+    m = mp.mpf(rec.term.frequency(n))
+    amp = rec.term.amplitude(m, r)
     if rec.kind == "value":
         return amp
-    m = int(rec.freq(np.array([n], dtype=np.int64))[0])
+    if rec.kind == "cospow":
+        x = mp.pi * xc
+        return amp * mp.sin(m * x) * mp.cos(x) ** n
     angle = m * mp.pi * xc
     return amp * (mp.cos(angle) if rec.trig == "cos" else mp.sin(angle))
-
-
-def _amp_mp(rec: IdentityRecord, r: int, n: int) -> mp.mpf:
-    rid = rec.id
-    if rid in ("thm11-cos", "thm18-cos"):
-        base = mp.mpf(n) ** (-2 * r)
-    elif rid in ("thm11-sin", "thm16-zeta-odd-cos", "thm18-sin", "thm21-eta-odd",
-                 "lemma4-sin-log", "lemma4-sin-alt"):
-        base = mp.mpf(n) ** (-(2 * r + 1))
-    elif rid in ("cor5-beta", "lemma4-cos-arctan"):
-        base = mp.mpf(2 * n + 1) ** (-(2 * r + 1))
-    elif rid in ("cor6-lambda", "eq56-frakd-value"):
-        base = mp.mpf(2 * n - 1) ** (-2 * r)
-    elif rid in ("cor7-frakd", "eq69-frakd-poly", "eq70-frakd-poly"):
-        base = mp.mpf(2 * n - 1) ** (-2 * r)
-    elif rid == "cor8-cald":
-        base = mp.mpf(2 * n + 1) ** (-(2 * r + 1))
-    elif rid == "eq59-lambda-shift":
-        base = mp.mpf(2 * n - 1) ** (-2 * r)
-    elif rid == "example2-fourier":
-        base = 1 / (mp.mpf(3 * n - 1) * (3 * n + 1))
-    else:
-        raise RegistryError(f"no exact amplitude for {rid}")
-    sign = mp.mpf(1)
-    if rid in ("thm18-cos", "thm18-sin", "thm21-eta-odd", "lemma4-sin-alt",
-               "example2-fourier"):
-        sign = 1 if n % 2 == 1 else -1
-    elif rid in ("cor5-beta", "lemma4-cos-arctan"):
-        sign = 1 if n % 2 == 0 else -1
-    elif rid in ("cor7-frakd", "eq69-frakd-poly", "eq70-frakd-poly",
-                 "eq56-frakd-value", "cor8-cald"):
-        sign = 1 if (n // 2) % 2 == 0 else -1
-    scale = mp.mpf(1)
-    if rid in ("cor7-frakd", "cor8-cald", "eq69-frakd-poly", "eq70-frakd-poly"):
-        scale = 1 / mp.sqrt(2)
-    elif rid == "eq59-lambda-shift":
-        scale = mp.cos((2 * n - 1) * mp.pi / 4)
-        sign = 1
-    return sign * scale * base
 
 
 # ---------------------------------------------------------------------------
@@ -780,15 +764,15 @@ def _amp_mp(rec: IdentityRecord, r: int, n: int) -> mp.mpf:
 def _series_partial_float(rec: IdentityRecord, r: int, c: float,
                           xs: np.ndarray, N: int) -> np.ndarray:
     n = np.arange(rec.n_start, rec.n_start + N, dtype=np.float64)
-    amp = rec.amp(n, r)
+    m = rec.term.frequency(n)
+    amp = rec.term.amplitude(m, r)
     if rec.kind == "value":
         return np.full_like(xs, float(amp.sum()))
     out = np.empty_like(xs)
     if rec.kind == "cospow":
         for i, x in enumerate(xs):
-            out[i] = float(np.sum(np.sin(n * x) * np.power(np.cos(x), n) / n))
+            out[i] = float(np.sum(amp * np.sin(m * x) * np.power(np.cos(x), n)))
         return out
-    m = rec.freq(n)
     for i, x in enumerate(xs):
         angle = m * (np.pi * x / c)
         tr = np.cos(angle) if rec.trig == "cos" else np.sin(angle)
@@ -865,40 +849,6 @@ def poly_derivative(poly: Dict[int, Coeff]) -> Dict[int, Coeff]:
     return {p - 1: coeff.scale(p) for p, coeff in poly.items() if p >= 1}
 
 
-def theorem23_shift(identity_id: str | IdentityRecord, x0: Fraction,
-                    r: Optional[int] = None) -> IdentityRecord:
-    """Shifted identity: series terms gain cos(freq * pi * x0 / c), the
-    closed form becomes the average of the source at x -+ x0 (exact on the
-    pi-monomial polynomial part), and the interval shrinks to
-    (a + x0, b - x0)."""
-    rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
-    if rec.kind != "fourier" or rec.interval is None:
-        raise RegistryError(f"{rec.id} does not support the cosh shift")
-    if rec.log_term is not None or rec.residual is not None or rec.cos_coeff is not None:
-        raise RegistryError(f"{rec.id} has non-polynomial closed-form parts")
-    a, b = rec.interval
-    if not (0 <= x0 < (b - a) / 2):
-        raise RegistryError(f"x0 = {x0} outside [0, {(b - a) / 2})")
-    if x0 == 0:
-        return rec
-    base_poly = rec.poly
-    base_amp = rec.amp
-    base_freq = rec.freq
-    x0f = float(x0)
-
-    def shifted_amp(n: np.ndarray, rr: int) -> np.ndarray:
-        return base_amp(n, rr) * np.cos(base_freq(n) * np.pi * x0f)
-
-    return IdentityRecord(
-        id=f"{rec.id}@{x0}", label=f"{rec.label} shifted by {x0} c",
-        kind="fourier", trig=rec.trig, r_min=rec.r_min, r_fixed=rec.r_fixed,
-        interval=(a + x0, b - x0), closed_left=rec.closed_left,
-        closed_right=rec.closed_right, period=rec.period, n_start=rec.n_start,
-        freq=base_freq, amp=shifted_amp,
-        poly=lambda rr: _shifted_poly(base_poly(rr), x0),
-        decay=rec.decay)
-
-
 # ---------------------------------------------------------------------------
 # documented verification suite
 
@@ -954,7 +904,7 @@ def verify_endpoint(identity_id: str, r: Optional[int], c: float = 1.0,
     rec = get_record(identity_id)
     r_eff = rec.effective_r(r)
     a, b = rec.interval
-    d = rec.decay(r_eff)
+    d = rec.term.exponent(r_eff)
     if d < 2:
         raise RegistryError("endpoint verification needs absolute convergence")
     if rec.residual is not None:

@@ -2,7 +2,7 @@
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trigsum.expr import (
     DomainError, Expr, FUNCTIONS, PI, ParseError, UnboundSymbolError,
@@ -88,6 +88,8 @@ _exprs = st.recursive(_leaf, _combine, max_leaves=25)
 
 class TestRoundTrip:
     @given(_exprs)
+    @example(Expr("div", (rational(0), Expr("pow", (rational(1),), 0))))
+    @example(Expr("div", (rational(0), Expr("pow", (rational(0),), 0))))
     @settings(max_examples=300, deadline=None)
     def test_print_parse_identity(self, e):
         assert parse_expr(to_text(e)) == e

@@ -10,8 +10,8 @@ import pytest
 
 from trigsum import exact
 from trigsum.dirichlet import PrecisionContext
-from trigsum.registry import (Coeff, RegistryError, closed_form_eval,
-                              corollary2_integrate, default_suite,
+from trigsum.registry import (Coeff, RegistryError, _series_partial_float,
+                              closed_form_eval, corollary2_integrate, default_suite,
                               endpoint_suite, get_record, integration_successor,
                               list_identities, partial_sum_eval, poly_derivative,
                               theorem23_shift, verify, verify_endpoint)
@@ -42,13 +42,21 @@ class TestCatalog:
                 "example2-fourier", "cor7-frakd"} <= ids
 
     def test_thm21_residual_coefficients(self):
-        # residual carries (2^(2n)-1) B_n* / (2n (2r+2n)!)
+        # residuals carry w(n) B_n* / (2n (2r+2n)!), w(n) = 2^(2n)-1 for
+        # thm21 and 1 for thm16; the float rule agrees with the exact one
         from math import factorial
-        rule = get_record("thm21-eta-odd").residual(1)
-        for n in (1, 2, 3):
-            want = (F(4 ** n - 1) * exact.bernoulli_star(n)
-                    / (2 * n * factorial(2 + 2 * n)))
-            assert rule.coeff(n) == want
+        for rid, weight in (("thm21-eta-odd", lambda n: 4 ** n - 1),
+                            ("thm16-zeta-odd-cos", lambda n: 1)):
+            rule = get_record(rid).residual(1)
+            for n in (1, 2, 3):
+                want = (F(weight(n)) * exact.bernoulli_star(n)
+                        / (2 * n * factorial(2 + 2 * n)))
+                assert rule.coeff(n) == want
+            with mp.workdps(30):
+                for k in range(1, 7):
+                    want = rule.coeff(k)
+                    want = mp.mpf(want.numerator) / want.denominator
+                    assert abs(rule.coeff_mpf(k, 30) / want - 1) < 1e-25, (rid, k)
 
     def test_unknown_id(self):
         with pytest.raises(RegistryError):
@@ -153,6 +161,14 @@ class TestStructural:
         with pytest.raises(RegistryError):
             theorem23_shift("cor6-lambda", F(1, 2))
 
+    @pytest.mark.parametrize("x0", [F(1, 4), F(1, 8)], ids=["1/4", "1/8"])
+    def test_theorem23_shifted_partial_sum(self, x0):
+        sh = theorem23_shift("cor6-lambda", x0)
+        for x in (0.5, 0.4):
+            partial = partial_sum_eval(sh, 1, x=x, N=4000)
+            closed = closed_form_eval(sh, 1, x=x, ctx=CTX)
+            assert abs(partial - closed) < 1e-6, (x0, x)
+
     def test_theorem23_shifted_series_verifies(self):
         sh = theorem23_shift("cor6-lambda", F(1, 8))
         rep = verify(sh, 1, N=4000, tol=1e-5)
@@ -201,3 +217,25 @@ class TestEndpointLaw:
     def test_suite_covers_catalog(self):
         suite_ids = {entry.id for entry in default_suite()}
         assert suite_ids == {rec.id for rec in list_identities()}
+
+
+_PARTIAL_SUM_RECORDS = ([rec.id for rec in list_identities()]
+                        + ["cor6-lambda@1/4", "cor6-lambda@1/8"])
+
+
+@pytest.mark.parametrize("name", _PARTIAL_SUM_RECORDS)
+def test_partial_sum_paths_agree(name):
+    """The mpmath partial sum and the float64 grid partial sum come from the
+    same term spec and agree at an interior point."""
+    base, _, x0 = name.partition("@")
+    rec = theorem23_shift(base, F(x0)) if x0 else get_record(base)
+    r = rec.effective_r(1)
+    if rec.kind == "value":
+        c, x = 1.0, 0.0
+    else:
+        c = float(np.pi) if rec.kind == "cospow" else 1.0
+        a, b = rec.interval
+        x = float(a + (b - a) * F(3, 7)) * c
+    exact_sum = partial_sum_eval(rec, r, c=c, x=x, N=200)
+    float_sum = _series_partial_float(rec, r, c, np.array([x]), 200)[0]
+    assert abs(exact_sum - float_sum) < 1e-12
