@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from typing import List, Optional
 
@@ -178,9 +179,16 @@ def _cmd_verify(args) -> int:
         return _cmd_verify_suite_rows(args)
     if args.all:
         # the full acceptance suite: the registry sweep is one criterion of
-        # eight; each prints a single pass/fail line
-        from .acceptance import run_all
-        outcomes = run_all()
+        # eight; each prints a single pass/fail line, and its time goes to
+        # stderr so that stdout stays the same from run to run
+        from .acceptance import ALL_CRITERIA
+        outcomes = []
+        for criterion in ALL_CRITERIA:
+            t0 = time.perf_counter()
+            outcomes.append(criterion())
+            print(json.dumps({"criterion": outcomes[-1][0],
+                              "elapsed_s": round(time.perf_counter() - t0, 3)},
+                             separators=(",", ":")), file=sys.stderr)
         if args.format == "json":
             print(json.dumps([{"criterion": name, "pass": ok, "detail": detail}
                               for name, ok, detail in outcomes],

@@ -20,8 +20,9 @@ ratio pushes the tail below the requested target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Callable, Dict, List, Tuple
 
 import mpmath as mp
@@ -54,27 +55,38 @@ class PrecisionContext:
 
     digits must exceed ceil(-log10(target)) by at least 10 guard digits;
     a context that cannot deliver its target is refused at construction.
+    The logarithm is taken of the decimal the float target stands for (its
+    shortest round-trip form), exactly and whatever the ambient mpmath
+    precision: 10.0**-60 lies just below 1e-60 but needs 60 digits.
     """
     digits: int
     target: float
 
     def __post_init__(self):
-        needed = mp.ceil(-mp.log10(mp.mpf(self.target))) + GUARD_DIGITS
+        if not 0 < self.target < inf:
+            raise PrecisionError(
+                f"target {self.target} is not a positive finite error")
+        needed = _target_decimals(self.target) + GUARD_DIGITS
         if self.digits < needed:
             raise PrecisionError(
                 f"{self.digits} digits cannot support target {self.target}"
-                f" (need >= {int(needed)})")
+                f" (need >= {needed})")
 
     @classmethod
     def for_target(cls, target: float) -> "PrecisionContext":
-        digits = int(mp.ceil(-mp.log10(mp.mpf(target)))) + GUARD_DIGITS
-        return cls(digits=digits, target=target)
+        return cls(digits=_target_decimals(target) + GUARD_DIGITS, target=target)
 
     @classmethod
     def for_digits(cls, digits: int) -> "PrecisionContext":
         if digits <= GUARD_DIGITS:
             raise PrecisionError(f"need more than {GUARD_DIGITS} digits")
         return cls(digits=digits, target=10.0 ** -(digits - GUARD_DIGITS))
+
+
+def _target_decimals(target: float) -> int:
+    """ceil(-log10(target)) of the shortest decimal that rounds to the float
+    target: m * 10^e with 1 <= m < 10 gives -e."""
+    return -Decimal(repr(float(target))).adjusted()
 
 
 @dataclass(frozen=True)
@@ -326,8 +338,9 @@ def _residual_sum(term_fn: Callable[[int], mp.mpf], target: mp.mpf,
 
     Consecutive ratios must stay below ratio_cap (they do for all four
     representations: the asymptotic ratio is (pi/2)^2/16 or (pi/3)^2/36
-    times a factorial-decay factor); the tail is then bounded by
-    next_term / (1 - ratio_cap).
+    times a factorial-decay factor; and for the remainder of the registry's
+    Thm 16/21 residual series, whose ratio is at most w^2/4 <= 1/4); the
+    tail is then bounded by next_term / (1 - ratio_cap).
     """
     total = mp.mpf(0)
     prev = None

@@ -5,7 +5,7 @@ polynomial in u = pi x / c whose coefficients live in the exact basis
 { rational * pi^K,  rational * zeta(odd),  rational * ln 2,
   rational * sqrt2 * pi^K,  rational * sqrt3 * pi^K },
 plus, where needed, a u^p * ln(u) term and a residual series with exact
-rational coefficients and factorial decay.  Because coefficients are exact,
+rational coefficients (see ResidualRule).  Because coefficients are exact,
 endpoint specialization, termwise integration and the cosh-shift act as
 exact rational arithmetic; only log terms, residual tails and the final
 grid comparison are numeric.
@@ -29,8 +29,9 @@ import mpmath as mp
 import numpy as np
 
 from . import exact
-from .dirichlet import (ORACLE_SERIES, PeriodicPattern, PrecisionContext,
-                        _to_mpf, dirichlet_oracle)
+from .dirichlet import (GUARD_DIGITS, ORACLE_SERIES, PeriodicPattern,
+                        PrecisionContext, _residual_sum, _to_mpf,
+                        dirichlet_oracle)
 from .exact import PiPolynomial, bernoulli_star, harmonic
 
 __all__ = [
@@ -184,21 +185,6 @@ def _eta_odd_coeff(m: int, q: Fraction) -> Coeff:
 # ---------------------------------------------------------------------------
 # residual series
 
-def _zeta_even_float(k: int, digits: int) -> mp.mpf:
-    """zeta(2k) as mpf: exact pi-monomial for small k, direct mini-sum for
-    large k (the tail beyond n_max is below 2 (n_max+1)^(-2k))."""
-    if k <= 16:
-        return exact.zeta_even(k).eval(digits)
-    total = mp.mpf(1)
-    n = 2
-    while True:
-        t = mp.mpf(n) ** (-2 * k)
-        total += t
-        if t < mp.mpf(10) ** (-digits - 5):
-            return total
-        n += 1
-
-
 def _fact_ratio_inv(a: int, b: int) -> mp.mpf:
     """a! / b! for a <= b, as 1 / ((a+1) ... b)."""
     out = mp.mpf(1)
@@ -211,14 +197,19 @@ def _fact_ratio_inv(a: int, b: int) -> mp.mpf:
 class ResidualRule:
     """sign * sum_{k>=1} coeff(k) u^(power(k)), the residual series of the
     Thm 16 (alternating=False) and Thm 21 (alternating=True) closed forms,
-    with coeff(k) = weight(k) B*_k / (2k (2r+2k)!) > 0.
+    with coeff(k) = weight(k) B*_k / (2k (2r+2k)!) > 0, weight(k) = 1 for
+    Thm 16 and 4^k - 1 for Thm 21.
 
     coeff gives the exact rational coefficient (used by the structural
-    tests); evaluation runs in floating point through coeff_mpf, which
-    applies the same rule with B*_k = 2 (2k)! zeta(2k) / (2 pi)^(2k) so no
-    oversized rationals appear.  decay_exponent is the k^-(e) envelope
-    exponent at the largest admissible u (the closed endpoint); the tail
-    after truncation at k is bounded by t_k * k / (e - 1).
+    tests).  In w = u / scale (scale = 2 pi for Thm 16, pi for Thm 21, so
+    0 <= w <= 1 on the closed interval) the series is
+    sign * scale^(2r) * sum_k c_k f_k w^(2r+2k) with f_k = (2k)! / ((2r+2k)! k)
+    and c_k = zeta(2k) (Thm 16) or lambda(2k) (Thm 21); coeff_mpf is
+    c_k f_k / scale^(2k) in floating point.  eval splits c_k = 1 + (c_k - 1):
+    the "1" part is closed_part(w), elementary in w; the remainder terms
+    (c_k - 1) f_k w^(2r+2k) are positive and their ratio is at most w^2/4,
+    since c_k - 1 sums n^(-2k) over n >= 2 (odd n >= 3 for lambda) and
+    f_(k+1) < f_k.
     """
     r: int
     alternating: bool
@@ -228,40 +219,58 @@ class ResidualRule:
         return (-1) ** (self.r + self.alternating)
 
     @property
-    def decay_exponent(self) -> int:
-        return 2 * self.r + 1
+    def scale(self) -> mp.mpf:
+        return +mp.pi if self.alternating else 2 * mp.pi
 
     def power(self, k: int) -> int:
         return 2 * self.r + 2 * k
 
-    def _rule(self, k: int, four, num, den):
-        """weight(k) * num / (2k den), given num / den = B*_k / (2r+2k)!
-        and ``four`` = 4 in the arithmetic of num (an mpf keeps 4^k cheap)."""
-        weight = four ** k - 1 if self.alternating else 1
-        return weight * num / (2 * k * den)
-
     def coeff(self, k: int) -> Fraction:
-        return self._rule(k, 4, bernoulli_star(k), factorial(self.power(k)))
+        weight = 4 ** k - 1 if self.alternating else 1
+        return weight * bernoulli_star(k) / (2 * k * factorial(self.power(k)))
+
+    def _c(self, k: int, digits: int) -> mp.mpf:
+        value = exact.lambda_even(k) if self.alternating else exact.zeta_even(k)
+        return value.eval(digits)
+
+    def _f(self, k: int) -> mp.mpf:
+        return _fact_ratio_inv(2 * k, self.power(k)) / k
 
     def coeff_mpf(self, k: int, digits: int) -> mp.mpf:
-        return self._rule(k, mp.mpf(4), 2 * _zeta_even_float(k, digits)
-                          * _fact_ratio_inv(2 * k, self.power(k)),
-                          (2 * mp.pi) ** (2 * k))
+        with mp.workdps(digits):
+            return self._c(k, digits) * self._f(k) / self.scale ** (2 * k)
 
-    def eval(self, u: mp.mpf, eps: mp.mpf, max_terms: int = 200_000) -> mp.mpf:
-        digits = mp.mp.dps
+    def closed_part(self, w: mp.mpf) -> mp.mpf:
+        """sum_k f_k w^(2r+2k) = -w^(2r)/(2r-1)! int_0^1 (1-t)^(2r-1)
+        ln(1 - w^2 t^2) dt for 0 <= w <= 1, from the Beta integral after one
+        polynomial division; (1-w)^(2r) ln(1-w) takes its limit 0 at w = 1."""
+        n = 2 * self.r
         total = mp.mpf(0)
-        k = 1
-        while True:
-            t = self.coeff_mpf(k, digits) * u ** self.power(k)
-            total += t
-            if abs(t) < eps / 10 and k >= 4:
-                tail = abs(t) * k / (self.decay_exponent - 1)
-                if tail < eps:
-                    return self.sign * total
-            k += 1
-            if k > max_terms:
-                raise RegistryError("residual series did not reach tolerance")
+        for v in (w, -w):
+            if v != 1:
+                total += (1 - v) ** n * mp.log(1 - v)
+            total -= mp.fsum((-v) ** i * (1 - v) ** (n - i) / i
+                             for i in range(1, n + 1))
+        return -total / factorial(n)
+
+    def eval(self, u: mp.mpf, eps: mp.mpf) -> mp.mpf:
+        """The residual at u to absolute error eps (|u| <= scale): closed_part
+        plus the remainder summed by the geometric-ratio summer, whose tail
+        bound keeps it within eps / 6.  Guard digits cover the cancellation
+        in closed_part, whose terms reach 4^r while the result is scaled by
+        scale^(2r) / (2r)!."""
+        w = abs(u) / self.scale
+        if w > 1 + mp.mpf(10) ** (5 - mp.mp.dps):
+            raise RegistryError(
+                f"residual series needs |u| / scale <= 1, got {mp.nstr(w, 8)}")
+        w = min(w, mp.mpf(1))
+        digits = max(mp.mp.dps, int(mp.ceil(-mp.log10(eps)))) + GUARD_DIGITS
+        with mp.workdps(digits):
+            scale = self.scale ** (2 * self.r)
+            rest, _, _ = _residual_sum(
+                lambda k: ((self._c(k, digits) - 1) * self._f(k)
+                           * w ** self.power(k)), eps / scale)
+            return +(self.sign * scale * (self.closed_part(w) + rest))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +531,8 @@ def _log_thm16(r: int) -> Tuple[Coeff, int]:
     return Coeff.rational(Fraction((-1) ** (r + 1), factorial(2 * r))), 2 * r
 
 
-def theorem23_shift(identity_id: str | IdentityRecord, x0: Fraction,
-                    r: Optional[int] = None) -> IdentityRecord:
+def theorem23_shift(identity_id: str | IdentityRecord,
+                    x0: Fraction) -> IdentityRecord:
     """Shifted identity: the term spec gains the shift x0 (in units of c),
     so each amplitude gains the factor cos(m pi x0); the closed form becomes
     the average of the source at x -+ x0 (exact on the pi-monomial
@@ -699,11 +708,10 @@ def closed_form_eval(identity_id: str | IdentityRecord, r: Optional[int],
                      ctx: PrecisionContext | None = None,
                      series_eps: Optional[float] = None) -> mp.mpf:
     """Exact-coefficient closed form at x: polynomial part at high precision
-    plus the log term (limit value 0 at u = 0) and the truncated residual
-    series with its tail inside the precision budget.
+    plus the log term (limit value 0 at u = 0) and the residual series
+    within the precision budget.
 
-    series_eps loosens the residual-series budget below the context target
-    (the residual converges only polynomially at the closed endpoints)."""
+    series_eps loosens the residual-series budget below the context target."""
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
     r_eff = rec.effective_r(r)
     ctx = ctx or PrecisionContext.for_digits(30)

@@ -108,6 +108,7 @@ class TestDeterminism:
         ("zeta-odd", "--r", "2", "--method", "thm17", "--digits", "25"),
         ("oracle", "--series", "frakD", "--s", "2", "--digits", "25"),
         ("map", "cospow", "--sum=-ln(1-t)", "--kind", "sin", "--format", "json"),
+        ("verify", "--all"),
     ])
     def test_repeat_runs_identical(self, capsys, argv):
         _, first, _ = run(capsys, *argv)

@@ -20,6 +20,16 @@ class TestPrecisionContext:
     def test_refusal(self):
         with pytest.raises(PrecisionError):
             PrecisionContext(digits=12, target=1e-20)
+        for target in (0.0, -1e-20, float("inf"), float("nan")):
+            with pytest.raises(PrecisionError):
+                PrecisionContext(digits=30, target=target)
+
+    def test_for_digits_ignores_ambient_precision(self):
+        # 10.0**-e lies below 1e-e for e = 16, 17, 21, ...; at 60 ambient
+        # digits -log10 resolved that and for_digits refused its own target
+        with mp.workdps(60):
+            for digits in range(11, 320):
+                assert PrecisionContext.for_digits(digits).digits == digits
 
     def test_for_target(self):
         ctx = PrecisionContext.for_target(1e-25)

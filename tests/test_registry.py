@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from trigsum import exact
-from trigsum.dirichlet import PrecisionContext
-from trigsum.registry import (Coeff, RegistryError, _series_partial_float,
+from trigsum.dirichlet import PrecisionContext, dirichlet_oracle
+from trigsum.registry import (Coeff, RegistryError, ResidualRule,
+                              _series_partial_float,
                               closed_form_eval, corollary2_integrate, default_suite,
                               endpoint_suite, get_record, integration_successor,
                               list_identities, partial_sum_eval, poly_derivative,
@@ -96,6 +97,51 @@ class TestEvaluation:
         with mp.workdps(30):
             v = closed_form_eval("thm11-cos", 1, c=1.0, x=1.0, ctx=CTX)
             assert abs(v + mp.pi ** 2 / 12) < 1e-25
+
+
+    def test_high_precision_context(self):
+        # the zeta(odd) coefficients take a 10-digit wider context, built
+        # inside the caller's 60 digits
+        high = closed_form_eval("thm16-zeta-odd-cos", 2, x=0.5,
+                                ctx=PrecisionContext.for_digits(60))
+        low = closed_form_eval("thm16-zeta-odd-cos", 2, x=0.5, ctx=CTX)
+        assert abs(high - low) < 1e-20
+
+
+def _residual_reference(rule, w):
+    """The residual at u = scale * w from mpmath's own zeta at 60 digits: the
+    direct sum for w <= 1/2, where its ratio is at most w^2; at w = 1 the
+    quadrature of the Beta integral plus the zeta(2k) - 1 remainder."""
+    r = rule.r
+    with mp.workdps(60):
+        def c(k):
+            z = mp.zeta(2 * k)
+            return z - z / 4 ** k if rule.alternating else z
+
+        def f(k):
+            return mp.factorial(2 * k) / (mp.factorial(2 * r + 2 * k) * k)
+
+        if w < 1:
+            total = mp.fsum(c(k) * f(k) * w ** (2 * r + 2 * k)
+                            for k in range(1, 120))
+        else:
+            total = -mp.quad(lambda t: (1 - t) ** (2 * r - 1) * mp.log(1 - t * t),
+                             [0, 1]) / mp.factorial(2 * r - 1)
+            total += mp.fsum((c(k) - 1) * f(k) for k in range(1, 250))
+        scale = mp.pi if rule.alternating else 2 * mp.pi
+        return rule.sign * scale ** (2 * r) * total, scale
+
+
+@pytest.mark.parametrize("alternating", [False, True], ids=["thm16", "thm21"])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_residual_eval_within_eps(r, alternating):
+    rule = ResidualRule(r, alternating)
+    for w in ("1e-6", "0.5", "1"):
+        want, scale = _residual_reference(rule, mp.mpf(w))
+        with mp.workdps(30):
+            eps = mp.mpf("1e-20")
+            got = rule.eval(scale * mp.mpf(w), eps)
+        assert abs(got - want) <= eps, (w, got, want)
 
 
 class TestVerify:
@@ -201,7 +247,7 @@ class TestStructural:
 
 class TestEndpointLaw:
     def test_closed_endpoints_hold(self):
-        for rid, r in endpoint_suite()[:6]:
+        for rid, r in endpoint_suite():
             rep = verify_endpoint(rid, r)
             assert rep.passed, (rid, r, rep)
 
@@ -213,6 +259,17 @@ class TestEndpointLaw:
             closed = closed_form_eval(rid, None, c=c, x=x, ctx=CTX)
             partial = partial_sum_eval(rid, None, c=c, x=x, N=4000)
             assert abs(closed - partial) > 10 * 1e-8, rid
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_residual_endpoints_match_oracle(self, r):
+        # thm16 at x = 2c sums zeta(2r+1); thm21 at x = +-c sums -zeta(2r+1)
+        ctx = PrecisionContext.for_digits(30)
+        zeta = dirichlet_oracle("zeta", 2 * r + 1, ctx).value
+        got = closed_form_eval("thm16-zeta-odd-cos", r, x=2.0, ctx=ctx)
+        assert abs(got - zeta) <= ctx.target
+        for x in (1.0, -1.0):
+            got = closed_form_eval("thm21-eta-odd", r, x=x, ctx=ctx)
+            assert abs(got + zeta) <= ctx.target
 
     def test_suite_covers_catalog(self):
         suite_ids = {entry.id for entry in default_suite()}
