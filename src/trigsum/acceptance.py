@@ -11,11 +11,10 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, pi
 from typing import Callable, List, Tuple
 
 import mpmath as mp
-import numpy as np
 
 from . import exact
 from .dirichlet import (PrecisionContext, ZETA_ODD_METHODS, dirichlet_oracle,
@@ -165,10 +164,10 @@ def criterion_4_operator_suite(samples: int = 100) -> Outcome:
 
 def criterion_5_worked_examples() -> Outcome:
     rep1 = verify("example1-cospow", None, N=2000, tol=1e-8,
-                  interval=(0.1, float(np.pi) - 0.1))
+                  interval=(0.1, pi - 0.1))
     rep2 = verify("example2-fourier", None, N=100_000, tol=1e-3,
-                  interval=((-np.pi / 3 + 0.1) / np.pi,
-                            (np.pi / 3 - 0.1) / np.pi))
+                  interval=((-pi / 3 + 0.1) / pi,
+                            (pi / 3 - 0.1) / pi))
     pts1 = [str(p) for p in
             map_cospow(parse_expr("-ln(1-t)"), kind="sin").singular_points]
     e2 = map_fourier(parse_expr(EXAMPLE2_SUM), c=PI, kind="cosine")
@@ -196,9 +195,9 @@ def criterion_6_registry_sweep() -> Outcome:
         if not rep.passed:
             failures.append(rep.id + "@endpoints")
     ctx = PrecisionContext.for_digits(30)
-    closed0 = closed_form_eval("example1-cospow", None, c=float(np.pi),
+    closed0 = closed_form_eval("example1-cospow", None, c=pi,
                                x=0.0, ctx=ctx)
-    partial0 = partial_sum_eval("example1-cospow", None, c=float(np.pi),
+    partial0 = partial_sum_eval("example1-cospow", None, c=pi,
                                 x=0.0, N=2000)
     gibbs_ok = abs(closed0 - partial0) > 10 * 1e-8
     elapsed = time.perf_counter() - t0

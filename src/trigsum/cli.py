@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -17,14 +18,12 @@ from typing import List, Optional
 
 import mpmath as mp
 
+# Only what build_parser needs is imported here; each command imports the
+# modules it runs, so that a call loads no more than that (numpy, for one,
+# only with grid verification).
 from . import exact
 from .dirichlet import (ORACLE_SERIES, PrecisionContext, PrecisionError,
                         ZETA_ODD_METHODS, dirichlet_oracle, zeta_odd)
-from .expr import ExprError, ParseError, parse_expr, to_text
-from .mapping import MappingError, map_cospow, map_fourier
-from .operators import UnsupportedHeadError, apply_operator
-from .registry import (RegistryError, default_suite, endpoint_suite, get_record,
-                       list_identities, theorem23_shift, verify, verify_endpoint)
 
 _EXACT_FUNCS = {
     "zeta-even": lambda n: exact.zeta_even(n),
@@ -81,6 +80,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_operator(args) -> int:
+    from .expr import parse_expr, to_text
+    from .operators import apply_operator
     expr = parse_expr(args.expr)
     arg = parse_expr(args.arg)
     shift = parse_expr(args.shift)
@@ -98,6 +99,8 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from .expr import parse_expr, to_text
+    from .mapping import map_cospow, map_fourier
     S = parse_expr(args.sum)
     if args.family == "fourier":
         c = parse_expr(args.c) if args.c else None
@@ -173,7 +176,18 @@ def _emit_reports(reports, fmt: str) -> None:
                   f"max_error={rep.max_error:.3e}")
 
 
+def _check_verify_values(args) -> None:
+    """Refuse a grid or term count below 1 and a tolerance that is not a
+    positive finite number before any work starts."""
+    for flag, value in (("--grid", args.grid), ("--terms", args.terms)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+
+
 def _cmd_verify(args) -> int:
+    _check_verify_values(args)
     reports = []
     if getattr(args, "suite", False):
         return _cmd_verify_suite_rows(args)
@@ -201,6 +215,7 @@ def _cmd_verify(args) -> int:
         if not args.id:
             print("verify needs --id or --all", file=sys.stderr)
             return 2
+        from .registry import get_record, theorem23_shift, verify
         record = get_record(args.id)
         if args.x0:
             record = theorem23_shift(record, Fraction(args.x0))
@@ -212,6 +227,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_suite_rows(args) -> int:
     """Per-record registry sweep rows (catalog order), machine-readable."""
+    from .registry import default_suite, endpoint_suite, verify, verify_endpoint
     reports = [verify(entry.id, entry.r, N=entry.N, tol=entry.tol)
                for entry in default_suite()]
     reports += [verify_endpoint(rid, r) for rid, r in endpoint_suite()]
@@ -220,6 +236,7 @@ def _cmd_verify_suite_rows(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .registry import list_identities
     rows = [{"id": rec.id, "label": rec.label, "kind": rec.kind}
             for rec in list_identities()]
     if args.format == "json":
@@ -307,10 +324,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PrecisionError, ParseError, ExprError, MappingError,
-            RegistryError, UnsupportedHeadError, ValueError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, _usage_errors()):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _usage_errors() -> tuple:
+    """The library errors that end a command with exit 2.  They are imported
+    once one is raised, so that no command loads a module for them."""
+    from .expr import ExprError  # covers ParseError, MappingError, UnsupportedHeadError
+    from .registry import RegistryError
+    return (PrecisionError, ExprError, RegistryError, ValueError)
 
 
 if __name__ == "__main__":

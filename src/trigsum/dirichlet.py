@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 from typing import Callable, Dict, List, Tuple
 
 import mpmath as mp
@@ -55,22 +55,27 @@ class PrecisionContext:
 
     digits must exceed ceil(-log10(target)) by at least 10 guard digits;
     a context that cannot deliver its target is refused at construction.
-    The logarithm is taken of the decimal the float target stands for (its
-    shortest round-trip form), exactly and whatever the ambient mpmath
-    precision: 10.0**-60 lies just below 1e-60 but needs 60 digits.
+    The target may be given as a float or as a decimal string (for_digits
+    passes "1e-<digits - 10>", which no float can hold past 1e-308).  The
+    logarithm is taken of the decimal it stands for (a float's shortest
+    round-trip form), exactly and whatever the ambient mpmath precision:
+    10.0**-60 lies just below 1e-60 but needs 60 digits.  The target is
+    then held as a 53-bit mpf, equal to the float where one was given.
     """
     digits: int
-    target: float
+    target: mp.mpf
 
     def __post_init__(self):
-        if not 0 < self.target < inf:
+        decimal = Decimal(str(self.target))
+        if not (decimal.is_finite() and decimal > 0):
             raise PrecisionError(
                 f"target {self.target} is not a positive finite error")
-        needed = _target_decimals(self.target) + GUARD_DIGITS
+        needed = _target_decimals(decimal) + GUARD_DIGITS
         if self.digits < needed:
             raise PrecisionError(
                 f"{self.digits} digits cannot support target {self.target}"
                 f" (need >= {needed})")
+        object.__setattr__(self, "target", mp.mpf(str(decimal), prec=53))
 
     @classmethod
     def for_target(cls, target: float) -> "PrecisionContext":
@@ -80,13 +85,13 @@ class PrecisionContext:
     def for_digits(cls, digits: int) -> "PrecisionContext":
         if digits <= GUARD_DIGITS:
             raise PrecisionError(f"need more than {GUARD_DIGITS} digits")
-        return cls(digits=digits, target=10.0 ** -(digits - GUARD_DIGITS))
+        return cls(digits=digits, target=f"1e-{digits - GUARD_DIGITS}")
 
 
-def _target_decimals(target: float) -> int:
-    """ceil(-log10(target)) of the shortest decimal that rounds to the float
-    target: m * 10^e with 1 <= m < 10 gives -e."""
-    return -Decimal(repr(float(target))).adjusted()
+def _target_decimals(target) -> int:
+    """ceil(-log10(target)) of the decimal the target stands for (a float's
+    shortest round-trip form): m * 10^e with 1 <= m < 10 gives -e."""
+    return -Decimal(str(target)).adjusted()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ grid comparison are numeric.
 Grid verification compares the closed form against brute-force partial
 sums on interior grids (0.05-period margins around singular points), in
 float64 for the documented tolerances (all >= 1e-8) with mpmath behind the
-exact coefficients.
+exact coefficients.  Only that float path imports numpy, so the catalog and
+the exact evaluations load without it.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import mpmath as mp
-import numpy as np
 
 from . import exact
 from .dirichlet import (GUARD_DIGITS, ORACLE_SERIES, PeriodicPattern,
                         PrecisionContext, _residual_sum, _to_mpf,
                         dirichlet_oracle)
 from .exact import PiPolynomial, bernoulli_star, harmonic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Coeff",
@@ -312,18 +315,19 @@ class TermSpec:
         computed in float64) or one mpf (exact partial sums, computed at the
         working precision)."""
         P = self.pattern.period
-        if isinstance(m, np.ndarray):
-            cos, pi, num = np.cos, np.pi, float
-            with mp.workprec(53):  # round each step as float64 does
-                scale = float(self.pattern.scale_value())
-            table = scale * np.array([float(w) for w in self._weights])
-            coef = table[(m % P).astype(np.intp)]
-        else:
+        if isinstance(m, mp.mpf):
             cos, pi, num = mp.cos, mp.pi, _to_mpf
             w = self._weights[int(m) % P]
             coef = self.pattern.scale_value() * w.numerator
             if w.denominator != 1:
                 coef /= w.denominator
+        else:
+            import numpy as np
+            cos, pi, num = np.cos, np.pi, float
+            with mp.workprec(53):  # round each step as float64 does
+                scale = float(self.pattern.scale_value())
+            table = scale * np.array([float(w) for w in self._weights])
+            coef = table[(m % P).astype(np.intp)]
         s = self.exponent(r)
         if self.pole:
             amp = coef * (1 / (m * m - self.pole ** 2) ** (s // 2))
@@ -771,6 +775,7 @@ def _term_mp(rec: IdentityRecord, r: int, n: int, xc: mp.mpf) -> mp.mpf:
 
 def _series_partial_float(rec: IdentityRecord, r: int, c: float,
                           xs: np.ndarray, N: int) -> np.ndarray:
+    import numpy as np
     n = np.arange(rec.n_start, rec.n_start + N, dtype=np.float64)
     m = rec.term.frequency(n)
     amp = rec.term.amplitude(m, r)
@@ -799,6 +804,7 @@ def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
     The grid excludes a margin (default 0.05 * period) around the interval
     endpoints, where partial-sum convergence degrades.
     """
+    import numpy as np
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
     r_eff = rec.effective_r(r)
     if rec.kind == "value":
@@ -909,14 +915,13 @@ def verify_endpoint(identity_id: str, r: Optional[int], c: float = 1.0,
                     N: int = 200_000) -> VerificationReport:
     """Closed-endpoint check: the identity holds at the interval endpoints
     within the partial-sum truncation bound (absolute-convergence tail)."""
+    import numpy as np
     rec = get_record(identity_id)
     r_eff = rec.effective_r(r)
     a, b = rec.interval
     d = rec.term.exponent(r_eff)
     if d < 2:
         raise RegistryError("endpoint verification needs absolute convergence")
-    if rec.residual is not None:
-        N = min(N, 20_000)  # residual tails at the endpoint decay polynomially
     tail = 2.0 * N ** (1 - d) / (d - 1)
     tol = max(4 * tail, 1e-12)
     xs = np.array([float(a) * c, float(b) * c])

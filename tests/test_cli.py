@@ -1,6 +1,10 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,29 @@ class TestVerify:
         assert set(payload[0]) == {"id", "r", "c", "N", "tol", "max_error", "pass"}
 
 
+class TestVerifyValues:
+    """A grid or term count below 1 and a tolerance that is not positive and
+    finite are refused before any work: exit 2, one `error:` line that
+    names the flag, nothing on stdout."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid", "0"), ("--grid", "-3"), ("--terms", "0"), ("--terms", "-1"),
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_refused(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--id", "thm11-cos", "--r", "1",
+                             f"{flag}={value}")
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert flag in lines[0]
+
+    def test_smallest_counts_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "thm11-cos", "--r", "1",
+                           "--grid", "1", "--terms", "1", "--tol", "1e-12")
+        assert code == 1 and out.startswith("FAIL thm11-cos r=1 N=1 ")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("exact", "cald", "--n", "2", "--format", "json"),
@@ -109,6 +136,8 @@ class TestDeterminism:
         ("oracle", "--series", "frakD", "--s", "2", "--digits", "25"),
         ("map", "cospow", "--sum=-ln(1-t)", "--kind", "sin", "--format", "json"),
         ("verify", "--all"),
+        ("identities",),
+        ("verify", "--id", "thm11-cos", "--r", "1", "--grid", "5"),
     ])
     def test_repeat_runs_identical(self, capsys, argv):
         _, first, _ = run(capsys, *argv)
@@ -122,3 +151,29 @@ class TestIdentitiesListing:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) >= 18
+
+
+def run_fresh(*argv):
+    """`python -m trigsum.cli` in a new interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "trigsum.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+class TestFreshProcessErrors:
+    """Each command imports its own modules, and the errors that map to exit
+    2 are imported only when one is raised: a new process still exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("operator", "apply", "--kind", "cos", "--expr", "sin(", "--arg", "x",
+         "--shift", "h"),
+        ("verify", "--id", "no-such-identity"),
+        ("zeta-odd", "--r", "1", "--digits", "0"),
+    ], ids=["parse-error", "unknown-identity", "precision-refusal"])
+    def test_exit_2(self, argv):
+        out = run_fresh(*argv)
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

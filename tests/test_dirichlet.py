@@ -31,6 +31,17 @@ class TestPrecisionContext:
             for digits in range(11, 320):
                 assert PrecisionContext.for_digits(digits).digits == digits
 
+    def test_for_digits_past_the_float_range(self):
+        # 10.0**-(d-10) is 0.0 for d >= 334; the decimal target is exact
+        for digits in (333, 334, 410, 1000):
+            ctx = PrecisionContext.for_digits(digits)
+            assert ctx.digits == digits
+            assert 0 < ctx.target
+            with mp.workdps(digits + 10):
+                assert abs(mp.log10(ctx.target) + (digits - 10)) < 1e-12
+        with pytest.raises(PrecisionError):
+            PrecisionContext(digits=409, target="1e-400")
+
     def test_for_target(self):
         ctx = PrecisionContext.for_target(1e-25)
         assert ctx.digits >= 35
@@ -52,6 +63,13 @@ class TestOracle:
         with mp.workdps(45):
             a = dirichlet_oracle("beta", 1, CTX40)
             assert abs(a.value - mp.pi / 4) < 1e-12
+
+    def test_zeta3_400_digits(self):
+        ctx = PrecisionContext.for_digits(400)
+        a = dirichlet_oracle("zeta", 3, ctx)
+        with mp.workdps(420):
+            assert abs(a.value - mp.zeta(3)) <= a.tail_bound
+        assert a.tail_bound <= ctx.target
 
     def test_eta1(self):
         with mp.workdps(45):
@@ -179,6 +197,14 @@ class TestZetaOdd:
                     break
                 k += 1
             assert abs(total - zeta_odd(1, "thm15", CTX40).value) < 1e-30
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_400_digits(self, r):
+        ctx = PrecisionContext.for_digits(400)
+        a = zeta_odd(r, "thm15-zeta", ctx)
+        with mp.workdps(420):
+            assert abs(a.value - mp.zeta(2 * r + 1)) <= a.tail_bound
+        assert a.tail_bound <= ctx.target
 
     def test_eta_odd(self):
         with mp.workdps(45):

@@ -26,6 +26,14 @@ class TestMapFourier:
         assert r.validity_ratio == (F(0), F(2))
         assert [to_text(p) for p in r.singular_points] == ["0", "2*c"]
 
+    @pytest.mark.xfail(strict=True, reason="the cosine kind does not report "
+                       "the log singularities at 0 and 2c")
+    def test_log_series_cosine_singular_points(self):
+        # sum cos(n pi x / c) / n = -ln|2 sin(pi x / 2c)| diverges at 0 and 2c
+        r = map_fourier(parse_expr("-ln(1-t)"), kind="cosine")
+        assert r.validity_ratio == (F(0), F(2))
+        assert [to_text(p) for p in r.singular_points] == ["0", "2*c"]
+
     def test_alternating_log_sine(self):
         r = map_fourier(parse_expr("ln(1+t)"), kind="sine")
         assert to_text(r.closed_form) == "1/2*c^-1*pi*x"

@@ -251,6 +251,14 @@ class TestEndpointLaw:
             rep = verify_endpoint(rid, r)
             assert rep.passed, (rid, r, rep)
 
+    @pytest.mark.parametrize("rid", ["thm16-zeta-odd-cos", "thm21-eta-odd"])
+    def test_residual_endpoint_rows_full_terms(self, rid):
+        # the residual's closed form leaves the truncation tail of the
+        # 200,000-term partial sum, 2 N^-2 / 2, as the only error at r = 1
+        rep = verify_endpoint(rid, 1)
+        assert (rep.N, rep.tol) == (200_000, 1e-10)
+        assert rep.passed and rep.max_error < 2e-11
+
     def test_open_endpoint_fails(self):
         # the pure-jump open records differ from their series at the endpoint
         for rid, x, c in (("example1-cospow", 0.0, float(np.pi)),
