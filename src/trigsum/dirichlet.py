@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Dict, List, Tuple
+from itertools import count
+from math import factorial
+from typing import Dict, Iterable, List, Tuple
 
 import mpmath as mp
 
@@ -112,19 +113,18 @@ _B_CLASSICAL: Dict[int, Fraction] = {0: Fraction(1)}
 
 
 def _bernoulli_classical_even(j: int) -> Fraction:
-    """B_{2j} with the classical sign, via sum_{k<m} C(m+1,k) B_k = 0."""
+    """B_{2j} with the classical sign, via sum_{k<m} C(m+1,k) B_k = 0 at
+    even m; B_1 = -1/2 enters once and the odd B_k beyond it are zero, so
+    only the even ones are computed and stored (keyed by their index)."""
     if 2 * j in _B_CLASSICAL:
         return _B_CLASSICAL[2 * j]
     top = max(_B_CLASSICAL)
-    for m in range(top + 1, 2 * j + 1):
-        acc = Fraction(0)
-        for k in range(0, m):
-            if k > 1 and k % 2 == 1:
-                continue
-            if k == 1:
-                acc += Fraction(-comb(m + 1, 1), 2)
-            else:
-                acc += comb(m + 1, k) * _B_CLASSICAL.get(k, Fraction(0))
+    for m in range(top + 2, 2 * j + 1, 2):
+        acc = Fraction(1 - m, 2)    # the k = 0 and k = 1 terms: 1 - (m+1)/2
+        binom = (m + 1) * m // 2    # C(m+1, k), stepped two places at a time
+        for k in range(2, m, 2):
+            acc += binom * _B_CLASSICAL[k]
+            binom = binom * (m + 1 - k) * (m - k) // ((k + 1) * (k + 2))
         _B_CLASSICAL[m] = -acc / (m + 1)
     return _B_CLASSICAL[2 * j]
 
@@ -137,19 +137,20 @@ def _em_tail_power(s: int, a: mp.mpf, N: int, target: mp.mpf) -> Tuple[mp.mpf, m
 
     tail = integral + half-term + Bernoulli corrections; the remainder is
     bounded by the first omitted correction since x^(-s) is completely
-    monotone.
+    monotone.  Correction j is B_{2j} g_j with
+    g_j = s(s+1)...(s+2j-2) base^(1-s-2j) / (2j)!, each g from the one
+    before; g_0 = base^(1-s) / (s-1) is the integral.
     """
     base = N + a
-    total = base ** (1 - s) / (s - 1) + base ** (-s) / 2
+    inv_sq = 1 / (base * base)
+    g = base ** (1 - s) / (s - 1)
+    total = g + base ** (-s) / 2
     prev = mp.inf
     j = 1
     while True:
         b2j = _bernoulli_classical_even(j)
-        poch = mp.mpf(1)
-        for i in range(2 * j - 1):
-            poch *= s + i
-        term = (mp.mpf(b2j.numerator) / b2j.denominator / factorial(2 * j)
-                * poch * base ** (-s - 2 * j + 1))
+        g = g * ((s + 2 * j - 3) * (s + 2 * j - 2)) / ((2 * j - 1) * 2 * j) * inv_sq
+        term = g * b2j.numerator / b2j.denominator
         if abs(term) > abs(prev):
             return total, abs(term)  # corrections started growing: stop before
         if abs(term) <= target / 8:
@@ -164,13 +165,16 @@ def _em_tail_log_pair(a: mp.mpf, b: mp.mpf, N: int,
     """(tail, bound) for sum_{n=N}^inf [(n+a)^(-1) - (n+b)^(-1)]."""
     xa, xb = N + a, N + b
     total = mp.log(xb / xa) + (1 / xa - 1 / xb) / 2
+    inv_a, inv_b = 1 / (xa * xa), 1 / (xb * xb)
+    pa, pb = mp.mpf(1), mp.mpf(1)       # xa^(-2j), xb^(-2j)
     prev = mp.inf
     j = 1
     while True:
         b2j = _bernoulli_classical_even(j)
         coeff = mp.mpf(b2j.numerator) / b2j.denominator / (2 * j)
-        term = coeff * (xa ** (-2 * j) - xb ** (-2 * j))
-        cap = abs(coeff) * (xa ** (-2 * j) + xb ** (-2 * j))
+        pa, pb = pa * inv_a, pb * inv_b
+        term = coeff * (pa - pb)
+        cap = abs(coeff) * (pa + pb)
         if cap > prev:
             return total, cap
         if cap <= target / 8:
@@ -337,9 +341,10 @@ ZETA_ODD_METHODS = ("thm15", "thm15-zeta", "thm17", "thm17-zeta")
 _zeta_odd_cache: Dict[Tuple[int, str, int], SeriesApprox] = {}
 
 
-def _residual_sum(term_fn: Callable[[int], mp.mpf], target: mp.mpf,
+def _residual_sum(terms: Iterable[mp.mpf], target: mp.mpf,
                   ratio_cap: float = 0.25) -> Tuple[mp.mpf, mp.mpf, int]:
-    """Sum a positive series with verified geometric decay.
+    """Sum a positive series, given as its terms k = 1, 2, ... in order,
+    with verified geometric decay.
 
     Consecutive ratios must stay below ratio_cap (they do for all four
     representations: the asymptotic ratio is (pi/2)^2/16 or (pi/3)^2/36
@@ -348,22 +353,18 @@ def _residual_sum(term_fn: Callable[[int], mp.mpf], target: mp.mpf,
     tail is then bounded by next_term / (1 - ratio_cap).
     """
     total = mp.mpf(0)
+    stop = target / 8
     prev = None
-    k = 1
-    while True:
-        t = term_fn(k)
-        if prev is not None:
-            ratio = t / prev
-            if ratio > ratio_cap:
-                raise PrecisionError(
-                    f"residual-series ratio {float(ratio):.3f} exceeded cap")
-        if t <= target / 8:
+    for used, t in enumerate(terms):
+        if prev is not None and t > ratio_cap * prev:
+            raise PrecisionError(
+                f"residual-series ratio {float(t / prev):.3f} exceeded cap")
+        if t <= stop:
             bound = t / (1 - mp.mpf(ratio_cap))
-            return total, bound, k - 1
+            return total, bound, used
         total += t
         prev = t
-        k += 1
-        if k > 10_000:
+        if used + 1 >= 10_000:
             raise PrecisionError("residual series failed to converge")
 
 
@@ -374,7 +375,11 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
     The four methods pair a pi/2-based and a pi/3-based expansion, each in
     a Bernoulli-number and an even-zeta residual form; lower odd zeta
     values are resolved recursively by the same method and their bounds
-    propagated linearly.
+    propagated linearly.  With m = 2 or 3, the residual terms are
+    (2pi)^(2r)/denom times B_k* (pi/m)^(2k) / (k (2r+2k)!) in the Bernoulli
+    form and 2 zeta(2k) (2k)! / (k (2m)^(2k) (2r+2k)!) in the zeta form,
+    with zeta(2k) = a_k pi^(2k) exactly; the factor after B_k* or a_k is
+    updated from the term before.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -412,36 +417,28 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
                     / (denom * factorial(2 * r))
                     * (mp.mpf(h2r.numerator) / h2r.denominator - mp.log(pi / m)))
 
-        if method == "thm15":
-            pref = mp.mpf(2) ** (2 * r) * pi ** (2 * r) / denom
+        n = 2 * r
+        if method in ("thm15", "thm17-zeta"):
+            sq = (pi / m) ** 2
 
-            def term(k: int) -> mp.mpf:
-                b = bernoulli_star(k)
-                return (pref * mp.mpf(b.numerator) / b.denominator
-                        / (k * factorial(2 * r + 2 * k)) * (pi / 2) ** (2 * k))
-        elif method == "thm15-zeta":
-            pref = mp.mpf(2) ** (2 * r + 1) * pi ** (2 * r) / denom
-
-            def term(k: int) -> mp.mpf:
-                z2k = zeta_even(k).eval(ctx.digits)
-                return (pref * factorial(2 * k) * z2k
-                        / (mp.mpf(4) ** (2 * k) * factorial(2 * r + 2 * k) * k))
-        elif method == "thm17":
-            pref = 4 * (2 * pi) ** (2 * r) / denom
-
-            def term(k: int) -> mp.mpf:
-                z2k = zeta_even(k).eval(ctx.digits)
-                return (pref * factorial(2 * k - 1) * z2k
-                        / (factorial(2 * r + 2 * k) * mp.mpf(6) ** (2 * k)))
+            def terms():
+                f = (2 * pi) ** n / denom / factorial(n)
+                for k in count(1):
+                    f = f * sq / ((n + 2 * k - 1) * (n + 2 * k))
+                    b = bernoulli_star(k)
+                    yield f * b.numerator / (b.denominator * k)
         else:
-            pref = (2 * pi) ** (2 * r) / denom
+            sq = (pi / (2 * m)) ** 2
 
-            def term(k: int) -> mp.mpf:
-                b = bernoulli_star(k)
-                return (pref * mp.mpf(b.numerator) / b.denominator
-                        * (pi / 3) ** (2 * k) / (factorial(2 * r + 2 * k) * k))
+            def terms():
+                # f carries the pi^(2k) of zeta(2k) = a_k pi^(2k)
+                f = 2 * (2 * pi) ** n / denom / factorial(n)
+                for k in count(1):
+                    f = f * sq * ((2 * k - 1) * 2 * k) / ((n + 2 * k - 1) * (n + 2 * k))
+                    a = zeta_even(k).coeffs[2 * k]
+                    yield f * a.numerator / (a.denominator * k)
 
-        res_total, res_bound, res_terms = _residual_sum(term, target)
+        res_total, res_bound, res_terms = _residual_sum(terms(), target)
         value = head + log_term + (-1) ** (r - 1) * res_total
         bound = head_bound + res_bound
         out = SeriesApprox(+value, +bound, terms_used + res_terms)

@@ -1,18 +1,20 @@
 """Exact rational engine: Bernoulli/Euler/harmonic numbers, pi-polynomials,
 and the triangular recurrences for the even zeta family and the two signed
-odd-denominator Dirichlet series.
+odd-denominator Dirichlet series.  Bernoulli and Euler numbers come from one
+integer table of zigzag numbers (Seidel's boustrophedon).
 
 Every value here is exact.  ``PiPolynomial`` carries sums of a_K * pi^K with
 arbitrary-precision rational a_K; evaluation at a numeric pi is a ring
-homomorphism.  Memo tables are write-once caches (idempotent fills), so
-concurrent use is safe.
+homomorphism.  Memo tables are write-once caches (idempotent fills) and the
+zigzag table grows under a lock, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Dict, List, Tuple
 
 import mpmath as mp
@@ -150,43 +152,72 @@ class PiPolynomial:
 # ---------------------------------------------------------------------------
 # number sequences
 
-_BSTAR: Dict[int, Fraction] = {}
-_EULER: Dict[int, int] = {0: 1}
+class _ZigzagTable:
+    """Zigzag numbers A_n (the alternating permutations of n letters) from
+    the Seidel-Entringer-Arnold boustrophedon, extended on demand.
+
+    One row of Entringer numbers is kept and updated in place: row n + 1 is
+    the running sum of row n read in the opposite direction, so the row is
+    stored alternately reversed, and each step costs n + 1 integer
+    additions.  Extension runs under a lock; values are only appended, so
+    readers of an index already filled need none.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._row = [1]
+        self.values: List[int] = [1]
+
+    def __getitem__(self, n: int) -> int:
+        if n >= len(self.values):
+            with self._lock:
+                self._extend(n)
+        return self.values[n]
+
+    def _extend(self, n: int) -> None:
+        row = self._row
+        while len(self.values) <= n:
+            if len(row) % 2:        # row n even, stored forwards: sum from the right
+                row.append(0)
+                for i in range(len(row) - 2, -1, -1):
+                    row[i] += row[i + 1]
+                self.values.append(row[0])
+            else:                   # row n odd, stored reversed: sum from the left
+                row.insert(0, 0)
+                for i in range(1, len(row)):
+                    row[i] += row[i - 1]
+                self.values.append(row[-1])
+
+
+_ZIGZAG = _ZigzagTable()
+_BERNOULLI_STAR: Dict[int, Fraction] = {}
 _HARMONIC: Dict[int, Fraction] = {0: Fraction(0)}
 
 
 def bernoulli_star(k: int) -> Fraction:
-    """B_k* (positive Bernoulli convention, B_1* = 1/6) from the triangular
-    system sum_{j=0}^{r-1} (-1)^j C(2r+1, 2j+1) B_{j+1}* = 1/2, r = 1..k.
+    """B_k* (positive Bernoulli convention, B_1* = 1/6), the solution of the
+    triangular system sum_{j=0}^{r-1} (-1)^j C(2r+1, 2j+1) B_{j+1}* = 1/2,
+    r = 1..k, taken from the tangent number T_k = A_{2k-1}:
+    B_k* = 2k T_k / (4^k (4^k - 1)).
 
     B_k* equals |B_{2k}| of the classical signed convention.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    for r in range(1, k + 1):
-        if r in _BSTAR:
-            continue
-        acc = Fraction(1, 2)
-        for j in range(r - 1):
-            acc -= (-1) ** j * comb(2 * r + 1, 2 * j + 1) * _BSTAR[j + 1]
-        _BSTAR[r] = acc / ((-1) ** (r - 1) * comb(2 * r + 1, 2 * r - 1))
-    return _BSTAR[k]
+    value = _BERNOULLI_STAR.get(k)
+    if value is None:
+        value = Fraction(2 * k * _ZIGZAG[2 * k - 1], 4 ** k * (4 ** k - 1))
+        _BERNOULLI_STAR[k] = value
+    return value
 
 
 def euler_number(n: int) -> int:
-    """Euler number E_n for even n, from
-    sum_{k=0}^{r-1} C(2r, 2k) E_{2r-2k} = -1 with the seed E_0 = 1."""
+    """Euler number E_n for even n, which solves
+    sum_{k=0}^{r-1} C(2r, 2k) E_{2r-2k} = -1 with the seed E_0 = 1, taken
+    from the secant number A_n: E_n = (-1)^(n/2) A_n."""
     if n < 0 or n % 2 != 0:
         raise ValueError("n must be even and >= 0")
-    r_target = n // 2
-    for r in range(1, r_target + 1):
-        if 2 * r in _EULER:
-            continue
-        acc = -1
-        for k in range(1, r):
-            acc -= comb(2 * r, 2 * k) * _EULER[2 * r - 2 * k]
-        _EULER[2 * r] = acc
-    return _EULER[n]
+    return (-1) ** (n // 2) * _ZIGZAG[n]
 
 
 def harmonic(m: int) -> Fraction:

@@ -399,10 +399,21 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting of parentheses, calls and unary minus that parse_expr
+# accepts; deeper input is a ParseError instead of a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def descend(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nesting depth exceeds {MAX_NESTING}", pos)
 
     def peek(self, k: int = 0):
         return self.tokens[min(self.i + k, len(self.tokens) - 1)]
@@ -447,10 +458,12 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, payload, _ = self.peek()
+        kind, payload, pos = self.peek()
         if kind == "op" and payload == "-":
             self.next()
+            self.descend(pos)
             inner = self.factor()
+            self.depth -= 1
             # fold a literal directly into a negative rational constant
             if inner.kind == "rat":
                 return rational(-rat_value(inner))
@@ -491,19 +504,24 @@ class _Parser:
                 if payload not in FUNCTIONS:
                     raise ParseError(f"unknown function name {payload!r}", pos)
                 self.next()
+                self.descend(pos)
                 inner = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 return _raw_call(payload, inner)
             return symbol(payload)
         if kind == "op" and payload == "(":
+            self.descend(pos)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected an atom", pos)
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse ``text`` under standard precedence; whitespace-insensitive."""
+    """Parse ``text`` under standard precedence; whitespace-insensitive.
+    Nesting deeper than MAX_NESTING is refused with a ParseError."""
     return _Parser(text).parse()
 
 

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import count
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -271,8 +272,8 @@ class ResidualRule:
         with mp.workdps(digits):
             scale = self.scale ** (2 * self.r)
             rest, _, _ = _residual_sum(
-                lambda k: ((self._c(k, digits) - 1) * self._f(k)
-                           * w ** self.power(k)), eps / scale)
+                ((self._c(k, digits) - 1) * self._f(k) * w ** self.power(k)
+                 for k in count(1)), eps / scale)
             return +(self.sign * scale * (self.closed_part(w) + rest))
 
 
@@ -710,12 +711,14 @@ def get_record(identity_id: str) -> IdentityRecord:
 def closed_form_eval(identity_id: str | IdentityRecord, r: Optional[int],
                      c: float = 1.0, x: float = 0.0,
                      ctx: PrecisionContext | None = None,
-                     series_eps: Optional[float] = None) -> mp.mpf:
+                     series_eps: Optional[float | mp.mpf] = None) -> mp.mpf:
     """Exact-coefficient closed form at x: polynomial part at high precision
     plus the log term (limit value 0 at u = 0) and the residual series
     within the precision budget.
 
-    series_eps loosens the residual-series budget below the context target."""
+    series_eps loosens the residual-series budget below the context target;
+    verify passes it as an mpf, since a float tol / 20 underflows to 0.0
+    below about 1e-322."""
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
     r_eff = rec.effective_r(r)
     ctx = ctx or PrecisionContext.for_digits(30)
@@ -825,7 +828,7 @@ def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
     ctx = PrecisionContext.for_digits(digits)
     closed = np.array([
         float(closed_form_eval(rec, r_eff, c=(np.pi if rec.kind == "cospow" else c),
-                               x=x, ctx=ctx, series_eps=tol / 20))
+                               x=x, ctx=ctx, series_eps=mp.mpf(tol) / 20))
         for x in xs])
     max_err = float(np.max(np.abs(closed - partial)))
     return VerificationReport(id=rec.id, r=r_eff, c=c, grid=len(xs), N=N,

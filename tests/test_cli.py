@@ -123,6 +123,13 @@ class TestVerifyValues:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert flag in lines[0]
 
+    def test_tolerance_below_the_float_quotient(self, capsys):
+        # tol / 20 is 0.0 in floats; the residual budget stays positive
+        code, out, err = run(capsys, "verify", "--id", "thm16-zeta-odd-cos", "--r", "1",
+                             "--grid", "2", "--terms", "10", "--tol", "1e-323")
+        assert code == 1 and err == ""
+        assert out.startswith("FAIL thm16-zeta-odd-cos r=1 N=10 ")
+
     def test_smallest_counts_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "thm11-cos", "--r", "1",
                            "--grid", "1", "--terms", "1", "--tol", "1e-12")
@@ -171,7 +178,9 @@ class TestFreshProcessErrors:
          "--shift", "h"),
         ("verify", "--id", "no-such-identity"),
         ("zeta-odd", "--r", "1", "--digits", "0"),
-    ], ids=["parse-error", "unknown-identity", "precision-refusal"])
+        ("operator", "apply", "--kind", "cos",
+         "--expr=" + "sin(" * 3000 + "x" + ")" * 3000, "--arg", "x", "--shift", "h"),
+    ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""

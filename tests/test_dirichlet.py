@@ -7,8 +7,9 @@ import mpmath as mp
 import pytest
 
 from trigsum.dirichlet import (PrecisionContext, PrecisionError,
-                               ZETA_ODD_METHODS, dirichlet_oracle, eta_odd,
-                               hurwitz_zeta, identity_checks, zeta_odd)
+                               ZETA_ODD_METHODS, _bernoulli_classical_even,
+                               dirichlet_oracle, eta_odd, hurwitz_zeta,
+                               identity_checks, zeta_odd)
 from trigsum.exact import (beta_odd, calD, eta_even, frakD, lambda_even,
                            zeta_even, bernoulli_star)
 
@@ -71,6 +72,19 @@ class TestOracle:
             assert abs(a.value - mp.zeta(3)) <= a.tail_bound
         assert a.tail_bound <= ctx.target
 
+    def test_zeta3_1000_digits(self):
+        ctx = PrecisionContext.for_digits(1000)
+        a = dirichlet_oracle("zeta", 3, ctx)
+        with mp.workdps(1020):
+            assert abs(a.value - mp.zeta(3)) <= a.tail_bound
+        assert a.tail_bound <= ctx.target
+
+    def test_classical_bernoulli_matches_mpmath(self):
+        # the oracle's own recurrence, independent of exact.bernoulli_star
+        for j in range(201):
+            p, q = mp.bernfrac(2 * j)
+            assert _bernoulli_classical_even(j) == F(int(p), int(q)), j
+
     def test_eta1(self):
         with mp.workdps(45):
             a = dirichlet_oracle("eta", 1, CTX40)
@@ -131,6 +145,15 @@ class TestHurwitz:
             a = hurwitz_zeta(3, F(2), CTX40)
             z = dirichlet_oracle("zeta", 3, CTX40)
             assert abs(a.value - (z.value - 1)) < 1e-28
+
+    @pytest.mark.parametrize("s,a", [(2, F(1, 3)), (5, F(7, 4))])
+    def test_300_digits(self, s, a):
+        ctx = PrecisionContext.for_digits(300)
+        h = hurwitz_zeta(s, a, ctx)
+        with mp.workdps(320):
+            ref = mp.zeta(s, mp.mpf(a.numerator) / a.denominator)
+            assert abs(h.value - ref) <= h.tail_bound
+        assert h.tail_bound <= ctx.target
 
     def test_s_below_two_refused(self):
         with pytest.raises(PrecisionError):
@@ -204,6 +227,13 @@ class TestZetaOdd:
         a = zeta_odd(r, "thm15-zeta", ctx)
         with mp.workdps(420):
             assert abs(a.value - mp.zeta(2 * r + 1)) <= a.tail_bound
+        assert a.tail_bound <= ctx.target
+
+    def test_1000_digits(self):
+        ctx = PrecisionContext.for_digits(1000)
+        a = zeta_odd(1, "thm17-zeta", ctx)
+        with mp.workdps(1020):
+            assert abs(a.value - mp.zeta(3)) <= a.tail_bound
         assert a.tail_bound <= ctx.target
 
     def test_eta_odd(self):

@@ -35,6 +35,53 @@ class TestSequences:
                         for k in range(r))
             assert total == -1, r
 
+    def test_bernoulli_star_matches_mpmath(self):
+        for k in range(1, 401):
+            p, q = mp.bernfrac(2 * k)
+            assert bernoulli_star(k) == abs(F(int(p), int(q))), k
+
+    def test_bernoulli_star_solves_triangular_system(self):
+        # the defining system of the docstring
+        from math import comb
+        for r in range(1, 61):
+            total = sum((-1) ** j * comb(2 * r + 1, 2 * j + 1) * bernoulli_star(j + 1)
+                        for j in range(r))
+            assert total == F(1, 2), r
+
+    def test_euler_number_matches_mpmath(self):
+        for n in range(0, 301, 2):
+            assert euler_number(n) == int(mp.eulernum(n, exact=True)), n
+
+    def test_zigzag_table_concurrent_growth(self):
+        # threads that extend one table at once must leave the values that
+        # one thread computes; a lost or doubled row update would shift them
+        import sys
+        import threading
+        from trigsum.exact import _ZigzagTable
+        want = _ZigzagTable()
+        want[300]
+        table = _ZigzagTable()
+        start = threading.Barrier(4)
+        seen = [None] * 4
+
+        def grow(i):
+            start.wait()
+            seen[i] = table[297 + i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == want.values[297:301]
+        assert table.values == want.values[:len(table.values)]
+
     def test_euler_rejects_odd(self):
         with pytest.raises(ValueError):
             euler_number(3)

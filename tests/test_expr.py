@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trigsum.expr import (
-    DomainError, Expr, FUNCTIONS, PI, ParseError, UnboundSymbolError,
+    DomainError, Expr, FUNCTIONS, MAX_NESTING, PI, ParseError, UnboundSymbolError,
     eval_complex, eval_real, fold, func, mul, neg,
     parse_expr, rational, symbol, to_text,
 )
@@ -55,6 +55,16 @@ class TestParse:
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_expr("1 + 2 )")
+
+    @pytest.mark.parametrize("opening,closing,per", [
+        ("sin(", ")", 1), ("(", ")", 1), ("-", "", 1), ("exp(-", ")", 2)])
+    def test_nesting_limit(self, opening, closing, per):
+        # parentheses, calls and unary minus each count one level
+        levels = MAX_NESTING // per
+        assert parse_expr(opening * levels + "x" + closing * levels) is not None
+        deeper = levels + 1
+        with pytest.raises(ParseError, match=f"nesting depth exceeds {MAX_NESTING}"):
+            parse_expr(opening * deeper + "x" + closing * deeper)
 
 
 # canonical parser-image trees: rational leaves are non-negative (negative
