@@ -57,26 +57,49 @@ def _pipoly_text(p: exact.PiPolynomial) -> str:
     return " + ".join(parts)
 
 
+def _fraction_flag(flag: str, text: str) -> Fraction:
+    """A rational flag value such as 1/3; a malformed value or a zero
+    denominator is a usage error that names the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational number such as 1/3, "
+                         f"got {text!r}") from None
+
+
 def _cmd_exact(args) -> int:
     value = _EXACT_FUNCS[args.value](args.n)
+    # exact values can pass Python's 4300-digit limit on int -> str; the
+    # limit is lifted for the write only (it is absent before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _write_exact(value, args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return 0
+
+
+def _write_exact(value, fmt: str) -> None:
     if isinstance(value, exact.PiPolynomial):
-        if args.format == "json":
+        if fmt == "json":
             print(value.to_json())
         else:
             print(_pipoly_text(value))
     elif isinstance(value, Fraction):
-        if args.format == "json":
+        if fmt == "json":
             print(json.dumps({"num": str(value.numerator),
                               "den": str(value.denominator)},
                              separators=(",", ":")))
         else:
             print(_fraction_text(value))
     else:
-        if args.format == "json":
+        if fmt == "json":
             print(json.dumps({"value": str(value)}, separators=(",", ":")))
         else:
             print(value)
-    return 0
 
 
 def _cmd_operator(args) -> int:
@@ -143,7 +166,7 @@ def _cmd_zeta_odd(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ctx = PrecisionContext.for_digits(args.digits + 10)
-    a = Fraction(args.a) if args.a else None
+    a = _fraction_flag("--a", args.a) if args.a else None
     approx = dirichlet_oracle(args.series, args.s, ctx, a=a)
     with mp.workdps(args.digits + 10):
         value_txt = mp.nstr(approx.value, args.digits)
@@ -188,6 +211,7 @@ def _check_verify_values(args) -> None:
 
 def _cmd_verify(args) -> int:
     _check_verify_values(args)
+    x0 = _fraction_flag("--x0", args.x0) if args.x0 else None
     reports = []
     if getattr(args, "suite", False):
         return _cmd_verify_suite_rows(args)
@@ -217,8 +241,8 @@ def _cmd_verify(args) -> int:
             return 2
         from .registry import get_record, theorem23_shift, verify
         record = get_record(args.id)
-        if args.x0:
-            record = theorem23_shift(record, Fraction(args.x0))
+        if x0 is not None:
+            record = theorem23_shift(record, x0)
         reports.append(verify(record, args.r, grid=args.grid, N=args.terms,
                               tol=args.tol))
     _emit_reports(reports, args.format)
@@ -325,9 +349,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        if not isinstance(exc, _usage_errors()):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
+        # exit 1 means "verification failed", so an unexpected error exits
+        # 2 as well, with its type named
+        if isinstance(exc, _usage_errors()):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -340,6 +340,17 @@ ZETA_ODD_METHODS = ("thm15", "thm15-zeta", "thm17", "thm17-zeta")
 
 _zeta_odd_cache: Dict[Tuple[int, str, int], SeriesApprox] = {}
 
+# a_k of zeta(2k) = a_k pi^(2k), for the zeta-form residual terms: built
+# once per k, then read by every recursion level of every zeta-form call
+_ZETA_EVEN_COEFF: Dict[int, Fraction] = {}
+
+
+def _zeta_even_coeff(k: int) -> Fraction:
+    a = _ZETA_EVEN_COEFF.get(k)
+    if a is None:
+        a = _ZETA_EVEN_COEFF.setdefault(k, zeta_even(k).coeffs[2 * k])
+    return a
+
 
 def _residual_sum(terms: Iterable[mp.mpf], target: mp.mpf,
                   ratio_cap: float = 0.25) -> Tuple[mp.mpf, mp.mpf, int]:
@@ -435,7 +446,7 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
                 f = 2 * (2 * pi) ** n / denom / factorial(n)
                 for k in count(1):
                     f = f * sq * ((2 * k - 1) * 2 * k) / ((n + 2 * k - 1) * (n + 2 * k))
-                    a = zeta_even(k).coeffs[2 * k]
+                    a = _zeta_even_coeff(k)
                     yield f * a.numerator / (a.denominator * k)
 
         res_total, res_bound, res_terms = _residual_sum(terms(), target)

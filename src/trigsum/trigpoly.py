@@ -23,8 +23,10 @@ interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -43,29 +45,37 @@ __all__ = [
 # the coefficient field Q(sqrt 3)
 
 class K3:
-    """a + b*sqrt(3) with exact rational a, b."""
+    """(a + b*sqrt(3))/d with integers a, b, d, where d > 0 and
+    gcd(a, b, d) = 1, so that equal values have equal fields."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a: int = 0, b: int = 0, d: int = 1):
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)
+        if g > 1:
+            a, b, d = a // g, b // g, d // g
+        self.a, self.b, self.d = a, b, d
 
-    def __add__(self, o): return K3(self.a + o.a, self.b + o.b)
-    def __sub__(self, o): return K3(self.a - o.a, self.b - o.b)
-    def __neg__(self): return K3(-self.a, -self.b)
+    def __add__(self, o):
+        return K3(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d,
+                  self.d * o.d)
+
+    def __sub__(self, o): return self + (-o)
+    def __neg__(self): return K3(-self.a, -self.b, self.d)
 
     def __mul__(self, o):
-        return K3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        return K3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a,
+                  self.d * o.d)
 
     def inv(self) -> "K3":
-        d = self.a * self.a - 3 * self.b * self.b
-        if d == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("inverse of zero in Q(sqrt3)")
-            # a = +-sqrt(3) b cannot happen for rational a, b both nonzero
-            raise ZeroDivisionError("norm zero")
-        return K3(self.a / d, -self.b / d)
+        # the norm a^2 - 3 b^2 of a nonzero value is nonzero: sqrt(3) is
+        # irrational
+        norm = self.a * self.a - 3 * self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero in Q(sqrt3)")
+        return K3(self.a * self.d, -self.b * self.d, norm)
 
     def __truediv__(self, o): return self * o.inv()
 
@@ -73,245 +83,263 @@ class K3:
         return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        # sign of a + b*sqrt3: compare a^2 with 3 b^2 taking signs into account
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        big_a = self.a * self.a > 3 * self.b * self.b
-        if self.a > 0:
-            return 1 if big_a else -1
-        return -1 if big_a else 1
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the part of larger magnitude, a^2 against 3 b^2
+        return sa if self.a * self.a > 3 * self.b * self.b else sb
 
     def __eq__(self, o):
-        return isinstance(o, K3) and self.a == o.a and self.b == o.b
+        return (isinstance(o, K3) and self.a == o.a and self.b == o.b
+                and self.d == o.d)
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"({self.a}+{self.b}*sqrt3)"
+        return f"K3({self.a}, {self.b}, {self.d})"
 
     def as_expr(self) -> Expr:
-        out = rational(self.a) if self.a != 0 else None
-        if self.b != 0:
-            root = mul(rational(self.b), func("sqrt", rational(3)))
+        out = rational(self.a, self.d) if self.a else None
+        if self.b:
+            root = mul(rational(self.b, self.d), func("sqrt", rational(3)))
             out = root if out is None else add(out, root)
         return out if out is not None else ZERO
 
 
-K_ZERO = K3(0)
-K_ONE = K3(1)
-
-
 # ---------------------------------------------------------------------------
-# univariate polynomials over K3 (tuples, low degree first)
+# polynomials in c: integer coefficient tuples, low degree first, trimmed;
+# a pair (A, B) of them is A + B*sqrt(3), with coefficients in Z[sqrt3]
 
-def _utrim(p: Tuple[K3, ...]) -> Tuple[K3, ...]:
+def _ztrim(p) -> Tuple[int, ...]:
     n = len(p)
-    while n > 0 and p[n - 1].is_zero():
+    while n and not p[n - 1]:
         n -= 1
     return tuple(p[:n])
 
 
-def _uadd(p, q):
-    n = max(len(p), len(q))
-    return _utrim(tuple(
-        (p[i] if i < len(p) else K_ZERO) + (q[i] if i < len(q) else K_ZERO)
-        for i in range(n)))
+def _zadd(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    if not q:
+        return p
+    out = list(p)
+    for i, v in enumerate(q):
+        out[i] += v
+    return _ztrim(out)
 
 
-def _uneg(p):
-    return tuple(-x for x in p)
+def _zscale(p, k: int):
+    return tuple(k * v for v in p) if k else ()
 
 
-def _umul(p, q):
+def _zmul(p, q):
     if not p or not q:
         return ()
-    out = [K_ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _utrim(tuple(out))
+            out[i + j] += a * b
+    return tuple(out)  # the leading coefficients are nonzero, so is theirs
 
 
-def _uscale(p, k: K3):
-    if k.is_zero():
-        return ()
-    return _utrim(tuple(x * k for x in p))
+def _kadd(p, q):
+    return _zadd(p[0], q[0]), _zadd(p[1], q[1])
 
 
-def _udivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    quot = [K_ZERO] * max(0, len(p) - len(q) + 1)
-    inv_lead = q[-1].inv()
-    while len(r) >= len(q) and _utrim(tuple(r)):
-        r = list(_utrim(tuple(r)))
-        if len(r) < len(q):
-            break
-        coef = r[-1] * inv_lead
-        shift = len(r) - len(q)
-        quot[shift] = coef
-        for i, b in enumerate(q):
-            r[shift + i] = r[shift + i] - coef * b
-        r = list(_utrim(tuple(r)))
-    return _utrim(tuple(quot)), _utrim(tuple(r))
+def _kscale(p, k: int):
+    return _zscale(p[0], k), _zscale(p[1], k)
 
 
-def _ugcd(p, q):
-    p, q = _utrim(tuple(p)), _utrim(tuple(q))
-    while q:
-        _, r = _udivmod(p, q)
-        p, q = q, r
-    if p:
-        p = _uscale(p, p[-1].inv())  # monic
-    return p
+def _kmul(p, q):
+    (a, b), (c, d) = p, q
+    if not b and not d:
+        return _zmul(a, c), ()
+    return (_zadd(_zmul(a, c), _zscale(_zmul(b, d), 3)),
+            _zadd(_zmul(a, d), _zmul(b, c)))
 
 
-def _ueval(p, v: Fraction) -> K3:
-    acc = K_ZERO
-    for c in reversed(p):
-        acc = acc * K3(v) + c
+def _zeval(p, c):
+    acc = 0
+    for v in reversed(p):
+        acc = acc * c + v
     return acc
 
 
-def _rational_roots(p) -> List[Fraction]:
-    """Rational roots of a K3[c] polynomial.
+def _pairs(p) -> List[Tuple[int, int]]:
+    """The coefficient pairs (a_i, b_i) of an (A, B) polynomial."""
+    A, B = p
+    return [(A[i] if i < len(A) else 0, B[i] if i < len(B) else 0)
+            for i in range(max(len(A), len(B)))]
 
-    Candidates come from the rational-root theorem applied to one nonzero
-    component (a root must annihilate the rational and the sqrt3 component
-    separately); each candidate is verified against the full polynomial.
+
+def _primitive(p: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    g = gcd(*(v for pair in p for v in pair))
+    return [(a // g, b // g) for a, b in p] if g > 1 else p
+
+
+def _prem(p: List[Tuple[int, int]], q: List[Tuple[int, int]]):
+    """Pseudo-remainder of p by q over Z[sqrt3]: lc(q)^k p mod q, one
+    factor lc(q) per step, so that no coefficient is divided."""
+    qa, qb = q[-1]
+    r = list(p)
+    while len(r) >= len(q):
+        la, lb = r[-1]
+        shift = len(r) - len(q)
+        # r <- lc(q) r - lead(r) c^shift q cancels the top coefficient
+        r = [(a * qa + 3 * b * qb, a * qb + b * qa) for a, b in r]
+        for i, (ca, cb) in enumerate(q):
+            a, b = r[shift + i]
+            r[shift + i] = (a - la * ca - 3 * lb * cb, b - la * cb - lb * ca)
+        while r and r[-1] == (0, 0):
+            r.pop()
+    return r
+
+
+def _kgcd(*polys) -> List[Tuple[int, int]]:
+    """A gcd in Q(sqrt3)[c] of (A, B) polynomials, up to a unit factor, as
+    coefficient pairs: the primitive pseudo-remainder sequence over
+    Z[sqrt3] (Knuth, TAOCP vol. 2, 4.6.1), with the integer content taken
+    out at each step.  Only its roots are used."""
+    g: List[Tuple[int, int]] = []
+    for p in polys:
+        a, b = g, _primitive(_pairs(p))
+        while b:
+            a, b = b, _primitive(_prem(a, b))
+        g = a
+    return g
+
+
+def _vanishes(p: List[Tuple[int, int]], num: int, den: int) -> bool:
+    """p(num/den) == 0, in integers: sum of p_i num^i den^(deg - i)."""
+    deg = len(p) - 1
+    va = vb = 0
+    for i, (a, b) in enumerate(p):
+        w = num ** i * den ** (deg - i)
+        va += a * w
+        vb += b * w
+    return va == 0 and vb == 0
+
+
+def _rational_roots(p: List[Tuple[int, int]]) -> List[Fraction]:
+    """Rational roots of a polynomial with coefficient pairs over Z[sqrt3].
+
+    A rational root annihilates the rational and the sqrt3 component
+    separately, so the candidates come from the rational-root theorem on
+    one nonzero component, and each is checked against both.  The roots
+    come out ordered by (|numerator|, denominator), + before -, whichever
+    associate of a polynomial is given.
     """
-    p = _utrim(tuple(p))
-    if not p:
-        return []
-    comp = [x.a for x in p]
-    if all(v == 0 for v in comp):
-        comp = [x.b for x in p]
-    den_lcm = 1
-    for c in comp:
-        den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in comp]
-    while ints and ints[-1] == 0:
-        ints.pop()
+    comp = _ztrim([a for a, _ in p])
+    if not comp:
+        comp = _ztrim([b for _, b in p])
     out: List[Fraction] = []
-    if not ints:
+    if not comp:
         return out
     shift = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
+    while not comp[shift]:
         shift += 1
-    if shift and _ueval(p, Fraction(0)).is_zero():
+    if shift and p[0] == (0, 0):
         out.append(Fraction(0))
-    if not ints:
-        return out
-    lead, const = ints[-1], ints[0]
+    lead, const = comp[-1], comp[shift]
     for dnum in _divisors(abs(const)):
         for dden in _divisors(abs(lead)):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * dnum, dden)
-                if cand not in out and _ueval(p, cand).is_zero():
-                    out.append(cand)
+            if gcd(dnum, dden) == 1:
+                out.extend(Fraction(n, dden) for n in (dnum, -dnum)
+                           if _vanishes(p, n, dden))
     return out
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 # ---------------------------------------------------------------------------
 # reduced polynomials in (c, s) with s^2 = 1 - c^2
 
-_CIRCLE = (K_ONE, K_ZERO, -K_ONE)  # 1 - c^2
+_KZERO = ((), ())
+_CIRCLE = ((1, 0, -1), ())  # 1 - c^2
 
 
 class TPoly:
-    """p0(c) + p1(c)*s in Q(sqrt3)[c, s] / (s^2 + c^2 - 1)."""
+    """(p0(c) + p1(c)*s)/den in Q(sqrt3)[c, s] / (s^2 + c^2 - 1).
 
-    __slots__ = ("p0", "p1")
+    Each half is an (A, B) pair of trimmed integer coefficient tuples, low
+    degree first: the coefficient of c^i is (A[i] + B[i]*sqrt3)/den.  The
+    polynomial is content-primitive: den > 0, and the gcd of den and every
+    coefficient is 1.  So equal polynomials have equal fields, and zero is
+    the one with four empty tuples.
+    """
 
-    def __init__(self, p0=(), p1=()):
-        self.p0 = _utrim(tuple(p0))
-        self.p1 = _utrim(tuple(p1))
+    __slots__ = ("p0", "p1", "den")
+
+    def __init__(self, p0=_KZERO, p1=_KZERO, den: int = 1):
+        g = gcd(den, *p0[0], *p0[1], *p1[0], *p1[1])
+        if g > 1:
+            p0 = tuple(v // g for v in p0[0]), tuple(v // g for v in p0[1])
+            p1 = tuple(v // g for v in p1[0]), tuple(v // g for v in p1[1])
+            den //= g
+        self.p0, self.p1, self.den = p0, p1, den
 
     @classmethod
     def const(cls, k: K3) -> "TPoly":
-        return cls((k,), ())
+        return cls(((k.a,) if k.a else (), (k.b,) if k.b else ()), _KZERO, k.d)
 
-    @classmethod
-    def c_poly(cls, p) -> "TPoly":
-        return cls(p, ())
+    def __add__(self, o):
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return TPoly(_kadd(self.p0, o.p0), _kadd(self.p1, o.p1), d1)
+        return TPoly(_kadd(_kscale(self.p0, d2), _kscale(o.p0, d1)),
+                     _kadd(_kscale(self.p1, d2), _kscale(o.p1, d1)), d1 * d2)
 
-    def __add__(self, o): return TPoly(_uadd(self.p0, o.p0), _uadd(self.p1, o.p1))
-    def __neg__(self): return TPoly(_uneg(self.p0), _uneg(self.p1))
+    def __neg__(self):
+        return TPoly(_kscale(self.p0, -1), _kscale(self.p1, -1), self.den)
+
     def __sub__(self, o): return self + (-o)
 
     def __mul__(self, o):
         # (a0 + a1 s)(b0 + b1 s) = a0 b0 + a1 b1 (1-c^2) + (a0 b1 + a1 b0) s
-        p0 = _uadd(_umul(self.p0, o.p0), _umul(_umul(self.p1, o.p1), _CIRCLE))
-        p1 = _uadd(_umul(self.p0, o.p1), _umul(self.p1, o.p0))
-        return TPoly(p0, p1)
-
-    def scale(self, k: K3) -> "TPoly":
-        return TPoly(_uscale(self.p0, k), _uscale(self.p1, k))
+        a0, a1, b0, b1 = self.p0, self.p1, o.p0, o.p1
+        p0 = _kmul(a0, b0)
+        if (a1[0] or a1[1]) and (b1[0] or b1[1]):
+            p0 = _kadd(p0, _kmul(_kmul(a1, b1), _CIRCLE))
+        return TPoly(p0, _kadd(_kmul(a0, b1), _kmul(a1, b0)), self.den * o.den)
 
     def is_zero(self) -> bool:
-        return not self.p0 and not self.p1
+        return not (self.p0[0] or self.p0[1] or self.p1[0] or self.p1[1])
 
     def is_const(self) -> bool:
-        return len(self.p0) <= 1 and not self.p1
+        return (len(self.p0[0]) <= 1 and len(self.p0[1]) <= 1
+                and not (self.p1[0] or self.p1[1]))
 
     def const_value(self) -> K3:
         assert self.is_const()
-        return self.p0[0] if self.p0 else K_ZERO
+        A, B = self.p0
+        return K3(A[0] if A else 0, B[0] if B else 0, self.den)
 
     def __eq__(self, o):
-        return isinstance(o, TPoly) and self.p0 == o.p0 and self.p1 == o.p1
+        return (isinstance(o, TPoly) and self.p0 == o.p0 and self.p1 == o.p1
+                and self.den == o.den)
 
     def __repr__(self):
-        return f"TPoly(p0={list(self.p0)}, p1={list(self.p1)})"
+        return f"TPoly(p0={self.p0}, p1={self.p1}, den={self.den})"
 
 
-def _cheb_T(m: int) -> Tuple[K3, ...]:
-    """cos(m u) as a polynomial in c."""
-    t_prev, t_cur = (K_ONE,), (K_ZERO, K_ONE)
+_ONE = TPoly(((1,), ()))
+
+
+def _chebyshev(m: int, first: Tuple[int, ...]) -> Tuple[int, ...]:
+    """p_m of p_(k+1) = 2c p_k - p_(k-1) with p_0 = 1 and p_1 = first: the
+    integer polynomial in c of cos(m u) (T_m, first = (0, 1)) or of
+    sin((m+1) u)/sin(u) (U_m, first = (0, 2)), for m >= 0."""
+    prev, cur = (1,), first
     if m == 0:
-        return t_prev
+        return prev
     for _ in range(m - 1):
-        t_prev, t_cur = t_cur, _uadd(_uscale(_umul((K_ZERO, K_ONE), t_cur), K3(2)), _uneg(t_prev))
-    return t_cur
-
-
-def _cheb_U(m: int) -> Tuple[K3, ...]:
-    """sin((m+1) u)/sin(u) as a polynomial in c (m >= 0)."""
-    u_prev, u_cur = (K_ONE,), (K_ZERO, K3(2))
-    if m == 0:
-        return u_prev
-    for _ in range(m - 1):
-        u_prev, u_cur = u_cur, _uadd(_uscale(_umul((K_ZERO, K_ONE), u_cur), K3(2)), _uneg(u_prev))
-    return u_cur
+        prev, cur = cur, _zadd((0,) + _zscale(cur, 2), _zscale(prev, -1))
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -323,30 +351,7 @@ def split_rational(e: Expr) -> Tuple[Fraction, Tuple[Tuple[str, int], ...]]:
     The key is a sorted tuple of (printed factor, exponent) for the
     non-rational atoms; pi is just another atom here.
     """
-    coeff = Fraction(1)
-    factors: Dict[str, Tuple[Expr, int]] = {}
-
-    def walk(x: Expr, exp: int):
-        nonlocal coeff
-        if x.kind == "rat":
-            coeff *= rat_value(x) ** exp
-        elif x.kind == "neg":
-            coeff *= (-1) ** exp
-            walk(x.args[0], exp)
-        elif x.kind == "mul":
-            walk(x.args[0], exp)
-            walk(x.args[1], exp)
-        elif x.kind == "div":
-            walk(x.args[0], exp)
-            walk(x.args[1], -exp)
-        elif x.kind == "pow":
-            walk(x.args[0], exp * x.value)  # type: ignore[operator]
-        else:
-            key = str(x)
-            prev = factors.get(key)
-            factors[key] = (x, (prev[1] if prev else 0) + exp)
-
-    walk(e, 1)
+    coeff, factors = _flatten_product(e)
     key = tuple(sorted((k, v[1]) for k, v in factors.items() if v[1] != 0))
     return coeff, key
 
@@ -389,7 +394,7 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
         return None
     g = ratios[0]
     for r in ratios[1:]:
-        g = Fraction(_gcd_int(g.numerator * r.denominator, r.numerator * g.denominator),
+        g = Fraction(gcd(g.numerator * r.denominator, r.numerator * g.denominator),
                      g.denominator * r.denominator)
     atoms: Dict[str, Expr] = {}
 
@@ -410,7 +415,8 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
 def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: Tuple) -> Optional[TPoly]:
     """Extract ``e`` as a TPoly in the base angle, or None if unsupported."""
     if e.kind == "rat":
-        return TPoly.const(K3(rat_value(e)))
+        v = rat_value(e)
+        return TPoly.const(K3(v.numerator, 0, v.denominator))
     if e.kind == "neg":
         inner = tpoly_from_expr(e.args[0], base_ratio, base_key)
         return None if inner is None else -inner
@@ -427,17 +433,17 @@ def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: Tuple) -> Optional[
         b = tpoly_from_expr(e.args[1], base_ratio, base_key)
         if a is None or b is None or not b.is_const() or b.const_value().is_zero():
             return None
-        return a.scale(b.const_value().inv())
+        return a * TPoly.const(b.const_value().inv())
     if e.kind == "pow":
         n = e.value
         base = tpoly_from_expr(e.args[0], base_ratio, base_key)
         if base is None:
             return None
         if n < 0:
-            if not base.is_const() or base.const_value().is_zero():
+            if not base.is_const() or base.is_zero():
                 return None
-            return TPoly.const(_k3_ipow(base.const_value().inv(), -n))
-        out = TPoly.const(K_ONE)
+            base, n = TPoly.const(base.const_value().inv()), -n
+        out = _ONE
         for _ in range(n):
             out = out * base
         return out
@@ -454,17 +460,10 @@ def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: Tuple) -> Optional[
                 return None
             m = m_frac.numerator
             if name == "cos":
-                return TPoly.c_poly(_cheb_T(m))
-            return TPoly((), _cheb_U(m - 1)) if m >= 1 else TPoly()
+                return TPoly((_chebyshev(m, (0, 1)), ()))
+            return TPoly(_KZERO, (_chebyshev(m - 1, (0, 2)), ())) if m >= 1 else TPoly()
         return None
     return None
-
-
-def _k3_ipow(k: K3, n: int) -> K3:
-    out = K_ONE
-    for _ in range(n):
-        out = out * k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +500,22 @@ def _common_zero_loci(N: TPoly, D: TPoly) -> List[AngleLocus]:
     These are the 0/0 points of N/D, i.e. the candidate non-analytical
     points of an identity built from the quotient.
     """
-    def vanishes_at(P: TPoly, c: Fraction, s: Optional[int]) -> bool:
-        v0, v1 = _ueval(P.p0, c), _ueval(P.p1, c)
-        if s is None:  # s irrational: need both components zero
-            return v0.is_zero() and v1.is_zero()
-        return (v0 + v1 * K3(s)).is_zero()
+    def vanishes_at(P: TPoly, c: int, s: int) -> bool:
+        # both the rational and the sqrt3 part of p0(c) + p1(c) s
+        return all(_zeval(h0, c) + s * _zeval(h1, c) == 0
+                   for h0, h1 in zip(P.p0, P.p1))
 
     loci: List[AngleLocus] = []
-    at_one = vanishes_at(N, Fraction(1), 0) and vanishes_at(D, Fraction(1), 0)
-    at_minus_one = vanishes_at(N, Fraction(-1), 0) and vanishes_at(D, Fraction(-1), 0)
+    at_one = vanishes_at(N, 1, 0) and vanishes_at(D, 1, 0)
+    at_minus_one = vanishes_at(N, -1, 0) and vanishes_at(D, -1, 0)
     if at_one and at_minus_one:
         loci.append(AngleLocus(Fraction(0), Fraction(1)))
     elif at_one:
         loci.append(AngleLocus(Fraction(0), Fraction(2)))
     elif at_minus_one:
         loci.append(AngleLocus(Fraction(1), Fraction(2)))
-    up = vanishes_at(N, Fraction(0), 1) and vanishes_at(D, Fraction(0), 1)
-    down = vanishes_at(N, Fraction(0), -1) and vanishes_at(D, Fraction(0), -1)
+    up = vanishes_at(N, 0, 1) and vanishes_at(D, 0, 1)
+    down = vanishes_at(N, 0, -1) and vanishes_at(D, 0, -1)
     if up and down:
         loci.append(AngleLocus(Fraction(1, 2), Fraction(1)))
     elif up:
@@ -525,9 +523,10 @@ def _common_zero_loci(N: TPoly, D: TPoly) -> List[AngleLocus]:
     elif down:
         loci.append(AngleLocus(Fraction(-1, 2), Fraction(2)))
     # interior rational cos values: common rational roots of all components
-    g = _ugcd(_ugcd(N.p0, N.p1), _ugcd(D.p0, D.p1))
-    if g and len(g) > 1:
-        for v in _rational_roots(g):
+    g = _kgcd(N.p0, N.p1, D.p0, D.p1)
+    if len(g) > 1:
+        roots = _rational_roots(g)
+        for v in roots:
             if -1 < v < 1 and v != 0:
                 t = _ACOS_TABLE.get(v)
                 if t is None:
@@ -537,14 +536,9 @@ def _common_zero_loci(N: TPoly, D: TPoly) -> List[AngleLocus]:
                 loci.append(AngleLocus(-t, Fraction(2)))
         # a nontrivial common factor with no usable rational root means
         # zeros we cannot place exactly
-        if not _rational_roots(g):
+        if not roots:
             raise UnsolvableLocusError("common factor with no rational cos root")
     return loci
-
-
-def _zero_loci_single(P: TPoly) -> List[AngleLocus]:
-    """Zero locus of one polynomial on the circle (used when D == 0)."""
-    return _common_zero_loci(P, P)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +571,10 @@ def _pattern_result(name: str, which: str, base: Expr) -> Expr:
     return table[which]
 
 
-_S = TPoly((), (K_ONE,))
-_C = TPoly((K_ZERO, K_ONE), ())
-_ONE_PLUS_C = TPoly((K_ONE, K_ONE), ())
-_ONE_MINUS_C = TPoly((K_ONE, -K_ONE), ())
+_S = TPoly(_KZERO, ((1,), ()))
+_C = TPoly(((0, 1), ()))
+_ONE_PLUS_C = TPoly(((1, 1), ()))
+_ONE_MINUS_C = TPoly(((1, -1), ()))
 
 _PATTERNS = (
     ("tan", _S, _C),
@@ -592,9 +586,9 @@ _PATTERNS = (
 )
 
 _ARCTAN_CONSTS = {K3(1): Fraction(1, 4), K3(0, 1): Fraction(1, 3),
-                  K3(0, Fraction(1, 3)): Fraction(1, 6)}
+                  K3(0, 1, 3): Fraction(1, 6)}
 _ARCCOT_CONSTS = {K3(1): Fraction(1, 4), K3(0, 1): Fraction(1, 6),
-                  K3(0, Fraction(1, 3)): Fraction(1, 3), K3(0): Fraction(1, 2)}
+                  K3(0, 1, 3): Fraction(1, 3), K3(0): Fraction(1, 2)}
 
 
 def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]:
@@ -628,7 +622,7 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
         # the base-angle origin) and arccot gives 0 or pi
         if N.is_zero():
             return None
-        guards = _zero_loci_single(N)
+        guards = _common_zero_loci(N, N)
         sgn = _sign_near_zero(N, guards)
         if sgn == 0:
             return None
@@ -642,7 +636,7 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
 
     # constant quotient: N proportional to D
     lam = _lead(N) / _lead(D)
-    if N == D.scale(lam):
+    if N == D * TPoly.const(lam):
         table = _ARCTAN_CONSTS if name == "arctan" else _ARCCOT_CONSTS
         for lam_abs, sign in ((lam, 1), (-lam, -1)):
             frac = table.get(lam_abs)
@@ -655,18 +649,23 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
     # tan / cot / half-angle patterns, up to overall sign; the negative-sign
     # arccot pull uses the odd convention arccot(-t) = -arccot(t) ("branch")
     for which, pn, pd in _PATTERNS:
-        for sign in (1, -1):
-            if (N * pd - (D * pn).scale(K3(sign))).is_zero():
-                result = _pattern_result(name, which, base_expr)
-                branch = sign < 0 and name == "arccot"
-                return CollapseResult(_apply_sign(result, sign), guards, branch)
+        lhs, rhs = N * pd, D * pn
+        if lhs == rhs:
+            sign = 1
+        elif lhs == -rhs:
+            sign = -1
+        else:
+            continue
+        result = _pattern_result(name, which, base_expr)
+        branch = sign < 0 and name == "arccot"
+        return CollapseResult(_apply_sign(result, sign), guards, branch)
     return None
 
 
 def _lead(P: TPoly) -> K3:
-    if P.p1:
-        return P.p1[-1]
-    return P.p0[-1] if P.p0 else K_ZERO
+    top = _pairs(P.p1 if P.p1[0] or P.p1[1] else P.p0)
+    a, b = top[-1] if top else (0, 0)
+    return K3(a, b, P.den)
 
 
 def fold_const_denominator(num: Expr, den: Expr) -> Optional[Expr]:
@@ -678,15 +677,9 @@ def fold_const_denominator(num: Expr, den: Expr) -> Optional[Expr]:
         return None
     ratio, key, _ = found
     D = tpoly_from_expr(den, ratio, key)
-    if D is None or not D.is_const():
+    if D is None or not D.is_const() or D.is_zero():
         return None
-    k = D.const_value()
-    if k.is_zero():
-        return None
-    inv = k.inv()
-    if inv.b == 0:
-        return mul(rational(inv.a), num)
-    return mul(inv.as_expr(), num)
+    return mul(D.const_value().inv().as_expr(), num)
 
 
 def _apply_sign(e: Expr, sign: int) -> Expr:
@@ -698,7 +691,6 @@ def _sign_near_zero(P: TPoly, guards: List[AngleLocus]) -> int:
     positive = [t for g in guards for t in g.points_in(Fraction(0), Fraction(4))
                 if t > 0] or [Fraction(2)]
     t_mid = min(positive) / 2
-    import math
     ang = math.pi * float(t_mid)
     c, s = math.cos(ang), math.sin(ang)
     val = _tpoly_float(P, c, s)
@@ -708,12 +700,9 @@ def _sign_near_zero(P: TPoly, guards: List[AngleLocus]) -> int:
 
 
 def _tpoly_float(P: TPoly, c: float, s: float) -> float:
-    def horner(p):
-        acc = 0.0
-        for k in reversed(p):
-            acc = acc * c + float(k.a) + float(k.b) * 1.7320508075688772
-        return acc
-    return horner(P.p0) + horner(P.p1) * s
+    def horner(half):
+        return _zeval(half[0], c) + _zeval(half[1], c) * 1.7320508075688772
+    return (horner(P.p0) + horner(P.p1) * s) / P.den
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +774,7 @@ def _reduce_sin_squares(coeff: Fraction,
             cos_key = str(cos_atom)
             out: List[_Term] = []
             for j in range(m + 1):
-                binom = Fraction((-1) ** j) * _comb(m, j)
+                binom = Fraction((-1) ** j) * math.comb(m, j)
                 new_factors = dict(factors)
                 new_factors[keyname] = (atom, r)
                 prev = new_factors.get(cos_key)
@@ -793,11 +782,6 @@ def _reduce_sin_squares(coeff: Fraction,
                 out.extend(_reduce_sin_squares(coeff * binom, new_factors))
             return out
     return [(coeff, factors)]
-
-
-def _comb(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
 
 
 def collect_terms(e: Expr) -> Expr:
@@ -850,6 +834,7 @@ def collect_terms(e: Expr) -> Expr:
 
 
 def _flatten_product(x: Expr) -> Tuple[Fraction, Dict[str, Tuple[Expr, int]]]:
+    """A product tree as (rational coefficient, {printed atom: (atom, exponent)})."""
     coeff = Fraction(1)
     factors: Dict[str, Tuple[Expr, int]] = {}
 

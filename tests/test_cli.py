@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from trigsum import cli, exact
 from trigsum.cli import main
 from trigsum.exact import PiPolynomial
 
@@ -32,6 +34,33 @@ class TestExact:
     def test_euler_number(self, capsys):
         code, out, _ = run(capsys, "exact", "euler-number", "--n", "4")
         assert code == 0 and out.strip() == "5"
+
+    @pytest.mark.parametrize("value,n,fmt", [
+        ("harmonic", 12000, "text"), ("harmonic", 12000, "json"),
+        ("zeta-even", 900, "text"), ("zeta-even", 900, "json"),
+    ])
+    def test_past_the_int_str_digit_limit(self, capsys, value, n, fmt):
+        # numerator and denominator run past Python's default 4300 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "exact", value, "--n", str(n), "--format", fmt)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit  # lifted for the write only
+        want = exact.harmonic(n) if value == "harmonic" else exact.zeta_even(n)
+        sys.set_int_max_str_digits(0)
+        try:
+            if value == "zeta-even":
+                got = (PiPolynomial.from_json(out.strip()) if fmt == "json"
+                       else out.strip())
+                assert got == (want if fmt == "json" else cli._pipoly_text(want))
+            elif fmt == "json":
+                payload = json.loads(out)
+                assert Fraction(int(payload["num"]), int(payload["den"])) == want
+            else:
+                assert Fraction(out.strip()) == want
+            q = want if value == "harmonic" else want.coeffs[2 * n]
+            assert max(len(str(q.numerator)), len(str(q.denominator))) > limit
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bad_value_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -152,6 +181,18 @@ class TestDeterminism:
         assert first == second
 
 
+class TestInternalError:
+    def test_unexpected_error_exits_2(self, capsys, monkeypatch):
+        # exit 1 means a failed verification; any other error exits 2
+        def broken(args):
+            raise RuntimeError("no such state")
+
+        monkeypatch.setattr(cli, "_cmd_identities", broken)
+        code, out, err = run(capsys, "identities")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: internal: RuntimeError: no such state"]
+
+
 class TestIdentitiesListing:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "identities", "--format", "json")
@@ -180,7 +221,10 @@ class TestFreshProcessErrors:
         ("zeta-odd", "--r", "1", "--digits", "0"),
         ("operator", "apply", "--kind", "cos",
          "--expr=" + "sin(" * 3000 + "x" + ")" * 3000, "--arg", "x", "--shift", "h"),
-    ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000"])
+        ("oracle", "--series", "hurwitz", "--a", "1/0", "--s", "3"),
+        ("verify", "--id", "thm11-cos", "--r", "1", "--x0", "1/0"),
+    ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000",
+            "hurwitz-offset-zero-denominator", "shift-zero-denominator"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""

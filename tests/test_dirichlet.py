@@ -236,6 +236,26 @@ class TestZetaOdd:
             assert abs(a.value - mp.zeta(3)) <= a.tail_bound
         assert a.tail_bound <= ctx.target
 
+    def test_zeta_form_builds_each_a_k_once(self, monkeypatch):
+        # every recursion level of both zeta-form methods reads a_k of
+        # zeta(2k) = a_k pi^(2k) from one table, so zeta_even runs once per k
+        from trigsum import dirichlet
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return zeta_even(k)
+
+        monkeypatch.setattr(dirichlet, "zeta_even", counted)
+        monkeypatch.setattr(dirichlet, "_zeta_odd_cache", {})
+        monkeypatch.setattr(dirichlet, "_ZETA_EVEN_COEFF", {})
+        ctx = PrecisionContext.for_digits(300)
+        for method in ("thm15-zeta", "thm17"):
+            a = zeta_odd(6, method, ctx)
+            with mp.workdps(320):
+                assert abs(a.value - mp.zeta(13)) <= a.tail_bound
+        assert len(calls) == len(set(calls)) <= max(calls)
+
     def test_eta_odd(self):
         with mp.workdps(45):
             a = eta_odd(1, CTX40)
