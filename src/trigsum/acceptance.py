@@ -22,10 +22,9 @@ from .dirichlet import (PrecisionContext, ZETA_ODD_METHODS, dirichlet_oracle,
 from .expr import PI, eval_real, func, parse_expr, symbol
 from .mapping import detect_singularities, map_cospow, map_fourier
 from .operators import apply_operator, complex_shift_oracle, verify_inverse_system
-from .registry import (closed_form_eval, corollary2_integrate, default_suite,
-                       endpoint_suite, get_record, integration_successor,
-                       partial_sum_eval, poly_derivative, theorem23_shift,
-                       verify, verify_endpoint)
+from .registry import (closed_form_eval, corollary2_integrate, get_record,
+                       integration_successor, partial_sum_eval, poly_derivative,
+                       suite_reports, theorem23_shift, verify)
 
 F = Fraction
 
@@ -182,18 +181,8 @@ def criterion_5_worked_examples() -> Outcome:
 
 def criterion_6_registry_sweep() -> Outcome:
     t0 = time.perf_counter()
-    failures = []
-    count = 0
-    for entry in default_suite():
-        rep = verify(entry.id, entry.r, N=entry.N, tol=entry.tol)
-        count += 1
-        if not rep.passed:
-            failures.append(rep.id)
-    for rid, r in endpoint_suite():
-        rep = verify_endpoint(rid, r)
-        count += 1
-        if not rep.passed:
-            failures.append(rep.id + "@endpoints")
+    reports = suite_reports()
+    failures = [rep.id for rep in reports if not rep.passed]
     ctx = PrecisionContext.for_digits(30)
     closed0 = closed_form_eval("example1-cospow", None, c=pi,
                                x=0.0, ctx=ctx)
@@ -203,7 +192,7 @@ def criterion_6_registry_sweep() -> Outcome:
     elapsed = time.perf_counter() - t0
     ok = not failures and gibbs_ok and elapsed < 120.0
     return ("identity-registry-sweep", ok,
-            f"{count} grid/endpoint checks pass; open-endpoint failure at the "
+            f"{len(reports)} grid/endpoint checks pass; open-endpoint failure at the "
             "log-series origin confirmed; < 120s"
             + (f"; failures: {failures}" if failures else ""))
 

@@ -26,35 +26,16 @@ from .dirichlet import (ORACLE_SERIES, PrecisionContext, PrecisionError,
                         ZETA_ODD_METHODS, dirichlet_oracle, zeta_odd)
 
 _EXACT_FUNCS = {
-    "zeta-even": lambda n: exact.zeta_even(n),
-    "eta-even": lambda n: exact.eta_even(n),
-    "lambda-even": lambda n: exact.lambda_even(n),
-    "beta-odd": lambda n: exact.beta_odd(n),
-    "frakd": lambda n: exact.frakD(n),
-    "cald": lambda n: exact.calD(n),
-    "bernoulli-star": lambda n: exact.bernoulli_star(n),
-    "euler-number": lambda n: exact.euler_number(n),
-    "harmonic": lambda n: exact.harmonic(n),
+    "zeta-even": exact.zeta_even,
+    "eta-even": exact.eta_even,
+    "lambda-even": exact.lambda_even,
+    "beta-odd": exact.beta_odd,
+    "frakd": exact.frakD,
+    "cald": exact.calD,
+    "bernoulli-star": exact.bernoulli_star,
+    "euler-number": exact.euler_number,
+    "harmonic": exact.harmonic,
 }
-
-
-def _fraction_text(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _pipoly_text(p: exact.PiPolynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for power, coeff in p.terms():
-        if power == 0:
-            parts.append(_fraction_text(coeff))
-        elif power == 1:
-            parts.append(f"({_fraction_text(coeff)})*pi")
-        else:
-            parts.append(f"({_fraction_text(coeff)})*pi^{power}")
-    return " + ".join(parts)
 
 
 def _fraction_flag(flag: str, text: str) -> Fraction:
@@ -83,23 +64,16 @@ def _cmd_exact(args) -> int:
 
 
 def _write_exact(value, fmt: str) -> None:
-    if isinstance(value, exact.PiPolynomial):
-        if fmt == "json":
-            print(value.to_json())
-        else:
-            print(_pipoly_text(value))
+    if fmt == "text":
+        print(value)
+    elif isinstance(value, exact.PiPolynomial):
+        print(value.to_json())
     elif isinstance(value, Fraction):
-        if fmt == "json":
-            print(json.dumps({"num": str(value.numerator),
-                              "den": str(value.denominator)},
-                             separators=(",", ":")))
-        else:
-            print(_fraction_text(value))
+        print(json.dumps({"num": str(value.numerator),
+                          "den": str(value.denominator)},
+                         separators=(",", ":")))
     else:
-        if fmt == "json":
-            print(json.dumps({"value": str(value)}, separators=(",", ":")))
-        else:
-            print(value)
+        print(json.dumps({"value": str(value)}, separators=(",", ":")))
 
 
 def _cmd_operator(args) -> int:
@@ -151,29 +125,23 @@ def _cmd_map(args) -> int:
 def _cmd_zeta_odd(args) -> int:
     ctx = PrecisionContext.for_digits(args.digits + 10)
     approx = zeta_odd(args.r, args.method, ctx)
-    with mp.workdps(args.digits + 10):
-        value_txt = mp.nstr(approx.value, args.digits)
-        bound_txt = mp.nstr(approx.tail_bound, 3)
-    if args.format == "json":
-        print(json.dumps({"r": args.r, "method": args.method,
-                          "value": value_txt, "tail_bound": bound_txt,
-                          "terms": approx.terms_used},
-                         separators=(",", ":")))
-    else:
-        print(value_txt)
-    return 0
+    return _write_approx(approx, args, {"r": args.r, "method": args.method})
 
 
 def _cmd_oracle(args) -> int:
     ctx = PrecisionContext.for_digits(args.digits + 10)
     a = _fraction_flag("--a", args.a) if args.a else None
     approx = dirichlet_oracle(args.series, args.s, ctx, a=a)
+    return _write_approx(approx, args, {"series": args.series, "s": args.s})
+
+
+def _write_approx(approx, args, head: dict) -> int:
+    """A series value to --digits, with its tail bound and term count in JSON."""
     with mp.workdps(args.digits + 10):
         value_txt = mp.nstr(approx.value, args.digits)
         bound_txt = mp.nstr(approx.tail_bound, 3)
     if args.format == "json":
-        print(json.dumps({"series": args.series, "s": args.s,
-                          "value": value_txt, "tail_bound": bound_txt,
+        print(json.dumps({**head, "value": value_txt, "tail_bound": bound_txt,
                           "terms": approx.terms_used},
                          separators=(",", ":")))
     else:
@@ -251,10 +219,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_suite_rows(args) -> int:
     """Per-record registry sweep rows (catalog order), machine-readable."""
-    from .registry import default_suite, endpoint_suite, verify, verify_endpoint
-    reports = [verify(entry.id, entry.r, N=entry.N, tol=entry.tol)
-               for entry in default_suite()]
-    reports += [verify_endpoint(rid, r) for rid, r in endpoint_suite()]
+    from .registry import suite_reports
+    reports = suite_reports()
     _emit_reports(reports, args.format)
     return 0 if all(rep.passed for rep in reports) else 1
 

@@ -135,9 +135,9 @@ class PiPolynomial:
         return cls({int(t["power"]): Fraction(int(t["num"]), int(t["den"]))
                     for t in payload["terms"]})
 
-    def __repr__(self):
+    def __str__(self):
         if not self.coeffs:
-            return "PiPolynomial(0)"
+            return "0"
         parts = []
         for k, v in self.terms():
             if k == 0:
@@ -146,7 +146,10 @@ class PiPolynomial:
                 parts.append(f"({v})*pi")
             else:
                 parts.append(f"({v})*pi^{k}")
-        return "PiPolynomial(" + " + ".join(parts) + ")"
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"PiPolynomial({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,8 @@ def func(name: str, a: Expr) -> Expr:
         if name == "sqrt":
             v = rat_value(a)
             if v >= 0 and _is_square(v.numerator) and _is_square(v.denominator):
-                return rational(Fraction(_isqrt_exact(v.numerator),
-                                         _isqrt_exact(v.denominator)))
+                return rational(Fraction(math.isqrt(v.numerator),
+                                         math.isqrt(v.denominator)))
     if name in _ODD_HEADS or name in _EVEN_HEADS:
         sign, inner = _strip_sign(a)
         if sign < 0:
@@ -296,10 +296,6 @@ def _is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def _isqrt_exact(n: int) -> int:
-    return math.isqrt(n)
 
 
 def fold(e: Expr) -> Expr:

@@ -140,15 +140,21 @@ def _denominator_loci(e: Expr) -> List[Tuple[AngleLocus, Expr]]:
     return found
 
 
-def _map_common(part: Expr, theta: Expr, kind: str, unit: Expr,
-                period_ratio: Fraction) -> TrigSeriesResult:
+def _simplified_loci(part: Expr, theta: Expr):
+    """The simplified image and its guard and denominator loci in x; a locus
+    that cannot be solved is a MappingError."""
     outcome = simplify_collect(part)
     guards = list(outcome.guards)
     try:
         guards.extend(_denominator_loci(outcome.expr))
-        loci = _loci_in_x(guards, theta)
+        return outcome, _loci_in_x(guards, theta)
     except UnsolvableLocusError as exc:
         raise MappingError(str(exc)) from exc
+
+
+def _map_common(part: Expr, theta: Expr, kind: str, unit: Expr,
+                period_ratio: Fraction) -> TrigSeriesResult:
+    outcome, loci = _simplified_loci(part, theta)
     validity, inside = _component_of_origin(loci)
     return TrigSeriesResult(
         closed_form=outcome.expr,
@@ -218,10 +224,7 @@ def detect_singularities(e, var: str = "x", c: Expr | None = None,
             c = c if c is not None else symbol("c")
             unit = fold(c)
             theta = collect_terms(fold(div(mul(PI, symbol(var)), c)))
-        outcome = simplify_collect(e)
-        guards = list(outcome.guards)
-        guards.extend(_denominator_loci(outcome.expr))
-        loci = _loci_in_x(guards, theta)
+        _, loci = _simplified_loci(e, theta)
     lo, hi = window if window is not None else (Fraction(0), period)
     return [fold(mul(rational(r), unit)) for r in _ratio_points(loci, lo, hi)]
 

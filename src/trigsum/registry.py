@@ -5,7 +5,12 @@ polynomial in u = pi x / c whose coefficients live in the exact basis
 { rational * pi^K,  rational * zeta(odd),  rational * ln 2,
   rational * sqrt2 * pi^K,  rational * sqrt3 * pi^K },
 plus, where needed, a u^p * ln(u) term and a residual series with exact
-rational coefficients (see ResidualRule).  Because coefficients are exact,
+rational coefficients (see ResidualRule).  A Fourier record over a named
+Dirichlet series states only its TermSpec (and residual rule): its
+polynomial and log term follow from the spec by one Taylor rule
+(_taylor_poly), u^(2k+p) carrying (-1)^k D(s-2k-p) / (2k+p)!, plus the
+singular term of D's pole.  Records off that rule give poly explicitly.
+Because coefficients are exact,
 endpoint specialization, termwise integration and the cosh-shift act as
 exact rational arithmetic; only log terms, residual tails and the final
 grid comparison are numeric.
@@ -53,6 +58,7 @@ __all__ = [
     "theorem23_shift",
     "default_suite",
     "endpoint_suite",
+    "suite_reports",
 ]
 
 
@@ -208,8 +214,7 @@ class ResidualRule:
     tests).  In w = u / scale (scale = 2 pi for Thm 16, pi for Thm 21, so
     0 <= w <= 1 on the closed interval) the series is
     sign * scale^(2r) * sum_k c_k f_k w^(2r+2k) with f_k = (2k)! / ((2r+2k)! k)
-    and c_k = zeta(2k) (Thm 16) or lambda(2k) (Thm 21); coeff_mpf is
-    c_k f_k / scale^(2k) in floating point.  eval splits c_k = 1 + (c_k - 1):
+    and c_k = zeta(2k) (Thm 16) or lambda(2k) (Thm 21).  eval splits c_k = 1 + (c_k - 1):
     the "1" part is closed_part(w), elementary in w; the remainder terms
     (c_k - 1) f_k w^(2r+2k) are positive and their ratio is at most w^2/4,
     since c_k - 1 sums n^(-2k) over n >= 2 (odd n >= 3 for lambda) and
@@ -239,10 +244,6 @@ class ResidualRule:
 
     def _f(self, k: int) -> mp.mpf:
         return _fact_ratio_inv(2 * k, self.power(k)) / k
-
-    def coeff_mpf(self, k: int, digits: int) -> mp.mpf:
-        with mp.workdps(digits):
-            return self._c(k, digits) * self._f(k) / self.scale ** (2 * k)
 
     def closed_part(self, w: mp.mpf) -> mp.mpf:
         """sum_k f_k w^(2r+2k) = -w^(2r)/(2r-1)! int_0^1 (1-t)^(2r-1)
@@ -346,7 +347,9 @@ class IdentityRecord:
     Intervals are in units of c (Fourier records, including the pinned
     c = pi examples) with open/closed endpoint flags; ``term`` gives the
     frequency multiplier of pi x/c and the exact amplitude of the n-th term
-    for n >= n_start.  kind "value" records have no x-dependence.
+    for n >= n_start.  kind "value" records have no x-dependence.  Without
+    ``poly`` the closed form (poly and log_term) is derived from ``term``
+    and ``trig``.
     """
     id: str
     label: str
@@ -360,10 +363,14 @@ class IdentityRecord:
     period: Fraction
     n_start: int
     term: TermSpec
-    poly: Callable[[int], Dict[int, Coeff]]
+    poly: Optional[Callable[[int], Dict[int, Coeff]]] = None
     log_term: Optional[Callable[[int], Tuple[Coeff, int]]] = None
     residual: Optional[Callable[[int], ResidualRule]] = None
     cos_coeff: Optional[Callable[[int], Coeff]] = None
+
+    def __post_init__(self):
+        if self.poly is None:
+            self.poly, self.log_term = _taylor_closed_form(self.term, self.trig)
 
     def effective_r(self, r: Optional[int]) -> int:
         if self.r_fixed is not None:
@@ -397,97 +404,80 @@ class VerificationReport:
                 f"{self.max_error},{str(self.passed).lower()}")
 
 
-# --- closed-form polynomial builders ---------------------------------------
+# --- closed forms from the term spec ---------------------------------------
 
-def _poly_thm11_cos(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(r):
-        out[2 * k] = Coeff.from_pipoly(exact.zeta_even(r - k)).scale(
-            Fraction((-1) ** k, factorial(2 * k)))
-    out[2 * r - 1] = Coeff.pi_monomial(Fraction((-1) ** r, 2 * factorial(2 * r - 1)), 1)
-    out[2 * r] = Coeff.rational(Fraction((-1) ** (r + 1), 2 * factorial(2 * r)))
-    return out
+_EVEN_VALUES = {"zeta": exact.zeta_even, "eta": exact.eta_even,
+                "lambda": exact.lambda_even, "frakD": exact.frakD}
+_ODD_VALUES = {"beta": exact.beta_odd, "calD": exact.calD}
+_VALUES_AT_0 = {"zeta": Fraction(-1, 2), "eta": Fraction(1, 2),
+                "lambda": Fraction(0), "frakD": Fraction(0)}
+_POLE_RESIDUES = {"zeta": Fraction(1), "lambda": Fraction(1, 2)}
 
 
-def _poly_thm11_sin(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(1, r + 1):
-        out[2 * k - 1] = Coeff.from_pipoly(exact.zeta_even(r + 1 - k)).scale(
-            Fraction((-1) ** (k - 1), factorial(2 * k - 1)))
-    out[2 * r] = _coeff_add(out.get(2 * r),
-                            Coeff.pi_monomial(Fraction((-1) ** r, 2 * factorial(2 * r)), 1))
-    out[2 * r + 1] = Coeff.rational(Fraction((-1) ** (r + 1), 2 * factorial(2 * r + 1)))
-    return out
+def _series_value(name: str, t: int) -> Optional[Coeff]:
+    """The exact value D(t), t >= 0, of the named Dirichlet series, or None
+    where there is none (the pole of zeta at 1, and the parities no record
+    reaches)."""
+    if t == 0:
+        q = _VALUES_AT_0.get(name)
+        return None if q is None else Coeff.rational(q)
+    if t % 2 == 0 and name in _EVEN_VALUES:
+        return Coeff.from_pipoly(_EVEN_VALUES[name](t // 2))
+    if t % 2 == 1 and name in _ODD_VALUES:
+        return Coeff.from_pipoly(_ODD_VALUES[name](t // 2))
+    if name == "eta" and t % 2 == 1:
+        return _eta_odd_coeff(t, Fraction(1))
+    if name == "zeta" and t % 2 == 1 and t > 1:
+        return Coeff.zeta_odd(1, t)
+    return None
 
 
 def _coeff_add(a: Optional[Coeff], b: Coeff) -> Coeff:
     return b if a is None else a + b
 
 
-def _poly_thm16(r: int) -> Dict[int, Coeff]:
+def _taylor_poly(name: str, term: TermSpec, p: int, r: int) -> Dict[int, Coeff]:
+    """The polynomial part of sum_m w(m) m^(-s) cos(m u) (p = 0) or sin (p = 1)
+    with w the pattern of the series D: u^(2k+p) carries (-1)^k D(s-2k-p) /
+    (2k+p)!, and where D has a pole at 1 with residue rho, s - p even adds
+    rho (-1)^floor(s/2) pi u^(s-1) / (2 (s-1)!) and s - p odd (the log case)
+    adds rho (-1)^((s-1)/2) H_(s-1) u^(s-1) / (s-1)!.  Powers ascend."""
+    s = term.exponent(r)
     out: Dict[int, Coeff] = {}
-    for k in range(r):
-        out[2 * k] = Coeff.zeta_odd(Fraction((-1) ** k, factorial(2 * k)),
-                                    2 * r + 1 - 2 * k)
-    h = harmonic(2 * r)
-    out[2 * r] = Coeff.rational(Fraction((-1) ** r) * h / factorial(2 * r))
-    return out
+    for k in range((s - p) // 2 + 1):
+        value = _series_value(name, s - 2 * k - p)
+        if value is not None and not value.is_zero():
+            out[2 * k + p] = value.scale(Fraction((-1) ** k, factorial(2 * k + p)))
+    rho = _POLE_RESIDUES.get(name)
+    if rho is not None:
+        if (s - p) % 2 == 0:
+            pole = Coeff.pi_monomial(rho * (-1) ** (s // 2) / (2 * factorial(s - 1)), 1)
+        else:
+            pole = Coeff.rational(rho * (-1) ** ((s - 1) // 2) * harmonic(s - 1)
+                                  / factorial(s - 1))
+        out[s - 1] = _coeff_add(out.get(s - 1), pole)
+    return dict(sorted(out.items()))
 
 
-def _poly_thm18_cos(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(r):
-        out[2 * k] = Coeff.from_pipoly(exact.eta_even(r - k)).scale(
-            Fraction((-1) ** k, factorial(2 * k)))
-    out[2 * r] = Coeff.rational(Fraction((-1) ** r, 2 * factorial(2 * r)))
-    return out
+def _taylor_log(name: str, term: TermSpec, r: int) -> Tuple[Coeff, int]:
+    """The u^(s-1) ln(u) term of the log case: rho (-1)^((s+1)/2) / (s-1)!."""
+    s = term.exponent(r)
+    rho = _POLE_RESIDUES[name]
+    return Coeff.rational(rho * (-1) ** ((s + 1) // 2) / factorial(s - 1)), s - 1
 
 
-def _poly_thm18_sin(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(1, r + 1):
-        out[2 * k - 1] = Coeff.from_pipoly(exact.eta_even(r + 1 - k)).scale(
-            Fraction((-1) ** (k - 1), factorial(2 * k - 1)))
-    out[2 * r + 1] = Coeff.rational(Fraction((-1) ** r, 2 * factorial(2 * r + 1)))
-    return out
-
-
-def _poly_thm21(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(r + 1):
-        out[2 * k] = _eta_odd_coeff(2 * r + 1 - 2 * k,
-                                    Fraction((-1) ** k, factorial(2 * k)))
-    return out
-
-
-def _poly_cor5(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(r):
-        out[2 * k] = Coeff.from_pipoly(exact.beta_odd(r - k)).scale(
-            Fraction((-1) ** k, factorial(2 * k)))
-    out[2 * r] = _coeff_add(out.get(2 * r),
-                            Coeff.pi_monomial(Fraction((-1) ** r, 4 * factorial(2 * r)), 1))
-    return out
-
-
-def _poly_cor6(r: int) -> Dict[int, Coeff]:
-    out: Dict[int, Coeff] = {}
-    for k in range(r):
-        out[2 * k] = Coeff.from_pipoly(exact.lambda_even(r - k)).scale(
-            Fraction((-1) ** k, factorial(2 * k)))
-    out[2 * r - 1] = _coeff_add(out.get(2 * r - 1),
-                                Coeff.pi_monomial(Fraction((-1) ** r, 4 * factorial(2 * r - 1)), 1))
-    return out
-
-
-def _poly_cor7(r: int) -> Dict[int, Coeff]:
-    return {2 * k: Coeff.from_pipoly(exact.frakD(r - k)).scale(
-        Fraction((-1) ** k, factorial(2 * k))) for k in range(r)}
-
-
-def _poly_cor8(r: int) -> Dict[int, Coeff]:
-    return {2 * k: Coeff.from_pipoly(exact.calD(r - k)).scale(
-        Fraction((-1) ** k, factorial(2 * k))) for k in range(r + 1)}
+def _taylor_closed_form(term: TermSpec, trig: Optional[str]):
+    """poly and log_term of a Fourier record derived from its term spec."""
+    name = next((k for k, v in ORACLE_SERIES.items() if v == term.pattern), None)
+    if name is None or trig is None or term.pole or term.shifts or term.s[0] % 2:
+        raise RegistryError("a closed form is derived only for a cos or sin "
+                            "series of a named Dirichlet pattern with "
+                            "n^(-s(r)) amplitudes, s(r) of one parity")
+    p = int(trig == "sin")
+    log = None
+    if name in _POLE_RESIDUES and (term.s[1] - p) % 2:
+        log = partial(_taylor_log, name, term)
+    return partial(_taylor_poly, name, term, p), log
 
 
 def _poly_eq56(r: int) -> Dict[int, Coeff]:
@@ -532,10 +522,6 @@ def _poly_example2(_r: int) -> Dict[int, Coeff]:
     return {0: Coeff.rational(Fraction(-1, 2))}
 
 
-def _log_thm16(r: int) -> Tuple[Coeff, int]:
-    return Coeff.rational(Fraction((-1) ** (r + 1), factorial(2 * r))), 2 * r
-
-
 def theorem23_shift(identity_id: str | IdentityRecord,
                     x0: Fraction) -> IdentityRecord:
     """Shifted identity: the term spec gains the shift x0 (in units of c),
@@ -571,66 +557,58 @@ def _make_records() -> Dict[str, IdentityRecord]:
         id="cor6-lambda", label="odd-denominator cosine series over [0, c]",
         kind="fourier", trig="cos", r_min=1, r_fixed=None,
         interval=(f(0), f(1)), closed_left=True, closed_right=True,
-        period=f(2), n_start=1, term=TermSpec(2, -1, lam, even),
-        poly=_poly_cor6)
+        period=f(2), n_start=1, term=TermSpec(2, -1, lam, even))
     records = [
         IdentityRecord(
             id="thm11-cos", label="cosine series of n^(-2r) over [0, 2c]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, even),
-            poly=_poly_thm11_cos),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, even)),
         IdentityRecord(
             id="thm11-sin", label="sine series of n^(-2r-1) over [0, 2c]",
             kind="fourier", trig="sin", r_min=1, r_fixed=None,
             interval=(f(0), f(2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
-            poly=_poly_thm11_sin),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
             id="thm16-zeta-odd-cos",
             label="cosine series of n^(-2r-1) with log and residual terms",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(2)), closed_left=True, closed_right=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
-            poly=_poly_thm16, log_term=_log_thm16, residual=thm16_residual),
+            residual=thm16_residual),
         IdentityRecord(
             id="thm18-cos", label="alternating cosine series of n^(-2r) over [-c, c]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(-1), f(1)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1, term=TermSpec(1, 0, eta, even),
-            poly=_poly_thm18_cos),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, even)),
         IdentityRecord(
             id="thm18-sin", label="alternating sine series of n^(-2r-1) over [-c, c]",
             kind="fourier", trig="sin", r_min=1, r_fixed=None,
             interval=(f(-1), f(1)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
-            poly=_poly_thm18_sin),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
             id="thm21-eta-odd",
             label="alternating cosine series of n^(-2r-1) with Bernoulli residual",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(-1), f(1)), closed_left=True, closed_right=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
-            poly=_poly_thm21, residual=thm21_residual),
+            residual=thm21_residual),
         IdentityRecord(
             id="cor5-beta", label="beta-family cosine series over [-c/2, c/2]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(-1, 2), f(1, 2)), closed_left=True, closed_right=True,
-            period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd),
-            poly=_poly_cor5),
+            period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
         cor6,
         IdentityRecord(
             id="cor7-frakd", label="signed odd-denominator cosine series over [0, c/4]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
-            poly=_poly_cor7),
+            period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even)),
         IdentityRecord(
             id="cor8-cald", label="signed odd-denominator odd-power cosine series over [0, c/4]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
             interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
-            period=f(2), n_start=0, term=TermSpec(2, 1, calD, odd),
-            poly=_poly_cor8),
+            period=f(2), n_start=0, term=TermSpec(2, 1, calD, odd)),
         IdentityRecord(
             id="eq56-frakd-value", label="signed odd-denominator Dirichlet value",
             kind="value", trig=None, r_min=1, r_fixed=None,
@@ -668,21 +646,18 @@ def _make_records() -> Dict[str, IdentityRecord]:
             id="lemma4-sin-log", label="sine series of 1/n over (0, 2c)",
             kind="fourier", trig="sin", r_min=0, r_fixed=0,
             interval=(f(0), f(2)), closed_left=False, closed_right=False,
-            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
-            poly=_poly_thm11_sin),
+            period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
             id="lemma4-sin-alt", label="alternating sine series of 1/n over (-c, c)",
             kind="fourier", trig="sin", r_min=0, r_fixed=0,
             interval=(f(-1), f(1)), closed_left=False, closed_right=False,
-            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
-            poly=_poly_thm18_sin),
+            period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
             id="lemma4-cos-arctan",
             label="alternating odd cosine series of 1/(2n+1) over (-c/2, c/2)",
             kind="fourier", trig="cos", r_min=0, r_fixed=0,
             interval=(f(-1, 2), f(1, 2)), closed_left=False, closed_right=False,
-            period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd),
-            poly=_poly_cor5),
+            period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
     ]
     records.append(replace(
         theorem23_shift(cor6, f(1, 4)), id="eq59-lambda-shift",
@@ -824,14 +799,21 @@ def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
             lo, hi = lo + m, hi - m
         # grid points strictly inside the open interval
         xs = np.linspace(lo, hi, grid + 2)[1:-1]
-    partial = _series_partial_float(rec, r_eff, c, xs, N)
+    return _compare(rec, r_eff, c, xs, N, tol, digits, rec.id)
+
+
+def _compare(rec: IdentityRecord, r: int, c: float, xs: np.ndarray, N: int,
+             tol: float, digits: int, report_id: str) -> VerificationReport:
+    """The float64 N-term partial sums against the closed form at xs."""
+    import numpy as np
+    partial = _series_partial_float(rec, r, c, xs, N)
     ctx = PrecisionContext.for_digits(digits)
-    closed = np.array([
-        float(closed_form_eval(rec, r_eff, c=(np.pi if rec.kind == "cospow" else c),
-                               x=x, ctx=ctx, series_eps=mp.mpf(tol) / 20))
-        for x in xs])
+    unit = np.pi if rec.kind == "cospow" else c
+    closed = np.array([float(closed_form_eval(rec, r, c=unit, x=x, ctx=ctx,
+                                              series_eps=mp.mpf(tol) / 20))
+                       for x in xs])
     max_err = float(np.max(np.abs(closed - partial)))
-    return VerificationReport(id=rec.id, r=r_eff, c=c, grid=len(xs), N=N,
+    return VerificationReport(id=report_id, r=r, c=c, grid=len(xs), N=N,
                               tol=tol, max_error=max_err,
                               passed=bool(max_err <= tol))
 
@@ -928,12 +910,12 @@ def verify_endpoint(identity_id: str, r: Optional[int], c: float = 1.0,
     tail = 2.0 * N ** (1 - d) / (d - 1)
     tol = max(4 * tail, 1e-12)
     xs = np.array([float(a) * c, float(b) * c])
-    partial = _series_partial_float(rec, r_eff, c, xs, N)
-    ctx = PrecisionContext.for_digits(30)
-    closed = np.array([float(closed_form_eval(rec, r_eff, c=c, x=x, ctx=ctx,
-                                              series_eps=tol / 20))
-                       for x in xs])
-    max_err = float(np.max(np.abs(closed - partial)))
-    return VerificationReport(id=rec.id + "@endpoints", r=r_eff, c=c, grid=2,
-                              N=N, tol=tol, max_error=max_err,
-                              passed=bool(max_err <= tol))
+    return _compare(rec, r_eff, c, xs, N, tol, 30, rec.id + "@endpoints")
+
+
+def suite_reports() -> List[VerificationReport]:
+    """The registry sweep: each default_suite row on its grid, then each
+    endpoint_suite row at its endpoints."""
+    reports = [verify(entry.id, entry.r, N=entry.N, tol=entry.tol)
+               for entry in default_suite()]
+    return reports + [verify_endpoint(rid, r) for rid, r in endpoint_suite()]

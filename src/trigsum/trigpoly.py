@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .expr import (
     Expr, PI, ZERO, ONE,
     add, sub, mul, div, neg, ipow, func, rational, is_rat, rat_value,
+    free_symbols,
 )
 
 __all__ = [
@@ -396,18 +397,7 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
     for r in ratios[1:]:
         g = Fraction(gcd(g.numerator * r.denominator, r.numerator * g.denominator),
                      g.denominator * r.denominator)
-    atoms: Dict[str, Expr] = {}
-
-    def collect_atoms(x: Expr):
-        if x.kind in ("mul", "div", "neg"):
-            for a in x.args:
-                collect_atoms(a)
-        elif x.kind == "pow":
-            collect_atoms(x.args[0])
-        elif x.kind != "rat":
-            atoms[str(x)] = x
-
-    collect_atoms(args[0][2])
+    atoms = {k: atom for k, (atom, _) in _flatten_product(args[0][2])[1].items()}
     base_expr = _rebuild_from_key(g, key0, atoms)
     return g, key0, base_expr
 
@@ -881,7 +871,7 @@ def polynomial_in(e: Expr, var: str) -> Optional[List[Expr]]:
                     raise ValueError
                 power = exp
             else:
-                if var in _free(atom):
+                if var in free_symbols(atom):
                     raise ValueError
                 rest = mul(rest, ipow(atom, exp))
         coeffs[power] = add(coeffs.get(power, ZERO), rest)
@@ -900,7 +890,3 @@ def polynomial_in(e: Expr, var: str) -> Optional[List[Expr]]:
     top = max(coeffs) if coeffs else 0
     return [coeffs.get(i, ZERO) for i in range(top + 1)]
 
-
-def _free(e: Expr) -> frozenset:
-    from .expr import free_symbols
-    return free_symbols(e)

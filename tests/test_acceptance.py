@@ -16,3 +16,18 @@ def test_criterion(criterion):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {status} [{name}] {detail}")
     assert passed, f"{name}: {detail}"
+
+
+def test_sweep_failure_names_each_row_once(monkeypatch):
+    # an endpoint row's id already ends in @endpoints; the detail repeats it
+    # as it is
+    from trigsum import acceptance
+    from trigsum.registry import VerificationReport
+    row = VerificationReport(id="thm16-zeta-odd-cos@endpoints", r=1, c=1.0,
+                             grid=2, N=10, tol=1e-10, max_error=1.0,
+                             passed=False)
+    monkeypatch.setattr(acceptance, "suite_reports", lambda: [row])
+    name, passed, detail = acceptance.criterion_6_registry_sweep()
+    assert not passed
+    assert detail.startswith("1 grid/endpoint checks pass")
+    assert detail.endswith("; failures: ['thm16-zeta-odd-cos@endpoints']")

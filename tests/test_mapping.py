@@ -118,6 +118,17 @@ class TestDetectSingularities:
         pts = detect_singularities(r, window=(F(-1), F(1)))
         assert len(pts) == 4
 
+    def test_unsolvable_locus_is_mapping_error(self):
+        # the cos-power sine image of arctan(t) has a guard factor with no
+        # rational cos root: both entry points refuse it the same way
+        img = apply_operator(parse_expr("arctan(t)"), parse_expr("cos(x)*cos(x)"),
+                             parse_expr("sin(x)*cos(x)"), var="t").sin_part
+        with pytest.raises(MappingError) as direct:
+            detect_singularities(img, cospow=True)
+        with pytest.raises(MappingError) as mapped:
+            map_cospow(parse_expr("arctan(t)"), kind="sin")
+        assert str(direct.value) == str(mapped.value)
+
 
 class TestIntegralStep:
     def test_pole_rejected(self):

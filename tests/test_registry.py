@@ -44,7 +44,7 @@ class TestCatalog:
 
     def test_thm21_residual_coefficients(self):
         # residuals carry w(n) B_n* / (2n (2r+2n)!), w(n) = 2^(2n)-1 for
-        # thm21 and 1 for thm16; the float rule agrees with the exact one
+        # thm21 and 1 for thm16; eval sums the series of those coefficients
         from math import factorial
         for rid, weight in (("thm21-eta-odd", lambda n: 4 ** n - 1),
                             ("thm16-zeta-odd-cos", lambda n: 1)):
@@ -53,11 +53,14 @@ class TestCatalog:
                 want = (F(weight(n)) * exact.bernoulli_star(n)
                         / (2 * n * factorial(2 + 2 * n)))
                 assert rule.coeff(n) == want
-            with mp.workdps(30):
-                for k in range(1, 7):
-                    want = rule.coeff(k)
-                    want = mp.mpf(want.numerator) / want.denominator
-                    assert abs(rule.coeff_mpf(k, 30) / want - 1) < 1e-25, (rid, k)
+            for r in (1, 2, 3):
+                rule = get_record(rid).residual(r)
+                exact_sum = rule.sign * sum(rule.coeff(k) * F(1, 2) ** rule.power(k)
+                                            for k in range(1, 40))
+                with mp.workdps(40):
+                    got = rule.eval(mp.mpf(1) / 2, mp.mpf("1e-32"))
+                    want = mp.mpf(exact_sum.numerator) / exact_sum.denominator
+                    assert abs(got - want) < 1e-30, (rid, r)
 
     def test_unknown_id(self):
         with pytest.raises(RegistryError):
@@ -241,6 +244,16 @@ class TestStructural:
             want = Coeff({("sqrt2pi", 2 * r): exact.frakD(r).coeffs[2 * r]})
             assert get_record("eq56-frakd-value").poly(r)[0] == want
 
+    def test_rule_needs_a_named_series(self):
+        # eq56's pattern lacks frakD's 1/sqrt2 scale, so no rule applies
+        from trigsum.registry import IdentityRecord
+        rec = get_record("eq56-frakd-value")
+        with pytest.raises(RegistryError):
+            IdentityRecord(id="x", label="x", kind="fourier", trig="cos",
+                           r_min=1, r_fixed=None, interval=(F(0), F(1)),
+                           closed_left=True, closed_right=True, period=F(2),
+                           n_start=1, term=rec.term)
+
     def test_eq70_equals_cor7(self):
         assert get_record("eq70-frakd-poly").poly(2) == get_record("cor7-frakd").poly(2)
 
@@ -304,3 +317,78 @@ def test_partial_sum_paths_agree(name):
     exact_sum = partial_sum_eval(rec, r, c=c, x=x, N=200)
     float_sum = _series_partial_float(rec, r, c, np.array([x]), 200)[0]
     assert abs(exact_sum - float_sum) < 1e-12
+
+
+# The closed forms of every record at r = 1..3 (fixed records at their own
+# r), pinned as text: power of u, then each basis part as value*kind[index].
+# The dict order is pinned too, since closed_form_eval sums in that order.
+_PINNED_POLYS = {
+    ('cor5-beta', 1): 'u^0: 1/32*pi[3]; u^2: -1/8*pi[1]',
+    ('cor5-beta', 2): 'u^0: 5/1536*pi[5]; u^2: -1/64*pi[3]; u^4: 1/96*pi[1]',
+    ('cor5-beta', 3): 'u^0: 61/184320*pi[7]; u^2: -5/3072*pi[5]; u^4: 1/768*pi[3]; u^6: -1/2880*pi[1]',
+    ('cor6-lambda', 1): 'u^0: 1/8*pi[2]; u^1: -1/4*pi[1]',
+    ('cor6-lambda', 2): 'u^0: 1/96*pi[4]; u^2: -1/16*pi[2]; u^3: 1/24*pi[1]',
+    ('cor6-lambda', 3): 'u^0: 1/960*pi[6]; u^2: -1/192*pi[4]; u^4: 1/192*pi[2]; u^5: -1/480*pi[1]',
+    ('cor7-frakd', 1): 'u^0: 1/16*pi[2]',
+    ('cor7-frakd', 2): 'u^0: 11/1536*pi[4]; u^2: -1/32*pi[2]',
+    ('cor7-frakd', 3): 'u^0: 361/491520*pi[6]; u^2: -11/3072*pi[4]; u^4: 1/384*pi[2]',
+    ('cor8-cald', 1): 'u^0: 3/128*pi[3]; u^2: -1/8*pi[1]',
+    ('cor8-cald', 2): 'u^0: 19/8192*pi[5]; u^2: -3/256*pi[3]; u^4: 1/96*pi[1]',
+    ('cor8-cald', 3): 'u^0: 307/1310720*pi[7]; u^2: -19/16384*pi[5]; u^4: 1/1024*pi[3]; u^6: -1/2880*pi[1]',
+    ('eq56-frakd-value', 1): 'u^0: 1/16*sqrt2pi[2]',
+    ('eq56-frakd-value', 2): 'u^0: 11/1536*sqrt2pi[4]',
+    ('eq56-frakd-value', 3): 'u^0: 361/491520*sqrt2pi[6]',
+    ('eq59-lambda-shift', 1): 'u^0: 1/8*pi[2]; u^1: -1/4*pi[1]',
+    ('eq59-lambda-shift', 2): 'u^0: 5/768*pi[4]; u^2: -1/16*pi[2]; u^1: 1/128*pi[3]; u^3: 1/24*pi[1]',
+    ('eq59-lambda-shift', 3): 'u^0: 181/245760*pi[6]; u^2: -5/1536*pi[4]; u^4: 1/192*pi[2]; u^1: -1/24576*pi[5]; u^3: -1/768*pi[3]; u^5: -1/480*pi[1]',
+    ('eq69-frakd-poly', 2): 'u^0: 5/768*pi[4]; u^1: 1/128*pi[3]; u^2: -1/16*pi[2]; u^3: 1/24*pi[1]',
+    ('eq70-frakd-poly', 2): 'u^0: 11/1536*pi[4]; u^2: -1/32*pi[2]',
+    ('example1-cospow', 1): 'u^0: 1/2*pi[1]; u^1: -1*pi[0]',
+    ('example2-fourier', 1): 'u^0: -1/2*pi[0]',
+    ('lemma4-cos-arctan', 0): 'u^0: 1/4*pi[1]',
+    ('lemma4-sin-alt', 0): 'u^1: 1/2*pi[0]',
+    ('lemma4-sin-log', 0): 'u^0: 1/2*pi[1]; u^1: -1/2*pi[0]',
+    ('thm11-cos', 1): 'u^0: 1/6*pi[2]; u^1: -1/2*pi[1]; u^2: 1/4*pi[0]',
+    ('thm11-cos', 2): 'u^0: 1/90*pi[4]; u^2: -1/12*pi[2]; u^3: 1/12*pi[1]; u^4: -1/48*pi[0]',
+    ('thm11-cos', 3): 'u^0: 1/945*pi[6]; u^2: -1/180*pi[4]; u^4: 1/144*pi[2]; u^5: -1/240*pi[1]; u^6: 1/1440*pi[0]',
+    ('thm11-sin', 1): 'u^1: 1/6*pi[2]; u^2: -1/4*pi[1]; u^3: 1/12*pi[0]',
+    ('thm11-sin', 2): 'u^1: 1/90*pi[4]; u^3: -1/36*pi[2]; u^4: 1/48*pi[1]; u^5: -1/240*pi[0]',
+    ('thm11-sin', 3): 'u^1: 1/945*pi[6]; u^3: -1/540*pi[4]; u^5: 1/720*pi[2]; u^6: -1/1440*pi[1]; u^7: 1/10080*pi[0]',
+    ('thm16-zeta-odd-cos', 1): 'u^0: 1*zeta[3]; u^2: -3/4*pi[0]',
+    ('thm16-zeta-odd-cos', 2): 'u^0: 1*zeta[5]; u^2: -1/2*zeta[3]; u^4: 25/288*pi[0]',
+    ('thm16-zeta-odd-cos', 3): 'u^0: 1*zeta[7]; u^2: -1/2*zeta[5]; u^4: 1/24*zeta[3]; u^6: -49/14400*pi[0]',
+    ('thm18-cos', 1): 'u^0: 1/12*pi[2]; u^2: -1/4*pi[0]',
+    ('thm18-cos', 2): 'u^0: 7/720*pi[4]; u^2: -1/24*pi[2]; u^4: 1/48*pi[0]',
+    ('thm18-cos', 3): 'u^0: 31/30240*pi[6]; u^2: -7/1440*pi[4]; u^4: 1/288*pi[2]; u^6: -1/1440*pi[0]',
+    ('thm18-sin', 1): 'u^1: 1/12*pi[2]; u^3: -1/12*pi[0]',
+    ('thm18-sin', 2): 'u^1: 7/720*pi[4]; u^3: -1/72*pi[2]; u^5: 1/240*pi[0]',
+    ('thm18-sin', 3): 'u^1: 31/30240*pi[6]; u^3: -7/4320*pi[4]; u^5: 1/1440*pi[2]; u^7: -1/10080*pi[0]',
+    ('thm21-eta-odd', 1): 'u^0: 3/4*zeta[3]; u^2: -1/2*ln2[0]',
+    ('thm21-eta-odd', 2): 'u^0: 15/16*zeta[5]; u^2: -3/8*zeta[3]; u^4: 1/24*ln2[0]',
+    ('thm21-eta-odd', 3): 'u^0: 63/64*zeta[7]; u^2: -15/32*zeta[5]; u^4: 1/32*zeta[3]; u^6: -1/720*ln2[0]',
+}
+
+_PINNED_LOGS = {
+    ('thm16-zeta-odd-cos', 1): ('u^2: 1/2*pi[0]'),
+    ('thm16-zeta-odd-cos', 2): ('u^4: -1/24*pi[0]'),
+    ('thm16-zeta-odd-cos', 3): ('u^6: 1/720*pi[0]'),
+}
+
+
+def _render(poly):
+    return "; ".join(
+        f"u^{p}: " + " + ".join(f"{v}*{kind}[{m}]"
+                               for (kind, m), v in sorted(c.parts.items()))
+        for p, c in poly.items())
+
+
+@pytest.mark.parametrize("rid,r", list(_PINNED_POLYS), ids=lambda v: str(v))
+def test_pinned_closed_forms(rid, r):
+    rec = get_record(rid)
+    assert _render(rec.poly(r)) == _PINNED_POLYS[rid, r]
+    want_log = _PINNED_LOGS.get((rid, r))
+    if rec.log_term is None:
+        assert want_log is None
+    else:
+        coeff, power = rec.log_term(r)
+        assert _render({power: coeff}) == want_log
