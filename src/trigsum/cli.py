@@ -167,12 +167,28 @@ def _emit_reports(reports, fmt: str) -> None:
                   f"max_error={rep.max_error:.3e}")
 
 
+# The largest --terms, --grid and --r that verify accepts: ten, twenty and
+# eight times the documented rows (N 200,000, grid 50, r <= 12).  With all
+# three at their limits one row takes about 13 s and 160 MB (2-vCPU x86-64,
+# CPython 3.11); larger values would run for minutes or exhaust memory, so
+# they are refused up front.
+MAX_TERMS = 2_000_000
+MAX_GRID = 1_000
+MAX_R = 100
+
+
 def _check_verify_values(args) -> None:
-    """Refuse a grid or term count below 1 and a tolerance that is not a
-    positive finite number before any work starts."""
-    for flag, value in (("--grid", args.grid), ("--terms", args.terms)):
+    """Refuse a grid or term count outside 1..its limit, an r above its
+    limit and a tolerance that is not a positive finite number before any
+    work starts."""
+    for flag, value, limit in (("--grid", args.grid, MAX_GRID),
+                               ("--terms", args.terms, MAX_TERMS)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+        if value > limit:
+            raise ValueError(f"{flag} must be at most {limit}, got {value}")
+    if args.r is not None and args.r > MAX_R:
+        raise ValueError(f"--r must be at most {MAX_R}, got {args.r}")
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
 

@@ -25,11 +25,12 @@ the exact evaluations load without it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import count
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import mpmath as mp
@@ -264,18 +265,36 @@ class ResidualRule:
         bound keeps it within eps / 6.  Guard digits cover the cancellation
         in closed_part, whose terms reach 4^r while the result is scaled by
         scale^(2r) / (2r)!."""
-        w = abs(u) / self.scale
-        if w > 1 + mp.mpf(10) ** (5 - mp.mp.dps):
-            raise RegistryError(
-                f"residual series needs |u| / scale <= 1, got {mp.nstr(w, 8)}")
-        w = min(w, mp.mpf(1))
-        digits = max(mp.mp.dps, int(mp.ceil(-mp.log10(eps)))) + GUARD_DIGITS
+        return self.evaluator(eps)(u)
+
+    def evaluator(self, eps: mp.mpf) -> Callable[[mp.mpf], mp.mpf]:
+        """eval at a fixed eps and the current working precision, for many
+        u: the factors (c_k - 1) f_k of the remainder are computed once, as
+        far as a call first needs them, and kept."""
+        dps = mp.mp.dps
+        digits = max(dps, int(mp.ceil(-mp.log10(eps)))) + GUARD_DIGITS
         with mp.workdps(digits):
             scale = self.scale ** (2 * self.r)
-            rest, _, _ = _residual_sum(
-                ((self._c(k, digits) - 1) * self._f(k) * w ** self.power(k)
-                 for k in count(1)), eps / scale)
-            return +(self.sign * scale * (self.closed_part(w) + rest))
+            budget = eps / scale
+        factors: List[mp.mpf] = []
+
+        def remainder(w):
+            for k in count(1):
+                if k > len(factors):
+                    factors.append((self._c(k, digits) - 1) * self._f(k))
+                yield factors[k - 1] * w ** self.power(k)
+
+        def at(u: mp.mpf) -> mp.mpf:
+            with mp.workdps(dps):
+                w = abs(u) / self.scale
+                if w > 1 + mp.mpf(10) ** (5 - dps):
+                    raise RegistryError(
+                        f"residual series needs |u| / scale <= 1, got {mp.nstr(w, 8)}")
+                w = min(w, mp.mpf(1))
+            with mp.workdps(digits):
+                rest, _, _ = _residual_sum(remainder(w), budget)
+                return +(self.sign * scale * (self.closed_part(w) + rest))
+        return at
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +331,29 @@ class TermSpec:
         table = dict(self.pattern.weights)
         return tuple(table.get(j or P, Fraction(0)) for j in range(P))
 
-    def amplitude(self, m, r: int):
-        """Amplitude at frequency m: m is a float64 array (grid partial sums,
-        computed in float64) or one mpf (exact partial sums, computed at the
-        working precision)."""
+    def amplitude(self, n: int | range, r: int):
+        """Amplitude of term n: one int n gives an mpf (exact partial sums,
+        computed at the working precision); a range of n gives a float64
+        array over it (grid partial sums, computed in float64), whose sign
+        weights tile the first period, since m mod P repeats with period P
+        in n."""
         P = self.pattern.period
-        if isinstance(m, mp.mpf):
+        if isinstance(n, int):
             cos, pi, num = mp.cos, mp.pi, _to_mpf
-            w = self._weights[int(m) % P]
+            w = self._weights[self.frequency(n) % P]
+            m = mp.mpf(self.frequency(n))
             coef = self.pattern.scale_value() * w.numerator
             if w.denominator != 1:
                 coef /= w.denominator
         else:
             import numpy as np
             cos, pi, num = np.cos, np.pi, float
+            m = self.frequency(np.arange(n.start, n.stop, dtype=np.float64))
             with mp.workprec(53):  # round each step as float64 does
                 scale = float(self.pattern.scale_value())
-            table = scale * np.array([float(w) for w in self._weights])
-            coef = table[(m % P).astype(np.intp)]
+            period = scale * np.array([float(self._weights[self.frequency(j) % P])
+                                       for j in range(n.start, n.start + P)])
+            coef = np.tile(period, -(-len(n) // P))[:len(n)]
         s = self.exponent(r)
         if self.pole:
             amp = coef * (1 / (m * m - self.pole ** 2) ** (s // 2))
@@ -392,6 +416,11 @@ class VerificationReport:
     tol: float
     max_error: float
     passed: bool
+    # where and why: the grid point of max_error, and the seconds spent on
+    # the partial sums and on the closed forms (kept out of the output)
+    worst_x: Optional[float] = None
+    partial_s: float = field(default=0.0, compare=False)
+    closed_s: float = field(default=0.0, compare=False)
 
     def to_json(self) -> str:
         return json.dumps({"id": self.id, "r": self.r, "c": self.c,
@@ -695,31 +724,56 @@ def closed_form_eval(identity_id: str | IdentityRecord, r: Optional[int],
     verify passes it as an mpf, since a float tol / 20 underflows to 0.0
     below about 1e-322."""
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
+    return _closed_form_evaluator(rec, r, c, ctx, series_eps)(x)
+
+
+def _closed_form_evaluator(rec: IdentityRecord, r: Optional[int], c: float,
+                           ctx: PrecisionContext | None,
+                           series_eps: Optional[float | mp.mpf]
+                           ) -> Callable[[float], mp.mpf]:
+    """closed_form_eval as a function of x alone: the closed form and its
+    coefficients at the context's digits, and the residual's factors, are
+    built once for all the points of a grid."""
     r_eff = rec.effective_r(r)
     ctx = ctx or PrecisionContext.for_digits(30)
-    with mp.workdps(ctx.digits):
-        u = mp.pi * mp.mpf(x) / mp.mpf(c)
+    digits = ctx.digits
+    with mp.workdps(digits):
+        cm = mp.mpf(c)
+        poly = [(coeff.eval(digits), p) for p, coeff in rec.poly(r_eff).items()]
+        log = None
+        if rec.log_term is not None:
+            coeff, p = rec.log_term(r_eff)
+            log = coeff.eval(digits), p
+        residual = None
+        if rec.residual is not None:
+            eps = mp.mpf(series_eps) if series_eps is not None else mp.mpf(ctx.target)
+            residual = rec.residual(r_eff).evaluator(eps)
+        cos_coeff = None if rec.cos_coeff is None else rec.cos_coeff(r_eff).eval(digits)
         if rec.interval is not None:
             lo, hi = rec.interval
-            ratio = mp.mpf(x) / mp.mpf(c)
-            eps_edge = mp.mpf(10) ** (-ctx.digits + 5)
-            lo_v = mp.mpf(lo.numerator) / lo.denominator
-            hi_v = mp.mpf(hi.numerator) / hi.denominator
-            if ratio < lo_v - eps_edge or ratio > hi_v + eps_edge:
-                raise RegistryError(
-                    f"x/c = {float(ratio)} outside the validity interval of {rec.id}")
-        total = mp.mpf(0)
-        for p, coeff in rec.poly(r_eff).items():
-            total += coeff.eval(ctx.digits) * u ** p
-        if rec.log_term is not None and u != 0:
-            coeff, p = rec.log_term(r_eff)
-            total += coeff.eval(ctx.digits) * u ** p * mp.log(u)
-        if rec.residual is not None and u != 0:
-            eps = mp.mpf(series_eps) if series_eps is not None else mp.mpf(ctx.target)
-            total += rec.residual(r_eff).eval(abs(u), eps)
-        if rec.cos_coeff is not None:
-            total += rec.cos_coeff(r_eff).eval(ctx.digits) * mp.cos(u)
-        return +total
+            eps_edge = mp.mpf(10) ** (-digits + 5)
+            lo_edge = mp.mpf(lo.numerator) / lo.denominator - eps_edge
+            hi_edge = mp.mpf(hi.numerator) / hi.denominator + eps_edge
+
+    def at(x: float) -> mp.mpf:
+        with mp.workdps(digits):
+            u = mp.pi * mp.mpf(x) / cm
+            if rec.interval is not None:
+                ratio = mp.mpf(x) / cm
+                if ratio < lo_edge or ratio > hi_edge:
+                    raise RegistryError(
+                        f"x/c = {float(ratio)} outside the validity interval of {rec.id}")
+            total = mp.mpf(0)
+            for coeff, p in poly:
+                total += coeff * u ** p
+            if log is not None and u != 0:
+                total += log[0] * u ** log[1] * mp.log(u)
+            if residual is not None and u != 0:
+                total += residual(abs(u))
+            if cos_coeff is not None:
+                total += cos_coeff * mp.cos(u)
+            return +total
+    return at
 
 
 def partial_sum_eval(identity_id: str | IdentityRecord, r: Optional[int],
@@ -737,10 +791,10 @@ def partial_sum_eval(identity_id: str | IdentityRecord, r: Optional[int],
 
 
 def _term_mp(rec: IdentityRecord, r: int, n: int, xc: mp.mpf) -> mp.mpf:
-    m = mp.mpf(rec.term.frequency(n))
-    amp = rec.term.amplitude(m, r)
+    amp = rec.term.amplitude(n, r)
     if rec.kind == "value":
         return amp
+    m = mp.mpf(rec.term.frequency(n))
     if rec.kind == "cospow":
         x = mp.pi * xc
         return amp * mp.sin(m * x) * mp.cos(x) ** n
@@ -751,24 +805,74 @@ def _term_mp(rec: IdentityRecord, r: int, n: int, xc: mp.mpf) -> mp.mpf:
 # ---------------------------------------------------------------------------
 # grid verification
 
+def _blocks(N: int) -> Tuple[int, int]:
+    """The two levels of the grid sums: N terms as K blocks of B,
+    B = ceil(sqrt N) and K = ceil(N / B)."""
+    B = isqrt(N - 1) + 1
+    return B, -(-N // B)
+
+
 def _series_partial_float(rec: IdentityRecord, r: int, c: float,
                           xs: np.ndarray, N: int) -> np.ndarray:
+    """The float64 N-term partial sums at the grid points xs.
+
+    A Fourier record's frequencies m = m0 + a i, i = k B + j, split by angle
+    addition into b_k = m0 + a B k and a j, so that with the amplitudes as a
+    zero-padded K x B array A, sum amp cos(m t) is
+    sum_k cos(b_k t) (A cos(a j t))_k - sin(b_k t) (A sin(a j t))_k (and a
+    sine sum takes sin(b_k t) and cos(b_k t) in turn): 2 (B + K) trig
+    evaluations per point instead of N.  The products are numpy's own
+    einsum loops, not BLAS, whose result would depend on its thread count.
+    Beyond the rounding of u |m t| in each angle, which a per-term sum has
+    too, the error is the accumulation over B and K terms, about
+    (B + K) u sum |amp| with u = 2^-53."""
     import numpy as np
-    n = np.arange(rec.n_start, rec.n_start + N, dtype=np.float64)
-    m = rec.term.frequency(n)
-    amp = rec.term.amplitude(m, r)
+    amp = rec.term.amplitude(range(rec.n_start, rec.n_start + N), r)
     if rec.kind == "value":
         return np.full_like(xs, float(amp.sum()))
-    out = np.empty_like(xs)
     if rec.kind == "cospow":
+        n = np.arange(rec.n_start, rec.n_start + N, dtype=np.float64)
+        m = rec.term.frequency(n)
+        out = np.empty_like(xs)
         for i, x in enumerate(xs):
             out[i] = float(np.sum(amp * np.sin(m * x) * np.power(np.cos(x), n)))
         return out
-    for i, x in enumerate(xs):
-        angle = m * (np.pi * x / c)
-        tr = np.cos(angle) if rec.trig == "cos" else np.sin(angle)
-        out[i] = float(np.sum(amp * tr))
-    return out
+    B, K = _blocks(N)
+    A = np.zeros(K * B)
+    A[:N] = amp
+    A = A.reshape(K, B)
+    a = rec.term.a
+    theta = np.pi * xs / c
+    inner = np.multiply.outer(theta, a * np.arange(B, dtype=np.float64))
+    outer = np.multiply.outer(rec.term.frequency(rec.n_start)
+                              + a * B * np.arange(K, dtype=np.float64), theta)
+    ac = np.einsum("kb,gb->kg", A, np.cos(inner))
+    as_ = np.einsum("kb,gb->kg", A, np.sin(inner))
+    cb, sb = np.cos(outer), np.sin(outer)
+    if rec.trig == "cos":
+        return (cb * ac - sb * as_).sum(axis=0)
+    return (sb * ac + cb * as_).sum(axis=0)
+
+
+def _grid_points(rec: IdentityRecord, c: float, grid: int,
+                 interval: Optional[Tuple[float, float]] = None,
+                 margin: Optional[float] = None) -> np.ndarray:
+    """verify's grid: grid points strictly inside the interval (by default
+    the record's, less a margin of 0.05 period at each end, where
+    partial-sum convergence degrades); x = 0 alone for a value record."""
+    import numpy as np
+    if rec.kind == "value":
+        return np.array([0.0])
+    a, b = rec.interval
+    unit = np.pi if rec.kind == "cospow" else c
+    lo = float(a) * unit
+    hi = float(b) * unit
+    if interval is not None:
+        lo, hi = interval
+    else:
+        m = margin if margin is not None else 0.05 * float(rec.period) * unit
+        lo, hi = lo + m, hi - m
+    return np.linspace(lo, hi, grid + 2)[1:-1]
 
 
 def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
@@ -782,23 +886,9 @@ def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
     The grid excludes a margin (default 0.05 * period) around the interval
     endpoints, where partial-sum convergence degrades.
     """
-    import numpy as np
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
     r_eff = rec.effective_r(r)
-    if rec.kind == "value":
-        xs = np.array([0.0])
-    else:
-        a, b = rec.interval
-        unit = np.pi if rec.kind == "cospow" else c
-        lo = float(a) * unit
-        hi = float(b) * unit
-        if interval is not None:
-            lo, hi = interval
-        else:
-            m = margin if margin is not None else 0.05 * float(rec.period) * unit
-            lo, hi = lo + m, hi - m
-        # grid points strictly inside the open interval
-        xs = np.linspace(lo, hi, grid + 2)[1:-1]
+    xs = _grid_points(rec, c, grid, interval, margin)
     return _compare(rec, r_eff, c, xs, N, tol, digits, rec.id)
 
 
@@ -806,16 +896,22 @@ def _compare(rec: IdentityRecord, r: int, c: float, xs: np.ndarray, N: int,
              tol: float, digits: int, report_id: str) -> VerificationReport:
     """The float64 N-term partial sums against the closed form at xs."""
     import numpy as np
+    t0 = time.perf_counter()
     partial = _series_partial_float(rec, r, c, xs, N)
-    ctx = PrecisionContext.for_digits(digits)
-    unit = np.pi if rec.kind == "cospow" else c
-    closed = np.array([float(closed_form_eval(rec, r, c=unit, x=x, ctx=ctx,
-                                              series_eps=mp.mpf(tol) / 20))
-                       for x in xs])
-    max_err = float(np.max(np.abs(closed - partial)))
+    t1 = time.perf_counter()
+    closed_at = _closed_form_evaluator(
+        rec, r, np.pi if rec.kind == "cospow" else c,
+        PrecisionContext.for_digits(digits), mp.mpf(tol) / 20)
+    closed = np.array([float(closed_at(x)) for x in xs])
+    t2 = time.perf_counter()
+    errors = np.abs(closed - partial)
+    worst = int(np.argmax(errors))
+    max_err = float(errors[worst])
     return VerificationReport(id=report_id, r=r, c=c, grid=len(xs), N=N,
                               tol=tol, max_error=max_err,
-                              passed=bool(max_err <= tol))
+                              passed=bool(max_err <= tol),
+                              worst_x=float(xs[worst]),
+                              partial_s=t1 - t0, closed_s=t2 - t1)
 
 
 # ---------------------------------------------------------------------------

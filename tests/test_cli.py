@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,6 +166,41 @@ class TestVerifyValues:
         assert code == 1 and out.startswith("FAIL thm11-cos r=1 N=1 ")
 
 
+class TestVerifyLimits:
+    """--terms, --grid and --r above their documented limits are refused
+    before any work: exit 2 at once, one `error:` line that names the flag
+    and its limit, nothing on stdout."""
+
+    @pytest.mark.parametrize("flag,value,limit", [
+        ("--terms", "100000000", cli.MAX_TERMS), ("--grid", "100000000", cli.MAX_GRID),
+        ("--terms", str(cli.MAX_TERMS + 1), cli.MAX_TERMS),
+        ("--grid", str(cli.MAX_GRID + 1), cli.MAX_GRID),
+        ("--r", str(cli.MAX_R + 1), cli.MAX_R), ("--r", "10000000", cli.MAX_R),
+    ])
+    def test_refused(self, capsys, flag, value, limit):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--id", "thm11-cos", "--r", "1",
+                             f"{flag}={value}")
+        assert time.perf_counter() - t0 < 1.0
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert flag in lines[0] and str(limit) in lines[0]
+
+    def test_limits_clear_the_documented_rows(self):
+        from trigsum.registry import default_suite
+        assert cli.MAX_TERMS >= 10 * max(entry.N for entry in default_suite())
+        assert cli.MAX_GRID >= 10 * 50 and cli.MAX_R >= 8 * 12
+
+    def test_at_the_limits(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "thm11-cos",
+                           "--r", str(cli.MAX_R), "--terms", "10", "--grid", "2")
+        assert code == 0 and out.startswith(f"PASS thm11-cos r={cli.MAX_R} ")
+        code, out, _ = run(capsys, "verify", "--id", "thm11-sin", "--r", "2",
+                           "--terms", str(cli.MAX_TERMS), "--grid", "2")
+        assert code == 0 and out.startswith(f"PASS thm11-sin r=2 N={cli.MAX_TERMS} ")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("exact", "cald", "--n", "2", "--format", "json"),
@@ -201,13 +237,24 @@ class TestIdentitiesListing:
         assert len(rows) >= 18
 
 
-def run_fresh(*argv):
-    """`python -m trigsum.cli` in a new interpreter on this checkout."""
+def run_fresh(*argv, env=None):
+    """`python -m trigsum.cli` in a new interpreter on this checkout, with
+    env added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "trigsum.cli", *argv],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
+
+
+def test_suite_rows_independent_of_blas_threads():
+    # the grid sums use numpy's own loops, not BLAS, whose sums may change
+    # with its thread count
+    argv = ("verify", "--suite", "--format", "csv")
+    one = run_fresh(*argv, env={"OPENBLAS_NUM_THREADS": "1"})
+    two = run_fresh(*argv, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout and one.stdout.count("\n") == 57
 
 
 class TestFreshProcessErrors:
@@ -223,8 +270,10 @@ class TestFreshProcessErrors:
          "--expr=" + "sin(" * 3000 + "x" + ")" * 3000, "--arg", "x", "--shift", "h"),
         ("oracle", "--series", "hurwitz", "--a", "1/0", "--s", "3"),
         ("verify", "--id", "thm11-cos", "--r", "1", "--x0", "1/0"),
+        ("verify", "--id", "thm11-cos", "--r", "1", "--terms", "100000000"),
     ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000",
-            "hurwitz-offset-zero-denominator", "shift-zero-denominator"])
+            "hurwitz-offset-zero-denominator", "shift-zero-denominator",
+            "terms-over-limit"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""

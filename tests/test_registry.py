@@ -11,6 +11,7 @@ import pytest
 from trigsum import exact
 from trigsum.dirichlet import PrecisionContext, dirichlet_oracle
 from trigsum.registry import (Coeff, RegistryError, ResidualRule,
+                              _blocks, _closed_form_evaluator, _grid_points,
                               _series_partial_float,
                               closed_form_eval, corollary2_integrate, default_suite,
                               endpoint_suite, get_record, integration_successor,
@@ -179,6 +180,23 @@ class TestVerify:
         b = verify("cor6-lambda", 1, N=800, tol=1e-4)
         assert a == b
 
+    def test_worst_point_and_stage_times(self):
+        rep = verify("thm16-zeta-odd-cos", 1, grid=20, N=2000, tol=1e-5)
+        xs = _grid_points(get_record("thm16-zeta-odd-cos"), 1.0, 20)
+        assert rep.worst_x in xs.tolist()
+        closed = float(closed_form_eval("thm16-zeta-odd-cos", 1, x=rep.worst_x,
+                                        ctx=CTX, series_eps=mp.mpf(1e-5) / 20))
+        partial = float(partial_sum_eval("thm16-zeta-odd-cos", 1, x=rep.worst_x,
+                                         N=2000))
+        assert abs(abs(closed - partial) - rep.max_error) < 1e-12
+        assert rep.partial_s > 0 and rep.closed_s > 0
+        # the times neither enter the output nor break equality
+        again = verify("thm16-zeta-odd-cos", 1, grid=20, N=2000, tol=1e-5)
+        assert again == rep
+        assert set(json.loads(rep.to_json())) == {"id", "r", "c", "N", "tol",
+                                                  "max_error", "pass"}
+        assert rep.csv_row().count(",") == 6
+
 
 class TestStructural:
     def test_corollary2_both_families(self):
@@ -317,6 +335,116 @@ def test_partial_sum_paths_agree(name):
     exact_sum = partial_sum_eval(rec, r, c=c, x=x, N=200)
     float_sum = _series_partial_float(rec, r, c, np.array([x]), 200)[0]
     assert abs(exact_sum - float_sum) < 1e-12
+
+
+_U = 2.0 ** -53
+
+
+def _direct_partial(rec, r, c, xs, N):
+    """The per-term float64 reference: one np.cos/np.sin per term and grid
+    point, summed by np.sum, with the grid sums' own amplitudes."""
+    amp = rec.term.amplitude(range(rec.n_start, rec.n_start + N), r)
+    n = np.arange(rec.n_start, rec.n_start + N, dtype=np.float64)
+    m = rec.term.frequency(n)
+    if rec.kind == "value":
+        return np.full_like(xs, amp.sum()), amp, m, xs
+    if rec.kind == "cospow":
+        return (np.array([np.sum(amp * np.sin(m * x) * np.cos(x) ** n) for x in xs]),
+                amp, m, xs)
+    trig = np.cos if rec.trig == "cos" else np.sin
+    theta = np.pi * xs / c
+    return np.array([np.sum(amp * trig(m * t)) for t in theta]), amp, m, theta
+
+
+def _rounding_bound(amp, m, angle, N):
+    """A priori bound on |grid sum - direct sum| at each point, u = 2^-53.
+
+    Both sums round each angle m t to within u |m t| (in the grid sums the
+    parts b_k t and a j t, whose magnitudes add up to |m t| since m0 >= 0);
+    that part, twice, is weighted term by term.  The rest scales with
+    sum |amp|: the direct sum's function, product and pairwise-summation
+    error, at most (6 + log2 N + 8) u; in the grid sums four trig values of
+    4 ulp each enter every term (16 u), the two contractions over B add
+    2 B u, the products and difference per block 4 u, and the sum over K
+    blocks 2 K u.  Together 2 (B + K) + log2 N + 34; the bound takes 40."""
+    B, K = _blocks(N)
+    weighted = np.array([np.sum(np.abs(amp * m * t)) for t in angle])
+    return _U * (2 * weighted
+                 + (2 * (B + K) + np.log2(N) + 40) * np.sum(np.abs(amp)))
+
+
+def _sweep_rows():
+    return ([pytest.param(e.id, e.r, False, id=f"{e.id}-r{e.r}")
+             for e in default_suite()]
+            + [pytest.param(rid, r, True, id=f"{rid}@endpoints-r{r}")
+               for rid, r in endpoint_suite()])
+
+
+@pytest.mark.parametrize("rid,r,endpoints", _sweep_rows())
+def test_grid_sums_within_rounding_bound(rid, r, endpoints):
+    """Each sweep row's grid sums agree with the direct per-term sums within
+    an a priori rounding bound, and that bound stays below half the row's
+    tolerance, so the evaluation order cannot turn a pass into a fail."""
+    rec = get_record(rid)
+    r = rec.effective_r(r)
+    if endpoints:
+        rep = verify_endpoint(rid, r)
+        N, tol = rep.N, rep.tol
+        xs = np.array([float(end) for end in rec.interval])
+    else:
+        entry = next(e for e in default_suite()
+                     if e.id == rid and rec.effective_r(e.r) == r)
+        N, tol = entry.N, entry.tol
+        xs = _grid_points(rec, 1.0, 50)
+    if rec.kind == "fourier":
+        assert rec.term.frequency(rec.n_start) >= 0 and rec.term.a > 0
+    want, amp, m, angle = _direct_partial(rec, r, 1.0, xs, N)
+    got = _series_partial_float(rec, r, 1.0, xs, N)
+    bound = _rounding_bound(amp, m, angle, N)
+    assert np.all(bound < tol / 2), (bound.max(), tol)
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / bound)
+
+
+@pytest.mark.parametrize("rid,r,eps", [
+    ("thm16-zeta-odd-cos", 2, None), ("thm16-zeta-odd-cos", 1, "5e-7"),
+    ("thm21-eta-odd", 1, None), ("thm21-eta-odd", 2, "5e-8"),
+    ("thm11-cos", 3, None), ("example2-fourier", None, None),
+    ("eq59-lambda-shift", 2, None), ("cor7-frakd", 1, None)])
+def test_row_evaluator_matches_single_points(rid, r, eps):
+    """One evaluator per row, used point after point (its residual factors
+    filled by the points before), gives closed_form_eval's bits."""
+    rec = get_record(rid)
+    series_eps = None if eps is None else mp.mpf(eps)
+    a, b = rec.interval
+    xs = [float(a), float(b), float(a + b) / 2, float(a) * 0.9 + float(b) * 0.1]
+    at = _closed_form_evaluator(rec, r, 1.0, CTX, series_eps)
+    for x in xs:
+        want = closed_form_eval(rec, r, x=x, ctx=CTX, series_eps=series_eps)
+        got = at(x)
+        assert got == want and got._mpf_ == want._mpf_, (rid, x)
+
+
+# closed_form_eval at single points, pinned as the repr at 30 digits (which
+# round-trips the bits); captured before the per-row evaluator came in
+_PINNED_VALUES = {
+    ('thm16-zeta-odd-cos', 2, 0.5, None): "mpf('-0.0303787428264659158107053517411965')",
+    ('thm16-zeta-odd-cos', 1, 1.9, '5e-7'): "mpf('1.0708631911560044280078254309378')",
+    ('thm21-eta-odd', 1, 1.0, None): "mpf('-1.20205690315959428540001074531769')",
+    ('thm21-eta-odd', 2, -0.3, '5e-8'): "mpf('0.594257926118936315517450153067068')",
+    ('thm11-cos', 3, 1.3, None): "mpf('-0.591495686898297243371098064521486')",
+    ('example2-fourier', None, 0.2, None): "mpf('-0.0108684966493475334327538060055968')",
+    ('eq59-lambda-shift', 2, 0.6, None): "mpf('-0.224243844984526396065016310647519')",
+    ('cor7-frakd', 1, 0.125, None): "mpf('0.616850275068084913677155687492232')",
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_VALUES), ids=lambda k: f"{k[0]}-{k[2]}")
+def test_pinned_closed_form_values(key):
+    rid, r, x, eps = key
+    v = closed_form_eval(rid, r, x=x, ctx=CTX,
+                         series_eps=None if eps is None else mp.mpf(eps))
+    with mp.workdps(30):
+        assert repr(v) == _PINNED_VALUES[key]
 
 
 # The closed forms of every record at r = 1..3 (fixed records at their own
