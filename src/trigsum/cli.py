@@ -48,7 +48,34 @@ def _fraction_flag(flag: str, text: str) -> Fraction:
                          f"got {text!r}") from None
 
 
+# The largest index and precision the value commands accept, each refused
+# before any work above it.  Times of one fresh `python -m trigsum.cli` at
+# the limit (2-vCPU x86-64, CPython 3.11, mpmath 1.3 without gmpy):
+# - exact --n 1000: frakd 8.3 s, eta-even 5.8 s, cald 2.6 s, every other
+#   value at most 1.4 s; the triangular recurrences grow about as n^4.
+# - exact harmonic --n 20,000: 0.5 s; every H_k up to n is kept, 189 MB at
+#   n = 30,000, and n = 100,000 takes 10.9 s.
+# - zeta-odd --r 200: 1.0 s at 30 digits, 9-15 s at 1000 digits; r = 300
+#   takes 22 s at 1000 digits, r = 900 49 s at 30 digits, and r = 2000 ends
+#   in a RecursionError.
+# - --digits 1000: zeta-odd at r <= 6 1.4-1.8 s, oracle at most 1.3 s;
+#   2000 digits take 9.7 s (zeta-odd, r = 1) and 11.2 s (oracle, frakD, s = 2).
+MAX_N = 1_000
+MAX_HARMONIC_N = 20_000
+MAX_ZETA_R = 200
+MAX_DIGITS = 1_000
+
+
+def _check_at_most(flag: str, value: int, limit: int, what: str = "") -> None:
+    if value > limit:
+        raise ValueError(f"{flag} must be at most {limit}{what}, got {value}")
+
+
 def _cmd_exact(args) -> int:
+    if args.value == "harmonic":
+        _check_at_most("--n", args.n, MAX_HARMONIC_N, " for harmonic")
+    else:
+        _check_at_most("--n", args.n, MAX_N)
     value = _EXACT_FUNCS[args.value](args.n)
     # exact values can pass Python's 4300-digit limit on int -> str; the
     # limit is lifted for the write only (it is absent before 3.10.7)
@@ -123,12 +150,15 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_zeta_odd(args) -> int:
+    _check_at_most("--r", args.r, MAX_ZETA_R)
+    _check_at_most("--digits", args.digits, MAX_DIGITS)
     ctx = PrecisionContext.for_digits(args.digits + 10)
     approx = zeta_odd(args.r, args.method, ctx)
     return _write_approx(approx, args, {"r": args.r, "method": args.method})
 
 
 def _cmd_oracle(args) -> int:
+    _check_at_most("--digits", args.digits, MAX_DIGITS)
     ctx = PrecisionContext.for_digits(args.digits + 10)
     a = _fraction_flag("--a", args.a) if args.a else None
     approx = dirichlet_oracle(args.series, args.s, ctx, a=a)
@@ -185,10 +215,9 @@ def _check_verify_values(args) -> None:
                                ("--terms", args.terms, MAX_TERMS)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-        if value > limit:
-            raise ValueError(f"{flag} must be at most {limit}, got {value}")
-    if args.r is not None and args.r > MAX_R:
-        raise ValueError(f"--r must be at most {MAX_R}, got {args.r}")
+        _check_at_most(flag, value, limit)
+    if args.r is not None:
+        _check_at_most("--r", args.r, MAX_R)
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
 

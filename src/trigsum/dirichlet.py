@@ -19,11 +19,12 @@ ratio pushes the tail below the requested target.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
-from math import factorial
+from math import factorial, gcd
 from typing import Dict, Iterable, List, Tuple
 
 import mpmath as mp
@@ -109,24 +110,55 @@ class SeriesApprox:
 # ---------------------------------------------------------------------------
 # classical Bernoulli numbers, local to the oracle (binomial recurrence)
 
-_B_CLASSICAL: Dict[int, Fraction] = {0: Fraction(1)}
+class _BernoulliTable:
+    """Classical Bernoulli numbers B_0, B_2, B_4, ... from
+    sum_{k<=m} C(m+1, k) B_k = 0 at even m, extended on demand.
+
+    B_1 = -1/2 enters once and the odd B_k beyond it are zero, so only the
+    even ones are kept, as the integers B_(2i) P over one scale P, the
+    product of the primes met so far as m + 1 (von Staudt-Clausen: the
+    denominator of B_m divides the product of the primes <= m + 1).  P
+    starts at 2, and when m + 1 is prime every integer is multiplied by it
+    first; B_m P = -sum_{k<m} C(m+1, k) B_k P / (m + 1) is then a division
+    that must be exact, and a remainder raises ArithmeticError.  Extension
+    runs under a lock; values are only appended, so readers of an index
+    already filled need none.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._scale = 2
+        self._scaled = [2]                      # B_(2i) P
+        self.values: List[Fraction] = [Fraction(1)]
+
+    def __getitem__(self, i: int) -> Fraction:
+        if i >= len(self.values):
+            with self._lock:
+                self._extend(i)
+        return self.values[i]
+
+    def _extend(self, i: int) -> None:
+        scaled = self._scaled
+        while len(self.values) <= i:
+            m = 2 * len(scaled)
+            if gcd(self._scale, m + 1) == 1:    # P holds every prime < m + 1
+                scaled[:] = [b * (m + 1) for b in scaled]
+                self._scale *= m + 1
+            P = self._scale
+            acc = (1 - m) * (P // 2)    # the k = 0 and k = 1 terms: 1 - (m+1)/2
+            binom = (m + 1) * m // 2    # C(m+1, k), stepped two places at a time
+            for k in range(2, m, 2):
+                acc += binom * scaled[k // 2]
+                binom = binom * (m + 1 - k) * (m - k) // ((k + 1) * (k + 2))
+            b, rem = divmod(-acc, m + 1)
+            if rem:
+                raise ArithmeticError(f"B_{m} P: division by {m + 1} is not exact")
+            scaled.append(b)
+            self.values.append(Fraction(b, P))
 
 
-def _bernoulli_classical_even(j: int) -> Fraction:
-    """B_{2j} with the classical sign, via sum_{k<m} C(m+1,k) B_k = 0 at
-    even m; B_1 = -1/2 enters once and the odd B_k beyond it are zero, so
-    only the even ones are computed and stored (keyed by their index)."""
-    if 2 * j in _B_CLASSICAL:
-        return _B_CLASSICAL[2 * j]
-    top = max(_B_CLASSICAL)
-    for m in range(top + 2, 2 * j + 1, 2):
-        acc = Fraction(1 - m, 2)    # the k = 0 and k = 1 terms: 1 - (m+1)/2
-        binom = (m + 1) * m // 2    # C(m+1, k), stepped two places at a time
-        for k in range(2, m, 2):
-            acc += binom * _B_CLASSICAL[k]
-            binom = binom * (m + 1 - k) * (m - k) // ((k + 1) * (k + 2))
-        _B_CLASSICAL[m] = -acc / (m + 1)
-    return _B_CLASSICAL[2 * j]
+# B_{2j} with the classical sign is _B_CLASSICAL[j]
+_B_CLASSICAL = _BernoulliTable()
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +180,7 @@ def _em_tail_power(s: int, a: mp.mpf, N: int, target: mp.mpf) -> Tuple[mp.mpf, m
     prev = mp.inf
     j = 1
     while True:
-        b2j = _bernoulli_classical_even(j)
+        b2j = _B_CLASSICAL[j]
         g = g * ((s + 2 * j - 3) * (s + 2 * j - 2)) / ((2 * j - 1) * 2 * j) * inv_sq
         term = g * b2j.numerator / b2j.denominator
         if abs(term) > abs(prev):
@@ -170,7 +202,7 @@ def _em_tail_log_pair(a: mp.mpf, b: mp.mpf, N: int,
     prev = mp.inf
     j = 1
     while True:
-        b2j = _bernoulli_classical_even(j)
+        b2j = _B_CLASSICAL[j]
         coeff = mp.mpf(b2j.numerator) / b2j.denominator / (2 * j)
         pa, pb = pa * inv_a, pb * inv_b
         term = coeff * (pa - pb)
@@ -415,13 +447,13 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
 
         head = mp.mpf(0)
         head_bound = mp.mpf(0)
-        terms_used = 0
         for k in range(1, r):
             lower = zeta_odd(r - k, method, ctx)
             coeff = head_pref * (pi / m) ** (2 * k) / factorial(2 * k)
             head += (-1) ** (k - 1) * coeff * lower.value
             head_bound += coeff * lower.tail_bound
-            terms_used += lower.terms_used
+        # level r - 1's count already holds every level below it
+        terms_used = zeta_odd(r - 1, method, ctx).terms_used if r > 1 else 0
 
         h2r = harmonic(2 * r)
         log_term = ((-1) ** (r - 1) * mp.mpf(2) ** (2 * r + 1) * pi ** (2 * r)

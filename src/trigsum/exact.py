@@ -1,7 +1,8 @@
 """Exact rational engine: Bernoulli/Euler/harmonic numbers, pi-polynomials,
 and the triangular recurrences for the even zeta family and the two signed
 odd-denominator Dirichlet series.  Bernoulli and Euler numbers come from one
-integer table of zigzag numbers (Seidel's boustrophedon).
+integer table of zigzag numbers (Seidel's boustrophedon), and the
+triangular recurrences are solved in integers over one denominator.
 
 Every value here is exact.  ``PiPolynomial`` carries sums of a_K * pi^K with
 arbitrary-precision rational a_K; evaluation at a numeric pi is a ring
@@ -15,6 +16,7 @@ import json
 import threading
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Dict, List, Tuple
 
 import mpmath as mp
@@ -237,6 +239,69 @@ def harmonic(m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# triangular recurrences in scaled integers
+#
+# Each recurrence sum_k (-1)^k (pi/m)^(2k) x_(r-k) / (2k+delta)! = rhs_r is
+# multiplied through by a factorial and a power of m, which turns its
+# coefficients into binomials C(2j+delta, 2k+delta) and its unknowns into
+# integers over one denominator.  The system is then solved in Python
+# integers, and a Fraction is built for the returned value only.
+
+
+class InexactDivisionError(ArithmeticError):
+    """A division in a scaled recurrence left a remainder: its unknowns are
+    not integers over the chosen scale, so the recurrence or its right-hand
+    side is wrong."""
+
+
+def _exact_quotient(num: int, den: int, where: str) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise InexactDivisionError(f"{where}: the division leaves a remainder")
+    return q
+
+
+def _primorial(n: int) -> int:
+    """The product of the primes <= n."""
+    sieve = bytearray([1]) * (n + 1)
+    out = 1
+    for p in range(2, n + 1):
+        if sieve[p]:
+            out *= p
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return out
+
+
+def _solve_binomial(rhs: List[int], odd: bool, weight: int = 1) -> int:
+    """x_r of the integer triangular system, for j = 0..r = len(rhs) - 1,
+        sum_{k=0}^{j} (-1)^k weight^k C(2j+o, 2k+o) x_(j-k) = rhs[j],
+    o = 1 if odd else 0.  The leading coefficient C(2j+o, o) is 2j+1 or 1;
+    a division by it that leaves a remainder raises InexactDivisionError.
+    Row j's binomials are stepped two places at a time from C(2j+o, o).
+    """
+    o = 1 if odd else 0
+    x: List[int] = []
+    for j, b in enumerate(rhs):
+        n = 2 * j + o
+        lead = c = n if odd else 1
+        w = 1
+        coeffs = []             # (-weight)^k C(n, 2k+o), k = 1..j
+        for m in range(2 + o, n + 1, 2):
+            c = c * (n - m + 2) * (n - m + 1) // ((m - 1) * m)
+            w *= -weight
+            coeffs.append(w * c)
+        acc = b - sum(map(mul, coeffs, reversed(x)))
+        x.append(_exact_quotient(acc, lead, f"row {j}"))
+    return x[-1]
+
+
+def _scaled_rhs(q: Fraction, scale: int, j: int) -> int:
+    """q * scale, which must be an integer."""
+    return _exact_quotient(q.numerator * scale, q.denominator,
+                           f"right-hand side {j}")
+
+
+# ---------------------------------------------------------------------------
 # even zeta family
 
 _ZETA_EVEN_METHODS = ("euler", "thm12", "thm13")
@@ -249,6 +314,13 @@ def zeta_even(r: int, method: str = "euler") -> PiPolynomial:
     zeta(2n) = 2^(2n-1) B_n* pi^(2n) / (2n)!, "thm12" the recurrence
     sum (-1)^k pi^(2k) zeta(2r-2k)/(2k+1)! = (-1)^(r-1) r pi^(2r)/(2r+1)!,
     "thm13" its x=2c analogue with 2pi powers.  All paths agree exactly.
+
+    The two recurrences are solved for Z_j = (2j)! a_j, which gives
+    sum_k (-1)^k C(2j+1, 2k+1) Z_(j-k) = (-1)^(j-1) j (thm12) and
+    sum_k (-1)^k 4^k C(2j+1, 2k+1) Z_(j-k) = (-1)^(j-1) 4^(j-1) (2j-1)
+    (thm13).  Z_j = 2^(2j-1) B_j* has a squarefree odd denominator made of
+    primes <= 2j+1 (von Staudt-Clausen), so P Z_j is an integer for the
+    product P of the primes <= 2r+1.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -257,33 +329,31 @@ def zeta_even(r: int, method: str = "euler") -> PiPolynomial:
     if method == "euler":
         a = Fraction(2 ** (2 * r - 1), factorial(2 * r)) * bernoulli_star(r)
         return PiPolynomial.monomial(a, 2 * r)
-    coeffs: Dict[int, Fraction] = {}
-    for rr in range(1, r + 1):
-        if method == "thm12":
-            acc = Fraction((-1) ** (rr - 1) * rr, factorial(2 * rr + 1))
-            for k in range(1, rr):
-                acc -= (-1) ** k * coeffs[rr - k] / factorial(2 * k + 1)
-        else:
-            acc = Fraction((-1) ** (rr - 1) * 4 ** rr * (2 * rr - 1),
-                           4 * factorial(2 * rr + 1))
-            for k in range(1, rr):
-                acc -= (-1) ** k * Fraction(4 ** k) * coeffs[rr - k] / factorial(2 * k + 1)
-        coeffs[rr] = acc
-    return PiPolynomial.monomial(coeffs[r], 2 * r)
+    P = _primorial(2 * r + 1)
+    if method == "thm12":
+        rhs = [0] + [(-1) ** (j - 1) * j * P for j in range(1, r + 1)]
+        z = _solve_binomial(rhs, odd=True)
+    else:
+        rhs = [0] + [(-1) ** (j - 1) * 4 ** (j - 1) * (2 * j - 1) * P
+                     for j in range(1, r + 1)]
+        z = _solve_binomial(rhs, odd=True, weight=4)
+    return PiPolynomial.monomial(Fraction(z, P * factorial(2 * r)), 2 * r)
 
 
 def eta_even(r: int) -> PiPolynomial:
     """Exact eta(2r) from the triangular recurrence
-    sum_{k=0}^{r-1} (-1)^k pi^(2k) eta(2r-2k)/(2k+1)! = (-1)^(r-1) pi^(2r)/(2 (2r+1)!)."""
+    sum_{k=0}^{r-1} (-1)^k pi^(2k) eta(2r-2k)/(2k+1)! = (-1)^(r-1) pi^(2r)/(2 (2r+1)!).
+
+    With eta(2j) = b_j pi^(2j) it is solved for E_j = 2 (2j)! b_j, which
+    gives sum_k (-1)^k C(2j+1, 2k+1) E_(j-k) = (-1)^(j-1); like zeta_even's
+    Z_j, P E_j is an integer for the product P of the primes <= 2r+1.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
-    coeffs: Dict[int, Fraction] = {}
-    for rr in range(1, r + 1):
-        acc = Fraction((-1) ** (rr - 1), 2 * factorial(2 * rr + 1))
-        for k in range(1, rr):
-            acc -= (-1) ** k * coeffs[rr - k] / factorial(2 * k + 1)
-        coeffs[rr] = acc
-    return PiPolynomial.monomial(coeffs[r], 2 * r)
+    P = _primorial(2 * r + 1)
+    rhs = [0] + [(-1) ** (j - 1) * P for j in range(1, r + 1)]
+    e = _solve_binomial(rhs, odd=True)
+    return PiPolynomial.monomial(Fraction(e, 2 * P * factorial(2 * r)), 2 * r)
 
 
 def lambda_even(r: int) -> PiPolynomial:
@@ -313,24 +383,26 @@ def frakD(r: int, method: str = "lambda") -> PiPolynomial:
     method "lambda" solves sum_{k=0}^{r-1} (-1)^k (pi/4)^(2k)
     frakD(2r-2k)/(2k)! = lambda(2r)/2; method "zeta" the equivalent form
     with (2^(2r)-1)/2^(2r+1) zeta(2r) on the right.  Both agree exactly.
+
+    With frakD(2j) = d_j pi^(2j) the recurrence is solved for the integers
+    F_j = (2j)! 16^j d_j: F_j = RHS_j - sum_{k>=1} (-1)^k C(2j, 2k) F_(j-k),
+    where RHS_j = (2j)! 16^j [pi^(2j)] rhs_j = 2^(4j-2) (4^j - 1) B_j* is an
+    integer (checked).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if method not in ("lambda", "zeta"):
         raise ValueError(f"unknown method {method!r}")
-    values: Dict[int, PiPolynomial] = {}
-    for rr in range(1, r + 1):
+    rhs = [0]
+    for j in range(1, r + 1):
+        scale = factorial(2 * j) << (4 * j)
         if method == "lambda":
-            rhs = lambda_even(rr).scale(Fraction(1, 2))
+            q = lambda_even(j).coeffs[2 * j] / 2
         else:
-            rhs = zeta_even(rr).scale(Fraction(4 ** rr - 1, 2 * 4 ** rr))
-        acc = rhs
-        for k in range(1, rr):
-            term = values[rr - k].shift_pi(2 * k).scale(
-                Fraction((-1) ** k, factorial(2 * k)) * _quarter_pi_pow(2 * k))
-            acc = acc - term
-        values[rr] = acc
-    return values[r]
+            q = zeta_even(j).coeffs[2 * j] * Fraction(4 ** j - 1, 2 * 4 ** j)
+        rhs.append(_scaled_rhs(q, scale, j))
+    f = _solve_binomial(rhs, odd=False)
+    return PiPolynomial.monomial(Fraction(f, factorial(2 * r) << (4 * r)), 2 * r)
 
 
 def calD(r: int, method: str = "direct") -> PiPolynomial:
@@ -341,6 +413,11 @@ def calD(r: int, method: str = "direct") -> PiPolynomial:
                  + (-1)^r (pi/4)^(2r+1)/(2r)!;
     method "beta" solves beta(2r+1)/2 = sum_{k=0}^{r} (-1)^k (pi/4)^(2k)
     calD(2r+1-2k)/(2k)! instead.  Both agree exactly.
+
+    "beta" is solved for the integers G_j = 4 (2j)! 16^j c_j, where
+    calD(2j+1) = c_j pi^(2j+1): G_0 = 1 and, for j >= 1,
+    G_j = 2 (2j)! 16^j [pi^(2j+1)] beta(2j+1) - sum_{k>=1} (-1)^k C(2j, 2k) G_(j-k),
+    whose first term is (-1)^j 2^(2j-1) E_(2j), an integer (checked).
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -357,12 +434,10 @@ def calD(r: int, method: str = "direct") -> PiPolynomial:
             Fraction((-1) ** r, factorial(2 * r)) * _quarter_pi_pow(2 * r + 1),
             2 * r + 1)
         return acc
-    values: Dict[int, PiPolynomial] = {0: calD(0)}
-    for rr in range(1, r + 1):
-        acc = beta_odd(rr).scale(Fraction(1, 2))
-        for k in range(1, rr + 1):
-            term = values[rr - k].shift_pi(2 * k).scale(
-                Fraction((-1) ** k, factorial(2 * k)) * _quarter_pi_pow(2 * k))
-            acc = acc - term
-        values[rr] = acc
-    return values[r]
+    rhs = [1]
+    for j in range(1, r + 1):
+        b = beta_odd(j).coeffs[2 * j + 1]
+        rhs.append(_scaled_rhs(b, 2 * factorial(2 * j) << (4 * j), j))
+    g = _solve_binomial(rhs, odd=False)
+    return PiPolynomial.monomial(Fraction(g, 4 * factorial(2 * r) << (4 * r)),
+                                 2 * r + 1)

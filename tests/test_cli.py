@@ -88,6 +88,15 @@ class TestNumericCommands:
         assert code == 0
         assert out.strip().startswith("4.9348022005446793")
 
+    def test_zeta_odd_terms_at_most_quadratic(self, capsys):
+        # each level's residual sum is counted once
+        code, out, _ = run(capsys, "zeta-odd", "--r", "1", "--digits", "100",
+                           "--format", "json")
+        first = json.loads(out)["terms"]
+        code, out, _ = run(capsys, "zeta-odd", "--r", "150", "--digits", "100",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["terms"] <= first * 150 ** 2
+
     def test_divergent_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--series", "zeta", "--s", "1")
         assert code == 2 and "error" in err
@@ -201,6 +210,55 @@ class TestVerifyLimits:
         assert code == 0 and out.startswith(f"PASS thm11-sin r=2 N={cli.MAX_TERMS} ")
 
 
+class TestValueLimits:
+    """exact --n (harmonic with a limit of its own), zeta-odd --r and the
+    --digits of zeta-odd and oracle above their documented limits are
+    refused before any work, as verify's flags are."""
+
+    @pytest.mark.parametrize("argv,flag,limit", [
+        (("exact", "frakd", "--n", str(cli.MAX_N + 1)), "--n", cli.MAX_N),
+        (("exact", "eta-even", "--n", "1000000000"), "--n", cli.MAX_N),
+        (("exact", "euler-number", "--n", str(2 * cli.MAX_N)), "--n", cli.MAX_N),
+        (("exact", "harmonic", "--n", str(cli.MAX_HARMONIC_N + 1)), "--n",
+         cli.MAX_HARMONIC_N),
+        (("exact", "harmonic", "--n", "100000"), "--n", cli.MAX_HARMONIC_N),
+        (("zeta-odd", "--r", str(cli.MAX_ZETA_R + 1)), "--r", cli.MAX_ZETA_R),
+        (("zeta-odd", "--r", "2000"), "--r", cli.MAX_ZETA_R),
+        (("zeta-odd", "--r", "1", "--digits", str(cli.MAX_DIGITS + 1)), "--digits",
+         cli.MAX_DIGITS),
+        (("zeta-odd", "--r", "1", "--digits", "20000"), "--digits", cli.MAX_DIGITS),
+        (("oracle", "--series", "zeta", "--s", "3", "--digits", "3000"), "--digits",
+         cli.MAX_DIGITS),
+        (("oracle", "--series", "hurwitz", "--a", "1/3", "--s", "2",
+          "--digits", str(cli.MAX_DIGITS + 1)), "--digits", cli.MAX_DIGITS),
+    ])
+    def test_refused(self, capsys, argv, flag, limit):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert flag in lines[0] and str(limit) in lines[0]
+
+    def test_limits_clear_the_tested_values(self):
+        # exact zeta-even 900 and harmonic 12000 (test_past_the_int_str_digit_limit),
+        # zeta-odd r 150, and 1000 digits (the library's own tests; the
+        # benchmark's probes ask for 400)
+        assert cli.MAX_N >= 900 and cli.MAX_HARMONIC_N >= 12_000
+        assert cli.MAX_ZETA_R >= 150 and cli.MAX_DIGITS >= 1000
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", "zeta-even", "--n", str(cli.MAX_N)),
+        ("exact", "harmonic", "--n", str(cli.MAX_HARMONIC_N)),
+        ("zeta-odd", "--r", str(cli.MAX_ZETA_R)),
+        ("oracle", "--series", "zeta", "--s", "3", "--digits", str(cli.MAX_DIGITS)),
+    ])
+    def test_at_the_limits(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == ""
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("exact", "cald", "--n", "2", "--format", "json"),
@@ -271,9 +329,10 @@ class TestFreshProcessErrors:
         ("oracle", "--series", "hurwitz", "--a", "1/0", "--s", "3"),
         ("verify", "--id", "thm11-cos", "--r", "1", "--x0", "1/0"),
         ("verify", "--id", "thm11-cos", "--r", "1", "--terms", "100000000"),
+        ("zeta-odd", "--r", "2000"),
     ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000",
             "hurwitz-offset-zero-denominator", "shift-zero-denominator",
-            "terms-over-limit"])
+            "terms-over-limit", "zeta-odd-r-over-limit"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""

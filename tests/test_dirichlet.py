@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from trigsum.dirichlet import (PrecisionContext, PrecisionError,
-                               ZETA_ODD_METHODS, _bernoulli_classical_even,
+                               ZETA_ODD_METHODS, _B_CLASSICAL,
                                dirichlet_oracle, eta_odd, hurwitz_zeta,
                                identity_checks, zeta_odd)
 from trigsum.exact import (beta_odd, calD, eta_even, frakD, lambda_even,
@@ -81,9 +81,40 @@ class TestOracle:
 
     def test_classical_bernoulli_matches_mpmath(self):
         # the oracle's own recurrence, independent of exact.bernoulli_star
-        for j in range(201):
+        for j in range(401):
             p, q = mp.bernfrac(2 * j)
-            assert _bernoulli_classical_even(j) == F(int(p), int(q)), j
+            assert _B_CLASSICAL[j] == F(int(p), int(q)), j
+
+    def test_bernoulli_table_concurrent_growth(self):
+        # threads that extend one cold table at once must leave the values
+        # that one thread computes; a lost rescaling or a doubled row would
+        # change them
+        import sys
+        import threading
+        from trigsum.dirichlet import _BernoulliTable
+        want = _BernoulliTable()
+        want[300]
+        table = _BernoulliTable()
+        start = threading.Barrier(4)
+        seen = [None] * 4
+
+        def grow(i):
+            start.wait()
+            seen[i] = table[297 + i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == want.values[297:301]
+        assert table.values == want.values[:len(table.values)]
 
     def test_eta1(self):
         with mp.workdps(45):
@@ -255,6 +286,32 @@ class TestZetaOdd:
             with mp.workdps(320):
                 assert abs(a.value - mp.zeta(13)) <= a.tail_bound
         assert len(calls) == len(set(calls)) <= max(calls)
+
+    @pytest.mark.parametrize("method", ZETA_ODD_METHODS)
+    def test_terms_used_counts_each_residual_sum_once(self, method, monkeypatch):
+        # level r adds its own residual terms to the total of level r - 1,
+        # which already holds every level below it
+        from trigsum import dirichlet
+        own = []
+        summer = dirichlet._residual_sum
+
+        def recorded(*args, **kwargs):
+            out = summer(*args, **kwargs)
+            own.append(out[2])
+            return out
+
+        monkeypatch.setattr(dirichlet, "_residual_sum", recorded)
+        monkeypatch.setattr(dirichlet, "_zeta_odd_cache", {})
+        ctx = PrecisionContext.for_digits(30)
+        totals = [0] + [zeta_odd(r, method, ctx).terms_used for r in range(1, 41)]
+        assert len(own) == 40      # one residual sum per level, in order of r
+        assert [totals[r] - totals[r - 1] for r in range(1, 41)] == own
+
+    def test_terms_used_grows_at_most_quadratically(self):
+        ctx = PrecisionContext.for_digits(100)
+        first = zeta_odd(1, "thm15", ctx).terms_used
+        for r in (10, 50, 150):
+            assert zeta_odd(r, "thm15", ctx).terms_used <= first * r * r, r
 
     def test_eta_odd(self):
         with mp.workdps(45):

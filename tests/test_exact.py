@@ -1,11 +1,13 @@
 """Exact rational engine: golden values and cross-recurrence agreement."""
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigsum import exact
 from trigsum.exact import (PiPolynomial, bernoulli_star, beta_odd, calD,
                            eta_even, euler_number, frakD, harmonic,
                            lambda_even, zeta_even)
@@ -172,6 +174,133 @@ class TestZetaFamily:
                 acc = acc + calD(r - 1 - k).shift_pi(2 * k + 1).scale(
                     F((-1) ** k, factorial(2 * k + 1) * 4 ** (2 * k + 1)))
             assert acc == lambda_even(r).scale(F(1, 2)), r
+
+
+# The recurrences in Fraction arithmetic, term by term as they are stated,
+# each giving its rational coefficients for r = 1..n (calD from r = 0): the
+# reference for the integer solutions in exact.
+
+def _reference_zeta_even(n, method):
+    coeffs = {}
+    for rr in range(1, n + 1):
+        if method == "thm12":
+            acc = F((-1) ** (rr - 1) * rr, factorial(2 * rr + 1))
+            for k in range(1, rr):
+                acc -= (-1) ** k * coeffs[rr - k] / factorial(2 * k + 1)
+        else:
+            acc = F((-1) ** (rr - 1) * 4 ** rr * (2 * rr - 1),
+                    4 * factorial(2 * rr + 1))
+            for k in range(1, rr):
+                acc -= (-1) ** k * F(4 ** k) * coeffs[rr - k] / factorial(2 * k + 1)
+        coeffs[rr] = acc
+    return coeffs
+
+
+def _reference_eta_even(n):
+    coeffs = {}
+    for rr in range(1, n + 1):
+        acc = F((-1) ** (rr - 1), 2 * factorial(2 * rr + 1))
+        for k in range(1, rr):
+            acc -= (-1) ** k * coeffs[rr - k] / factorial(2 * k + 1)
+        coeffs[rr] = acc
+    return coeffs
+
+
+def _reference_frakD(n, method):
+    coeffs = {}
+    for rr in range(1, n + 1):
+        if method == "lambda":
+            acc = lambda_even(rr).coeffs[2 * rr] / 2
+        else:
+            acc = zeta_even(rr).coeffs[2 * rr] * F(4 ** rr - 1, 2 * 4 ** rr)
+        for k in range(1, rr):
+            acc -= F((-1) ** k, factorial(2 * k) * 16 ** k) * coeffs[rr - k]
+        coeffs[rr] = acc
+    return coeffs
+
+
+def _reference_calD(n):
+    coeffs = {0: F(1, 4)}
+    for rr in range(1, n + 1):
+        acc = beta_odd(rr).coeffs[2 * rr + 1] / 2
+        for k in range(1, rr + 1):
+            acc -= F((-1) ** k, factorial(2 * k) * 16 ** k) * coeffs[rr - k]
+        coeffs[rr] = acc
+    return coeffs
+
+
+REFERENCE_N = 100
+
+
+class TestScaledRecurrences:
+    """Every family and method equals the Fraction recurrence for r <= 100,
+    and a wrong right-hand side is caught by an exact division."""
+
+    @pytest.mark.parametrize("method", ["euler", "thm12", "thm13"])
+    def test_zeta_even(self, method):
+        want = _reference_zeta_even(REFERENCE_N, "thm12" if method == "euler" else method)
+        for r in range(1, REFERENCE_N + 1):
+            assert zeta_even(r, method).coeffs == {2 * r: want[r]}, r
+
+    def test_eta_even(self):
+        want = _reference_eta_even(REFERENCE_N)
+        for r in range(1, REFERENCE_N + 1):
+            assert eta_even(r).coeffs == {2 * r: want[r]}, r
+
+    @pytest.mark.parametrize("method", ["lambda", "zeta"])
+    def test_frakD(self, method):
+        want = _reference_frakD(REFERENCE_N, method)
+        for r in range(1, REFERENCE_N + 1):
+            assert frakD(r, method).coeffs == {2 * r: want[r]}, r
+
+    @pytest.mark.parametrize("method", ["direct", "beta"])
+    def test_calD(self, method):
+        want = _reference_calD(REFERENCE_N)
+        for r in range(REFERENCE_N + 1):
+            assert calD(r, method).coeffs == {2 * r + 1: want[r]}, r
+
+    @pytest.mark.parametrize("weight,rhs", [
+        (1, lambda j, P: (-1) ** (j - 1) * j * P),                          # thm12
+        (4, lambda j, P: (-1) ** (j - 1) * 4 ** (j - 1) * (2 * j - 1) * P),  # thm13
+        (1, lambda j, P: (-1) ** (j - 1) * P),                              # eta_even
+    ], ids=["thm12", "thm13", "eta"])
+    def test_perturbed_odd_rhs_raises(self, weight, rhs):
+        # the division by 2j+1 is exact only for the true right-hand side
+        P = exact._primorial(41)
+        true = [0] + [rhs(j, P) for j in range(1, 21)]
+        exact._solve_binomial(true, odd=True, weight=weight)   # no remainder
+        for j in (1, 7, 20):
+            bad = list(true)
+            bad[j] += 1
+            with pytest.raises(exact.InexactDivisionError, match=f"row {j}"):
+                exact._solve_binomial(bad, odd=True, weight=weight)
+
+    def test_perturbed_scale_raises(self):
+        # P Z_j is an integer only when P holds every prime <= 2j+1
+        P = exact._primorial(39)        # 41 left out; 2 * 20 + 1 = 41
+        rhs = [0] + [(-1) ** (j - 1) * j * P for j in range(1, 21)]
+        with pytest.raises(exact.InexactDivisionError, match="row 20"):
+            exact._solve_binomial(rhs, odd=True)
+
+    @pytest.mark.parametrize("source,call", [
+        ("lambda_even", lambda: frakD(12, "lambda")),
+        ("zeta_even", lambda: frakD(12, "zeta")),
+        ("beta_odd", lambda: calD(12, "beta")),
+    ], ids=["frakD-lambda", "frakD-zeta", "calD-beta"])
+    def test_perturbed_even_rhs_raises(self, monkeypatch, source, call):
+        # frakD's and calD's right-hand sides must be integers once scaled
+        true = getattr(exact, source)
+
+        def perturbed(j, *args):
+            value = true(j, *args)
+            if j == 7:
+                (power, coeff), = value.coeffs.items()
+                value = PiPolynomial.monomial(coeff + F(1, 10 ** 40), power)
+            return value
+
+        monkeypatch.setattr(exact, source, perturbed)
+        with pytest.raises(exact.InexactDivisionError, match="right-hand side 7"):
+            call()
 
 
 class TestPiPolynomial:
