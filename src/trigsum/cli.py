@@ -53,12 +53,12 @@ def _fraction_flag(flag: str, text: str) -> Fraction:
 # the limit (2-vCPU x86-64, CPython 3.11, mpmath 1.3 without gmpy):
 # - exact --n 1000: frakd 8.3 s, eta-even 5.8 s, cald 2.6 s, every other
 #   value at most 1.4 s; the triangular recurrences grow about as n^4.
-# - exact harmonic --n 20,000: 0.5 s; every H_k up to n is kept, 189 MB at
-#   n = 30,000, and n = 100,000 takes 10.9 s.
-# - zeta-odd --r 200: 1.0 s at 30 digits, 9-15 s at 1000 digits; r = 300
-#   takes 22 s at 1000 digits, r = 900 49 s at 30 digits, and r = 2000 ends
-#   in a RecursionError.
-# - --digits 1000: zeta-odd at r <= 6 1.4-1.8 s, oracle at most 1.3 s;
+# - exact harmonic --n 20,000: 0.55 s; n = 100,000 takes 9.5 s in the
+#   library.
+# - zeta-odd --r 200: 0.3 s at 30 digits, 5.8-6.7 s at 1000 digits; in the
+#   library, r = 300 takes 8.3 s at 1000 digits, r = 900 3.2 s and
+#   r = 2000 23 s at 30 digits.
+# - --digits 1000: zeta-odd at r <= 6 1.0-1.3 s, oracle at most 1.3 s;
 #   2000 digits take 9.7 s (zeta-odd, r = 1) and 11.2 s (oracle, frakD, s = 2).
 MAX_N = 1_000
 MAX_HARMONIC_N = 20_000

@@ -12,9 +12,12 @@ from the classical binomial recurrence, independent of everything else in
 the package.
 
 The *series-representation* layer evaluates the fast-converging expansions
-of zeta at odd integers: residual series whose terms carry
-(2k)!/(2r+2k)! factorial decay, truncated when the verified geometric term
-ratio pushes the tail below the requested target.
+of zeta at odd integers, Thm 15 (about pi/2) and Thm 17 (about pi/3):
+residual series whose terms carry (pi/m)^(2k)/(2r+2k)! factorial decay,
+truncated when the verified geometric term ratio pushes the tail below the
+requested target.  The paper writes each residual with B_k* and again with
+zeta(2k); the two forms are equal term by term, so one Bernoulli-form
+series serves both, and a method name selects only m = 2 or m = 3.
 """
 
 from __future__ import annotations
@@ -370,40 +373,36 @@ def hurwitz_zeta(s: int, a: Fraction, ctx: PrecisionContext | None = None) -> Se
 
 ZETA_ODD_METHODS = ("thm15", "thm15-zeta", "thm17", "thm17-zeta")
 
-_zeta_odd_cache: Dict[Tuple[int, str, int], SeriesApprox] = {}
+# the largest term ratio _residual_sum accepts (see there)
+_RATIO_CAP = 0.25
 
-# a_k of zeta(2k) = a_k pi^(2k), for the zeta-form residual terms: built
-# once per k, then read by every recursion level of every zeta-form call
-_ZETA_EVEN_COEFF: Dict[int, Fraction] = {}
-
-
-def _zeta_even_coeff(k: int) -> Fraction:
-    a = _ZETA_EVEN_COEFF.get(k)
-    if a is None:
-        a = _ZETA_EVEN_COEFF.setdefault(k, zeta_even(k).coeffs[2 * k])
-    return a
+# zeta(3), zeta(5), ..., zeta(2q+1) as one tuple per (m, digits, target).
+# A tuple is only replaced by a longer one, so no caller sees a partial one
+# and readers need no lock; two sweeps racing on one key compute the same
+# levels, so whichever store lands last is right.
+_ZETA_ODD_LEVELS: Dict[Tuple[int, int, mp.mpf], Tuple[SeriesApprox, ...]] = {}
 
 
-def _residual_sum(terms: Iterable[mp.mpf], target: mp.mpf,
-                  ratio_cap: float = 0.25) -> Tuple[mp.mpf, mp.mpf, int]:
+def _residual_sum(terms: Iterable[mp.mpf],
+                  target: mp.mpf) -> Tuple[mp.mpf, mp.mpf, int]:
     """Sum a positive series, given as its terms k = 1, 2, ... in order,
     with verified geometric decay.
 
-    Consecutive ratios must stay below ratio_cap (they do for all four
-    representations: the asymptotic ratio is (pi/2)^2/16 or (pi/3)^2/36
-    times a factorial-decay factor; and for the remainder of the registry's
-    Thm 16/21 residual series, whose ratio is at most w^2/4 <= 1/4); the
-    tail is then bounded by next_term / (1 - ratio_cap).
+    Consecutive ratios must stay below _RATIO_CAP = 1/4 (they do for both
+    odd-zeta representations: the asymptotic ratio is (pi/2)^2/16 or
+    (pi/3)^2/36 times a factorial-decay factor; and for the remainder of
+    the registry's Thm 16/21 residual series, whose ratio is at most
+    w^2/4 <= 1/4); the tail is then bounded by next_term / (1 - 1/4).
     """
     total = mp.mpf(0)
     stop = target / 8
     prev = None
     for used, t in enumerate(terms):
-        if prev is not None and t > ratio_cap * prev:
+        if prev is not None and t > _RATIO_CAP * prev:
             raise PrecisionError(
                 f"residual-series ratio {float(t / prev):.3f} exceeded cap")
         if t <= stop:
-            bound = t / (1 - mp.mpf(ratio_cap))
+            bound = t / (1 - mp.mpf(_RATIO_CAP))
             return total, bound, used
         total += t
         prev = t
@@ -415,54 +414,55 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
              ctx: PrecisionContext | None = None) -> SeriesApprox:
     """zeta(2r+1) through the fast-converging series representations.
 
-    The four methods pair a pi/2-based and a pi/3-based expansion, each in
-    a Bernoulli-number and an even-zeta residual form; lower odd zeta
-    values are resolved recursively by the same method and their bounds
-    propagated linearly.  With m = 2 or 3, the residual terms are
-    (2pi)^(2r)/denom times B_k* (pi/m)^(2k) / (k (2r+2k)!) in the Bernoulli
-    form and 2 zeta(2k) (2k)! / (k (2m)^(2k) (2r+2k)!) in the zeta form,
-    with zeta(2k) = a_k pi^(2k) exactly; the factor after B_k* or a_k is
-    updated from the term before.
+    Thm 15 (m = 2) and Thm 17 (m = 3) write zeta(2r+1) as a head over the
+    lower odd zeta values, a log term and a residual series with terms
+    (2pi)^(2r)/denom times B_k* (pi/m)^(2k) / (k (2r+2k)!), or, in the
+    paper's zeta form, 2 zeta(2k) (2k)! / (k (2m)^(2k) (2r+2k)!).  Since
+    zeta(2k) = 2^(2k-1) B_k* pi^(2k) / (2k)!, the two forms are equal term
+    by term, so the method selects m only: both names of a theorem return
+    the same value, summed in the Bernoulli form.  The levels q = 1..r are
+    computed in one forward sweep, each head reading the levels below it
+    and adding their bounds linearly, and kept per (m, digits, target).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if method not in ZETA_ODD_METHODS:
         raise ValueError(f"unknown method {method!r}")
     ctx = ctx or PrecisionContext.for_digits(40)
-    key = (r, method, ctx.digits)
-    hit = _zeta_odd_cache.get(key)
-    if hit is not None:
-        return hit
+    m = 2 if method.startswith("thm15") else 3
+    key = (m, ctx.digits, ctx.target)
+    levels = _ZETA_ODD_LEVELS.get(key, ())
+    if len(levels) >= r:
+        return levels[r - 1]
+    out = list(levels)
     with mp.workdps(ctx.digits):
         target = mp.mpf(ctx.target)
         pi = +mp.pi
-        if method in ("thm15", "thm15-zeta"):
-            m = 2
-            denom = mp.mpf(2) ** (4 * r + 1) + 2 ** (2 * r) - 1
-            head_pref = mp.mpf(2) ** (4 * r + 1) / denom
-        else:
-            m = 3
-            denom = mp.mpf(3) ** (2 * r) * (2 ** (2 * r) + 1) + 2 ** (2 * r) - 1
-            head_pref = mp.mpf(2) ** (2 * r + 1) * 3 ** (2 * r) / denom
-
-        head = mp.mpf(0)
-        head_bound = mp.mpf(0)
+        sq = (pi / m) ** 2
+        log_pi_m = mp.log(pi / m)
+        coeffs = [mp.mpf(1)]            # (pi/m)^(2k) / (2k)!
         for k in range(1, r):
-            lower = zeta_odd(r - k, method, ctx)
-            coeff = head_pref * (pi / m) ** (2 * k) / factorial(2 * k)
-            head += (-1) ** (k - 1) * coeff * lower.value
-            head_bound += coeff * lower.tail_bound
-        # level r - 1's count already holds every level below it
-        terms_used = zeta_odd(r - 1, method, ctx).terms_used if r > 1 else 0
+            coeffs.append(coeffs[-1] * sq / ((2 * k - 1) * 2 * k))
+        signed = [c if k % 2 else -c for k, c in enumerate(coeffs)]  # (-1)^(k-1)
+        for q in range(len(out) + 1, r + 1):
+            n = 2 * q
+            if m == 2:
+                denom = mp.mpf(2) ** (2 * n + 1) + 2 ** n - 1
+                head_pref = mp.mpf(2) ** (2 * n + 1) / denom
+            else:
+                denom = mp.mpf(3) ** n * (2 ** n + 1) + 2 ** n - 1
+                head_pref = mp.mpf(2) ** (n + 1) * 3 ** n / denom
 
-        h2r = harmonic(2 * r)
-        log_term = ((-1) ** (r - 1) * mp.mpf(2) ** (2 * r + 1) * pi ** (2 * r)
-                    / (denom * factorial(2 * r))
-                    * (mp.mpf(h2r.numerator) / h2r.denominator - mp.log(pi / m)))
+            # out holds the levels below q; level q - k carries coeffs[k]
+            lower = out[::-1]
+            head = head_pref * mp.fdot(signed[1:q], [a.value for a in lower])
+            head_bound = head_pref * mp.fdot(coeffs[1:q],
+                                             [a.tail_bound for a in lower])
 
-        n = 2 * r
-        if method in ("thm15", "thm17-zeta"):
-            sq = (pi / m) ** 2
+            h = harmonic(n)
+            log_term = ((-1) ** (q - 1) * mp.mpf(2) ** (n + 1) * pi ** n
+                        / (denom * factorial(n))
+                        * (mp.mpf(h.numerator) / h.denominator - log_pi_m))
 
             def terms():
                 f = (2 * pi) ** n / denom / factorial(n)
@@ -470,23 +470,16 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
                     f = f * sq / ((n + 2 * k - 1) * (n + 2 * k))
                     b = bernoulli_star(k)
                     yield f * b.numerator / (b.denominator * k)
-        else:
-            sq = (pi / (2 * m)) ** 2
 
-            def terms():
-                # f carries the pi^(2k) of zeta(2k) = a_k pi^(2k)
-                f = 2 * (2 * pi) ** n / denom / factorial(n)
-                for k in count(1):
-                    f = f * sq * ((2 * k - 1) * 2 * k) / ((n + 2 * k - 1) * (n + 2 * k))
-                    a = _zeta_even_coeff(k)
-                    yield f * a.numerator / (a.denominator * k)
-
-        res_total, res_bound, res_terms = _residual_sum(terms(), target)
-        value = head + log_term + (-1) ** (r - 1) * res_total
-        bound = head_bound + res_bound
-        out = SeriesApprox(+value, +bound, terms_used + res_terms)
-        _zeta_odd_cache[key] = out
-        return out
+            res_total, res_bound, res_terms = _residual_sum(terms(), target)
+            value = head + log_term + (-1) ** (q - 1) * res_total
+            # level q - 1's count already holds every level below it
+            terms_below = out[-1].terms_used if out else 0
+            out.append(SeriesApprox(+value, +(head_bound + res_bound),
+                                    terms_below + res_terms))
+    if len(out) > len(_ZETA_ODD_LEVELS.get(key, ())):
+        _ZETA_ODD_LEVELS[key] = tuple(out)
+    return out[r - 1]
 
 
 def eta_odd(r: int, ctx: PrecisionContext | None = None,

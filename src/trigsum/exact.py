@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 from typing import Dict, List, Tuple
 
@@ -196,7 +196,6 @@ class _ZigzagTable:
 
 _ZIGZAG = _ZigzagTable()
 _BERNOULLI_STAR: Dict[int, Fraction] = {}
-_HARMONIC: Dict[int, Fraction] = {0: Fraction(0)}
 
 
 def bernoulli_star(k: int) -> Fraction:
@@ -226,16 +225,12 @@ def euler_number(n: int) -> int:
 
 
 def harmonic(m: int) -> Fraction:
-    """Exact harmonic number H_m = sum_{k=1}^m 1/k."""
+    """Exact harmonic number H_m = sum_{k=1}^m 1/k, summed as integers
+    over L = lcm(1, ..., m): H_m = sum_k (L // k) / L."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    top = max(_HARMONIC)
-    if m > top:
-        acc = _HARMONIC[top]
-        for k in range(top + 1, m + 1):
-            acc += Fraction(1, k)
-            _HARMONIC[k] = acc
-    return _HARMONIC[m]
+    L = lcm(*range(1, m + 1))
+    return Fraction(sum(L // k for k in range(1, m + 1)), L)
 
 
 # ---------------------------------------------------------------------------

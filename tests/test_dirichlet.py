@@ -1,4 +1,4 @@
-"""Numeric layer: oracle values, tail-bound soundness, the four series
+"""Numeric layer: oracle values, tail-bound soundness, the series
 representations at odd integers, Hurwitz zeta, and identity groups."""
 
 from fractions import Fraction
@@ -10,8 +10,8 @@ from trigsum.dirichlet import (PrecisionContext, PrecisionError,
                                ZETA_ODD_METHODS, _B_CLASSICAL,
                                dirichlet_oracle, eta_odd, hurwitz_zeta,
                                identity_checks, zeta_odd)
-from trigsum.exact import (beta_odd, calD, eta_even, frakD, lambda_even,
-                           zeta_even, bernoulli_star)
+from trigsum.exact import (beta_odd, calD, eta_even, frakD, harmonic,
+                           lambda_even, zeta_even, bernoulli_star)
 
 F = Fraction
 CTX40 = PrecisionContext.for_digits(40)
@@ -267,25 +267,91 @@ class TestZetaOdd:
             assert abs(a.value - mp.zeta(3)) <= a.tail_bound
         assert a.tail_bound <= ctx.target
 
-    def test_zeta_form_builds_each_a_k_once(self, monkeypatch):
-        # every recursion level of both zeta-form methods reads a_k of
-        # zeta(2k) = a_k pi^(2k) from one table, so zeta_even runs once per k
-        from trigsum import dirichlet
-        calls = []
-
-        def counted(k):
-            calls.append(k)
-            return zeta_even(k)
-
-        monkeypatch.setattr(dirichlet, "zeta_even", counted)
-        monkeypatch.setattr(dirichlet, "_zeta_odd_cache", {})
-        monkeypatch.setattr(dirichlet, "_ZETA_EVEN_COEFF", {})
+    def test_300_digits_r6_both_theorems(self):
         ctx = PrecisionContext.for_digits(300)
         for method in ("thm15-zeta", "thm17"):
             a = zeta_odd(6, method, ctx)
             with mp.workdps(320):
                 assert abs(a.value - mp.zeta(13)) <= a.tail_bound
-        assert len(calls) == len(set(calls)) <= max(calls)
+
+    @pytest.mark.parametrize("method", ["thm15-zeta", "thm17-zeta"])
+    def test_zeta_form_matches(self, method):
+        # the paper's zeta(2k) residual form, with zeta(2k) from the thm12
+        # recurrence, powers and factorials taken whole, and the head over
+        # the form's own lower levels
+        from math import factorial
+        m = 2 if method == "thm15-zeta" else 3
+        refs = {}
+        with mp.workdps(60):
+            pi = mp.pi
+            for r in (1, 2, 3):
+                n = 2 * r
+                if m == 2:
+                    denom = mp.mpf(2) ** (2 * n + 1) + 2 ** n - 1
+                    pref = mp.mpf(2) ** (2 * n + 1) / denom
+                else:
+                    denom = mp.mpf(3) ** n * (2 ** n + 1) + 2 ** n - 1
+                    pref = mp.mpf(2) ** (n + 1) * 3 ** n / denom
+                head = sum((-1) ** (k - 1) * pref * (pi / m) ** (2 * k)
+                           / factorial(2 * k) * refs[r - k] for k in range(1, r))
+                h = harmonic(n)
+                log = ((-1) ** (r - 1) * mp.mpf(2) ** (n + 1) * pi ** n
+                       / (denom * factorial(n))
+                       * (mp.mpf(h.numerator) / h.denominator - mp.log(pi / m)))
+                res = mp.mpf(0)
+                for k in range(1, 200):
+                    z = zeta_even(k, "thm12").eval(60)
+                    t = (2 * (2 * pi) ** n * z * factorial(2 * k)
+                         / (denom * k * mp.mpf(2 * m) ** (2 * k) * factorial(n + 2 * k)))
+                    res += t
+                    if t < mp.mpf(10) ** -55:
+                        break
+                refs[r] = head + log + (-1) ** (r - 1) * res
+                a = zeta_odd(r, method, CTX40)
+                assert abs(a.value - refs[r]) <= a.tail_bound, r
+
+    def test_both_names_of_a_theorem_share_one_sweep(self, monkeypatch):
+        from trigsum import dirichlet
+        sums = []
+        summer = dirichlet._residual_sum
+
+        def counted(*args):
+            sums.append(1)
+            return summer(*args)
+
+        monkeypatch.setattr(dirichlet, "_residual_sum", counted)
+        monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
+        a = zeta_odd(6, "thm15", CTX40)
+        assert zeta_odd(6, "thm15-zeta", CTX40) is a
+        assert len(sums) == 6
+
+    def test_one_request_enters_zeta_odd_once(self, monkeypatch):
+        from trigsum import dirichlet
+        calls = []
+        public = dirichlet.zeta_odd
+
+        def counted(*args):
+            calls.append(args)
+            return public(*args)
+
+        monkeypatch.setattr(dirichlet, "zeta_odd", counted)
+        monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
+        dirichlet.zeta_odd(12, "thm17", CTX40)
+        assert calls == [(12, "thm17", CTX40)]
+
+    def test_levels_kept_per_target(self, monkeypatch):
+        # a looser target at the same digits must not answer a later
+        # request for the tighter one
+        from trigsum import dirichlet
+        monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
+        loose = PrecisionContext(digits=50, target=1e-20)
+        tight = PrecisionContext.for_digits(50)
+        a = zeta_odd(1, "thm15", loose)
+        b = zeta_odd(1, "thm15", tight)
+        assert a.tail_bound <= loose.target and b.tail_bound <= tight.target
+        assert b.terms_used > a.terms_used
+        with mp.workdps(60):
+            assert abs(b.value - mp.zeta(3)) <= b.tail_bound
 
     @pytest.mark.parametrize("method", ZETA_ODD_METHODS)
     def test_terms_used_counts_each_residual_sum_once(self, method, monkeypatch):
@@ -301,7 +367,7 @@ class TestZetaOdd:
             return out
 
         monkeypatch.setattr(dirichlet, "_residual_sum", recorded)
-        monkeypatch.setattr(dirichlet, "_zeta_odd_cache", {})
+        monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
         ctx = PrecisionContext.for_digits(30)
         totals = [0] + [zeta_odd(r, method, ctx).terms_used for r in range(1, 41)]
         assert len(own) == 40      # one residual sum per level, in order of r

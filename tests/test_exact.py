@@ -92,6 +92,10 @@ class TestSequences:
         assert harmonic(1) == 1
         assert harmonic(2) == F(3, 2)
         assert harmonic(4) == F(25, 12)
+        # against a direct sum, a larger call first, so that no state it
+        # leaves can change a smaller value
+        for m in (300, 1, 7, 60, 299, 301):
+            assert harmonic(m) == sum(F(1, k) for k in range(1, m + 1)), m
 
 
 class TestZetaFamily:
