@@ -444,8 +444,10 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
         for k in range(1, r):
             coeffs.append(coeffs[-1] * sq / ((2 * k - 1) * 2 * k))
         signed = [c if k % 2 else -c for k, c in enumerate(coeffs)]  # (-1)^(k-1)
+        h = harmonic(2 * len(out)) if out else Fraction(0)     # H_(2q), stepped
         for q in range(len(out) + 1, r + 1):
             n = 2 * q
+            h += Fraction(2 * n - 1, (n - 1) * n)              # 1/(n-1) + 1/n
             if m == 2:
                 denom = mp.mpf(2) ** (2 * n + 1) + 2 ** n - 1
                 head_pref = mp.mpf(2) ** (2 * n + 1) / denom
@@ -459,7 +461,6 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
             head_bound = head_pref * mp.fdot(coeffs[1:q],
                                              [a.tail_bound for a in lower])
 
-            h = harmonic(n)
             log_term = ((-1) ** (q - 1) * mp.mpf(2) ** (n + 1) * pi ** n
                         / (denom * factorial(n))
                         * (mp.mpf(h.numerator) / h.denominator - log_pi_m))

@@ -2,8 +2,16 @@
 
 The expression language covers rational constants, the constant pi, symbols,
 negation, sums, products, quotients, integer powers and a fixed set of
-function heads.  Trees are immutable and hashable; parsing and printing are
-exact inverses on the structural level (``parse(to_text(e)) == e``).
+function heads.  Expressions form a hash-consed DAG: each node is interned
+on (kind, args, value), so structurally equal expressions are one object,
+equality is identity and a shared subterm is stored once.  Nodes are
+immutable and keep their hash and, once asked, their ``fold``, ``to_text``
+and ``free_symbols`` results, so each costs one visit per distinct node.
+Parsing inverts printing: ``parse_expr(to_text(e)) is e``.  The intern table
+is an implementation detail that callers never see; it holds nodes weakly.
+A hit takes no lock and a miss inserts under one after looking again, so
+threads building equal expressions get one node; a memo slot only ever
+receives the value every thread would compute.
 
 Numeric evaluation is done with mpmath at an explicitly requested decimal
 precision; precision is never ambient state.
@@ -12,7 +20,8 @@ precision; precision is never ambient state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+import weakref
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -92,18 +101,54 @@ class UnboundSymbolError(EvalError):
     pass
 
 
-@dataclass(frozen=True)
+_INTERN: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+_set = object.__setattr__
+
+
 class Expr:
-    """One node of an expression tree.
+    """One node of an expression DAG.
 
     kind is one of "rat", "pi", "sym", "neg", "add", "mul", "div", "pow",
     "call".  ``value`` carries the Fraction payload of "rat", the name of a
     "sym", the integer exponent of "pow" or the function name of "call".
+    ``Expr(kind, args, value)`` returns the one node with that structure
+    (keyed with the value's type, so Fraction(1), 1 and True differ);
+    ``==`` is object identity, inherited from object.
     """
 
-    kind: str
-    args: tuple["Expr", ...] = ()
-    value: object = None
+    __slots__ = ("kind", "args", "value", "_hash", "_fold", "_text", "_free",
+                 "__weakref__")
+
+    def __new__(cls, kind: str, args: tuple = (), value: object = None):
+        key = (kind, args, type(value), value)
+        node = _INTERN.get(key)
+        if node is None:
+            with _INTERN_LOCK:
+                node = _INTERN.get(key)
+                if node is None:
+                    node = object.__new__(cls)
+                    _set(node, "kind", kind)
+                    _set(node, "args", args)
+                    _set(node, "value", value)
+                    _set(node, "_hash", hash((kind, args, value)))
+                    _set(node, "_fold", None)
+                    _set(node, "_text", None)
+                    _set(node, "_free", None)
+                    _INTERN[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __reduce__(self):       # copy and pickle rebuild through the table
+        return Expr, (self.kind, self.args, self.value)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -113,7 +158,7 @@ class Expr:
 
 
 # ---------------------------------------------------------------------------
-# raw constructors (no folding; used by the parser)
+# leaves; the parser builds inner nodes unfolded, as Expr(kind, args, value)
 
 PI = Expr("pi")
 ZERO = Expr("rat", value=Fraction(0))
@@ -126,32 +171,6 @@ def rational(p: Union[int, Fraction], q: int = 1) -> Expr:
 
 def symbol(name: str) -> Expr:
     return Expr("sym", value=name)
-
-
-def _raw_neg(a: Expr) -> Expr:
-    return Expr("neg", (a,))
-
-
-def _raw_add(a: Expr, b: Expr) -> Expr:
-    return Expr("add", (a, b))
-
-
-def _raw_mul(a: Expr, b: Expr) -> Expr:
-    return Expr("mul", (a, b))
-
-
-def _raw_div(a: Expr, b: Expr) -> Expr:
-    return Expr("div", (a, b))
-
-
-def _raw_pow(a: Expr, n: int) -> Expr:
-    return Expr("pow", (a,), int(n))
-
-
-def _raw_call(name: str, a: Expr) -> Expr:
-    if name not in FUNCTIONS:
-        raise ExprError(f"unknown function head {name!r}")
-    return Expr("call", (a,), name)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +186,11 @@ def rat_value(e: Expr) -> Fraction:
 
 
 def is_zero(e: Expr) -> bool:
-    return e.kind == "rat" and e.value == 0
+    return e is ZERO
 
 
 def is_one(e: Expr) -> bool:
-    return e.kind == "rat" and e.value == 1
+    return e is ONE
 
 
 def neg(a: Expr) -> Expr:
@@ -179,7 +198,7 @@ def neg(a: Expr) -> Expr:
         return rational(-rat_value(a))
     if a.kind == "neg":
         return a.args[0]
-    return _raw_neg(a)
+    return Expr("neg", (a,))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -189,7 +208,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if is_zero(b):
         return a
-    return _raw_add(a, b)
+    return Expr("add", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -205,7 +224,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if is_one(b):
         return a
-    return _raw_mul(a, b)
+    return Expr("mul", (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -216,7 +235,7 @@ def div(a: Expr, b: Expr) -> Expr:
             return rational(rat_value(a) / rat_value(b))
         # canonical form: division by a rational becomes a scalar multiple
         return mul(rational(1 / rat_value(b)), a)
-    return _raw_div(a, b)
+    return Expr("div", (a, b))
 
 
 def ipow(a: Expr, n: int) -> Expr:
@@ -230,7 +249,7 @@ def ipow(a: Expr, n: int) -> Expr:
         if v == 0 and n < 0:
             raise ExprError("zero to a negative power")
         return rational(v ** n)
-    return _raw_pow(a, n)
+    return Expr("pow", (a,), n)
 
 
 _EXACT_CALLS = {
@@ -288,7 +307,7 @@ def func(name: str, a: Expr) -> Expr:
         a = inner
     if name == "arccot" and is_zero(a):
         return div(PI, rational(2))
-    return _raw_call(name, a)
+    return Expr("call", (a,), name)
 
 
 def _is_square(n: int) -> bool:
@@ -299,21 +318,38 @@ def _is_square(n: int) -> bool:
 
 
 def fold(e: Expr) -> Expr:
-    """Rebuild a tree bottom-up through the folding constructors."""
+    """Rebuild a DAG bottom-up through the folding constructors, once per
+    distinct node."""
+    out = e._fold
+    if out is None:
+        out = _fold(e)
+        # a node that folds to itself records True, not a cycle to itself
+        _set(e, "_fold", True if out is e else out)
+        return out
+    return e if out is True else out
+
+
+def _fold(e: Expr) -> Expr:
     if e.kind in ("rat", "pi", "sym"):
         return e
+    return rebuild(e, tuple(map(fold, e.args)))
+
+
+def rebuild(e: Expr, args: tuple) -> Expr:
+    """A node of e's kind and value over ``args``, through the folding
+    constructors."""
     if e.kind == "neg":
-        return neg(fold(e.args[0]))
+        return neg(args[0])
     if e.kind == "add":
-        return add(fold(e.args[0]), fold(e.args[1]))
+        return add(*args)
     if e.kind == "mul":
-        return mul(fold(e.args[0]), fold(e.args[1]))
+        return mul(*args)
     if e.kind == "div":
-        return div(fold(e.args[0]), fold(e.args[1]))
+        return div(*args)
     if e.kind == "pow":
-        return ipow(fold(e.args[0]), e.value)  # type: ignore[arg-type]
+        return ipow(args[0], e.value)  # type: ignore[arg-type]
     if e.kind == "call":
-        return func(e.value, fold(e.args[0]))  # type: ignore[arg-type]
+        return func(e.value, args[0])  # type: ignore[arg-type]
     raise ExprError(f"unknown node kind {e.kind!r}")
 
 
@@ -323,28 +359,15 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
         return bindings.get(e.value, e)  # type: ignore[arg-type]
     if e.kind in ("rat", "pi"):
         return e
-    args = tuple(substitute(a, bindings) for a in e.args)
-    if e.kind == "neg":
-        return neg(args[0])
-    if e.kind == "add":
-        return add(args[0], args[1])
-    if e.kind == "mul":
-        return mul(args[0], args[1])
-    if e.kind == "div":
-        return div(args[0], args[1])
-    if e.kind == "pow":
-        return ipow(args[0], e.value)  # type: ignore[arg-type]
-    if e.kind == "call":
-        return func(e.value, args[0])  # type: ignore[arg-type]
-    raise ExprError(f"unknown node kind {e.kind!r}")
+    return rebuild(e, tuple(substitute(a, bindings) for a in e.args))
 
 
 def free_symbols(e: Expr) -> frozenset:
-    if e.kind == "sym":
-        return frozenset((e.value,))
-    out: frozenset = frozenset()
-    for a in e.args:
-        out |= free_symbols(a)
+    out = e._free
+    if out is None:
+        out = frozenset((e.value,)) if e.kind == "sym" else frozenset().union(
+            *map(free_symbols, e.args))
+        _set(e, "_free", out)
     return out
 
 
@@ -438,7 +461,7 @@ class _Parser:
             if kind == "op" and payload in "+-":
                 self.next()
                 rhs = self.term()
-                e = _raw_add(e, _raw_neg(rhs) if payload == "-" else rhs)
+                e = Expr("add", (e, Expr("neg", (rhs,)) if payload == "-" else rhs))
             else:
                 return e
 
@@ -449,7 +472,7 @@ class _Parser:
             if kind == "op" and payload in "*/":
                 self.next()
                 rhs = self.factor()
-                e = _raw_mul(e, rhs) if payload == "*" else _raw_div(e, rhs)
+                e = Expr("mul" if payload == "*" else "div", (e, rhs))
             else:
                 return e
 
@@ -463,12 +486,12 @@ class _Parser:
             # fold a literal directly into a negative rational constant
             if inner.kind == "rat":
                 return rational(-rat_value(inner))
-            return _raw_neg(inner)
+            return Expr("neg", (inner,))
         e = self.atom()
         kind, payload, _ = self.peek()
         if kind == "op" and payload == "^":
             self.next()
-            e = _raw_pow(e, self.integer())
+            e = Expr("pow", (e,), self.integer())
         return e
 
     def integer(self) -> int:
@@ -504,7 +527,7 @@ class _Parser:
                 inner = self.expr()
                 self.expect_op(")")
                 self.depth -= 1
-                return _raw_call(payload, inner)
+                return Expr("call", (inner,), payload)
             return symbol(payload)
         if kind == "op" and payload == "(":
             self.descend(pos)
@@ -547,6 +570,14 @@ def _wrap(e: Expr, minimum: int) -> str:
 
 
 def to_text(e: Expr) -> str:
+    out = e._text
+    if out is None:
+        out = _to_text(e)
+        _set(e, "_text", out)
+    return out
+
+
+def _to_text(e: Expr) -> str:
     if e.kind == "rat":
         v = rat_value(e)
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"

@@ -32,7 +32,7 @@ import mpmath as mp
 from .expr import (
     Expr, ExprError, EvalError, ZERO, ONE,
     add, sub, mul, div, neg, ipow, func, rational,
-    eval_real, eval_complex, free_symbols, fold, is_zero,
+    eval_real, eval_complex, free_symbols, fold, is_zero, rebuild,
 )
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError,
@@ -279,31 +279,29 @@ class SimplifyOutcome:
 
 
 def _simplify_walk(e: Expr, accept) -> SimplifyOutcome:
-    """Bottom-up rewrite pass; ``accept(guards, base)`` may veto a collapse."""
+    """Bottom-up rewrite pass; ``accept(guards, base)`` may veto a collapse.
+
+    Each distinct node is rewritten once: a repeated subterm replays the
+    result, guards and branch count of its first visit."""
     guards: List[Tuple[AngleLocus, Expr]] = []
     branches = 0
+    seen: Dict[Expr, Tuple[Expr, List, int]] = {}
 
     def walk(x: Expr) -> Expr:
         nonlocal branches
         if x.kind in ("rat", "pi", "sym"):
             return x
-        rebuilt = tuple(walk(a) for a in x.args)
-        if x.kind == "neg":
-            out = neg(rebuilt[0])
-        elif x.kind == "add":
-            out = add(rebuilt[0], rebuilt[1])
-        elif x.kind == "mul":
-            out = mul(rebuilt[0], rebuilt[1])
-        elif x.kind == "div":
-            out = div(rebuilt[0], rebuilt[1])
-            if out.kind == "div":
-                folded = fold_const_denominator(out.args[0], out.args[1])
-                if folded is not None:
-                    out = folded
-        elif x.kind == "pow":
-            out = ipow(rebuilt[0], x.value)  # type: ignore[arg-type]
-        else:
-            out = func(x.value, rebuilt[0])  # type: ignore[arg-type]
+        if x in seen:
+            out, added, n = seen[x]
+            guards.extend(added)
+            branches += n
+            return out
+        start, start_branches = len(guards), branches
+        out = rebuild(x, tuple(walk(a) for a in x.args))
+        if x.kind == "div" and out.kind == "div":
+            folded = fold_const_denominator(out.args[0], out.args[1])
+            if folded is not None:
+                out = folded
         if out.kind == "call" and out.value in ("arccot", "arctan"):
             try:
                 hit = collapse_inverse_trig(out.value, out.args[0])
@@ -315,7 +313,8 @@ def _simplify_walk(e: Expr, accept) -> SimplifyOutcome:
                     guards.extend((locus, base) for locus in hit.guards)
                     if hit.branch:
                         branches += 1
-                    return hit.expr
+                    out = hit.expr
+        seen[x] = (out, guards[start:], branches - start_branches)
         return out
 
     result = collect_terms(walk(fold(e)))

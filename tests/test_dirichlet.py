@@ -1,6 +1,7 @@
 """Numeric layer: oracle values, tail-bound soundness, the series
 representations at odd integers, Hurwitz zeta, and identity groups."""
 
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -352,6 +353,28 @@ class TestZetaOdd:
         assert b.terms_used > a.terms_used
         with mp.workdps(60):
             assert abs(b.value - mp.zeta(3)) <= b.tail_bound
+
+    def test_stepped_harmonic_leaves_levels_unchanged(self, monkeypatch):
+        # the sweep steps H_2q from level to level.  One sweep to r = 60
+        # and sixty one-level extensions (each restarting from
+        # exact.harmonic) give the same levels, and their listing is the
+        # one the sweep gave when it called exact.harmonic(2q) per level
+        from trigsum import dirichlet
+        ctx = PrecisionContext.for_digits(30)
+        lines = []
+        for method in ("thm15", "thm17"):
+            monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
+            zeta_odd(60, method, ctx)
+            (whole,) = dirichlet._ZETA_ODD_LEVELS.values()
+            monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
+            stepped = [zeta_odd(r, method, ctx) for r in range(1, 61)]
+            assert list(whole) == stepped
+            lines += [f"{method} {r} {mp.nstr(a.value, 30)} "
+                      f"{mp.nstr(a.tail_bound, 3)} {a.terms_used}"
+                      for r, a in enumerate(whole, 1)]
+        assert lines[0] == "thm15 1 1.20205690315959428539959947455 1.75e-22 14"
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "c1e67d77d10548a4a5dc041e3ef8a779ccc5e7cfa6007fffe5efddc9b84c8421")
 
     @pytest.mark.parametrize("method", ZETA_ODD_METHODS)
     def test_terms_used_counts_each_residual_sum_once(self, method, monkeypatch):

@@ -1,14 +1,24 @@
-"""Expression grammar, printing round trips, and numeric evaluation."""
+"""Expression grammar, printing round trips, interning, and numeric
+evaluation."""
+
+import copy
+import gc
+import pickle
+import sys
+import threading
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trigsum import expr as expr_module
 from trigsum.expr import (
-    DomainError, Expr, FUNCTIONS, MAX_NESTING, PI, ParseError, UnboundSymbolError,
-    eval_complex, eval_real, fold, func, mul, neg,
+    DomainError, Expr, FUNCTIONS, MAX_NESTING, ONE, PI, ParseError,
+    UnboundSymbolError, ZERO, eval_complex, eval_real, fold, func, mul, neg,
     parse_expr, rational, symbol, to_text,
 )
+from trigsum.mapping import map_fourier
 
 
 class TestParse:
@@ -69,23 +79,25 @@ class TestParse:
 
 # canonical parser-image trees: rational leaves are non-negative (negative
 # literals live behind the factor-level sign fold) and neg never wraps a
-# bare rational
+# bare rational.  The trees are at most MAX_DEPTH levels deep, so at most
+# 2^MAX_DEPTH leaves, and they are drawn without filters: a filter retry
+# makes Hypothesis print the nested strategy, which grows with the depth
 _leaf = st.one_of(
     st.integers(0, 9).map(rational),
     st.fractions(min_value=0, max_value=5).map(rational),
     st.sampled_from("xyzbch").map(symbol),
     st.just(PI),
 )
+MAX_DEPTH = 6
 
 
 def _combine(children):
     return st.one_of(
         st.tuples(children, children).map(lambda ab: Expr("add", ab)),
         st.tuples(children, children).map(lambda ab: Expr("mul", ab)),
-        st.tuples(children, children).filter(
-            lambda ab: not (ab[1].kind == "rat" and ab[1].value == 0)).map(
-            lambda ab: Expr("div", ab)),
-        children.filter(lambda a: a.kind != "rat").map(lambda a: Expr("neg", (a,))),
+        st.tuples(children, children).map(
+            lambda ab: Expr("div", (ab[0], ONE if ab[1] is ZERO else ab[1]))),
+        children.map(lambda a: a if a.kind == "rat" else Expr("neg", (a,))),
         st.tuples(children, st.integers(-3, 5)).map(
             lambda an: Expr("pow", (an[0],), an[1])),
         st.tuples(st.sampled_from(FUNCTIONS), children).map(
@@ -93,7 +105,23 @@ def _combine(children):
     )
 
 
-_exprs = st.recursive(_leaf, _combine, max_leaves=25)
+def _trees(depth):
+    return _leaf if depth == 0 else st.one_of(_leaf, _combine(_trees(depth - 1)))
+
+
+_exprs = _trees(MAX_DEPTH)
+
+
+def _depth(e):
+    return 1 + max(map(_depth, e.args), default=0)
+
+
+def _fresh_copy(e):
+    """The same tree, built again bottom-up with new, equal Fractions."""
+    value = e.value
+    if e.kind == "rat":
+        value = Fraction(value.numerator, value.denominator)
+    return Expr(e.kind, tuple(_fresh_copy(a) for a in e.args), value)
 
 
 class TestRoundTrip:
@@ -102,14 +130,89 @@ class TestRoundTrip:
     @example(Expr("div", (rational(0), Expr("pow", (rational(0),), 0))))
     @settings(max_examples=300, deadline=None)
     def test_print_parse_identity(self, e):
-        assert parse_expr(to_text(e)) == e
+        assert _depth(e) <= MAX_DEPTH + 1
+        assert parse_expr(to_text(e)) is e
 
     def test_specific_shapes(self):
         for text in ["a - b + c", "a - (b + c)", "-(x*y)", "x^-2",
                      "(a + b)^3", "1/2/x", "2/x/3", "sqrt(3)*pi/9",
                      "arccot(tan(pi*x/(2*c)))"]:
             e = parse_expr(text)
-            assert parse_expr(to_text(e)) == e
+            assert parse_expr(to_text(e)) is e
+
+
+class TestInterning:
+    @given(_exprs)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_trees_are_one_node(self, e):
+        again = _fresh_copy(e)
+        assert again is e and hash(again) == hash(e)
+
+    def test_payload_type_is_part_of_the_key(self):
+        x = symbol("x")
+        nodes = [Expr("pow", (x,), v) for v in (Fraction(1), 1, True)]
+        assert len({id(n) for n in nodes}) == 3
+        assert rational(0) is ZERO and rational(3, 3) is ONE
+
+    def test_immutable(self):
+        e = parse_expr("x + 1")
+        with pytest.raises(AttributeError):
+            e.kind = "mul"
+        with pytest.raises(AttributeError):
+            del e.args
+
+    def test_copies_are_the_node(self):
+        e = parse_expr("sin(x)^2/(1 + cos(2*x))")
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_table_drops_dead_nodes(self):
+        e = parse_expr("sin(interning_probe_a + 1/7)^3*interning_probe_b")
+        gc.collect()
+        before = len(expr_module._INTERN)
+        del e
+        gc.collect()
+        assert len(expr_module._INTERN) <= before - 7
+
+    def test_threads_build_one_node(self):
+        # four threads build the same fresh trees at once; every node they
+        # return is the one node of its structure
+        texts = [f"sin(threads_probe_{k} + x)^2/(1 + cos(threads_probe_{k}*x))"
+                 for k in range(200)]
+        barrier = threading.Barrier(4, timeout=30)
+        built = [None] * 4
+
+        def build(i):
+            barrier.wait()
+            built[i] = [fold(parse_expr(t)) for t in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for other in built[1:]:
+            assert all(a is b for a, b in zip(built[0], other))
+        assert [to_text(e) for e in built[0]] == [to_text(fold(parse_expr(t))) for t in texts]
+
+    def test_map_fourier_folds_each_node_once(self, monkeypatch):
+        worked = []
+        worker = expr_module._fold
+
+        def counted(e):
+            worked.append(e)     # holds each node, so none is rebuilt
+            return worker(e)
+
+        monkeypatch.setattr(expr_module, "_fold", counted)
+        map_fourier(parse_expr("-ln(1-t)*t/(1+t^2)"), kind="sine")
+        assert len(worked) > 20
+        assert len(set(worked)) == len(worked)
 
 
 class TestEvalReal:
