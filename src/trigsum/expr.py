@@ -5,13 +5,17 @@ negation, sums, products, quotients, integer powers and a fixed set of
 function heads.  Expressions form a hash-consed DAG: each node is interned
 on (kind, args, value), so structurally equal expressions are one object,
 equality is identity and a shared subterm is stored once.  Nodes are
-immutable and keep their hash and, once asked, their ``fold``, ``to_text``
-and ``free_symbols`` results, so each costs one visit per distinct node.
-Parsing inverts printing: ``parse_expr(to_text(e)) is e``.  The intern table
-is an implementation detail that callers never see; it holds nodes weakly.
-A hit takes no lock and a miss inserts under one after looking again, so
-threads building equal expressions get one node; a memo slot only ever
-receives the value every thread would compute.
+immutable, hash by identity (which is what ``==`` means) and keep, once
+asked, their ``fold``, ``to_text`` and ``free_symbols`` results, so each
+costs one visit per distinct node.  Parsing inverts printing:
+``parse_expr(to_text(e)) is e``.  The intern table is an implementation
+detail that callers never see: a plain dict from key to a weak reference to
+the node.  A hit takes no lock and a miss inserts under one after looking
+again, so threads building equal expressions get one node.  A dead node's
+reference callback removes its key without the lock (a node can die in a
+thread that holds it), and only while the key still maps to a dead
+reference, in one atomic step, so it never evicts a newer live node.  A
+memo slot only ever receives the value every thread would compute.
 
 Numeric evaluation is done with mpmath at an explicitly requested decimal
 precision; precision is never ambient state.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -101,9 +106,21 @@ class UnboundSymbolError(EvalError):
     pass
 
 
-_INTERN: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """The intern table's weak reference to a node, carrying the node's key."""
+    __slots__ = ("key",)
+
+
+_INTERN: "dict[tuple, _Ref]" = {}
 _INTERN_LOCK = threading.Lock()
 _set = object.__setattr__
+
+
+def _forget(ref: _Ref, drop=_remove_dead_weakref, table=_INTERN) -> None:
+    # deletes ref's key only if it still maps to a dead reference, as one C
+    # call, so a newer live node under the key stays; the names are bound
+    # here so that the callback still works while the interpreter shuts down
+    drop(table, ref.key)
 
 
 class Expr:
@@ -114,32 +131,33 @@ class Expr:
     "sym", the integer exponent of "pow" or the function name of "call".
     ``Expr(kind, args, value)`` returns the one node with that structure
     (keyed with the value's type, so Fraction(1), 1 and True differ);
-    ``==`` is object identity, inherited from object.
+    ``==`` and ``hash`` are object identity, inherited from object.
     """
 
-    __slots__ = ("kind", "args", "value", "_hash", "_fold", "_text", "_free",
+    __slots__ = ("kind", "args", "value", "_fold", "_text", "_free", "_split",
                  "__weakref__")
 
     def __new__(cls, kind: str, args: tuple = (), value: object = None):
         key = (kind, args, type(value), value)
-        node = _INTERN.get(key)
+        ref = _INTERN.get(key)
+        node = None if ref is None else ref()
         if node is None:
             with _INTERN_LOCK:
-                node = _INTERN.get(key)
+                ref = _INTERN.get(key)
+                node = None if ref is None else ref()
                 if node is None:
                     node = object.__new__(cls)
                     _set(node, "kind", kind)
                     _set(node, "args", args)
                     _set(node, "value", value)
-                    _set(node, "_hash", hash((kind, args, value)))
                     _set(node, "_fold", None)
                     _set(node, "_text", None)
                     _set(node, "_free", None)
-                    _INTERN[key] = node
+                    _set(node, "_split", None)   # trigpoly.split_rational's memo
+                    ref = _Ref(node, _forget)
+                    ref.key = key
+                    _INTERN[key] = ref
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")

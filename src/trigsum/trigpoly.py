@@ -350,11 +350,15 @@ def split_rational(e: Expr) -> Tuple[Fraction, Tuple[Tuple[str, int], ...]]:
     """Split a product tree into (rational coefficient, canonical factor key).
 
     The key is a sorted tuple of (printed factor, exponent) for the
-    non-rational atoms; pi is just another atom here.
+    non-rational atoms; pi is just another atom here.  The result is kept
+    on the node, as ``fold``'s is.
     """
-    coeff, factors = _flatten_product(e)
-    key = tuple(sorted((k, v[1]) for k, v in factors.items() if v[1] != 0))
-    return coeff, key
+    out = e._split
+    if out is None:
+        coeff, factors = _flatten_product(e)
+        out = coeff, tuple(sorted((k, v[1]) for k, v in factors.items() if v[1] != 0))
+        object.__setattr__(e, "_split", out)
+    return out
 
 
 def _rebuild_from_key(coeff: Fraction,
@@ -374,8 +378,12 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
     None when the arguments do not share one symbolic part.
     """
     args: List[Tuple[Fraction, Tuple, Expr]] = []
+    seen = set()
 
     def walk(x: Expr):
+        if x in seen:
+            return
+        seen.add(x)
         if x.kind == "call" and x.value in ("sin", "cos"):
             rho, key = split_rational(x.args[0])
             args.append((rho, key, x.args[0]))
@@ -402,31 +410,50 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
     return g, key0, base_expr
 
 
+_MISS = object()
+
+
+def _memoized(worker, *extra):
+    """One call's walk over a DAG: ``worker(node, recurse, *extra)`` runs once
+    per distinct node, and ``recurse(child)`` answers from this call's memo.
+    The answers are shared, so callers only read them."""
+    memo: Dict[Expr, object] = {}
+
+    def recurse(x: Expr):
+        out = memo.get(x, _MISS)
+        if out is _MISS:
+            out = memo[x] = worker(x, recurse, *extra)
+        return out
+    return recurse
+
+
 def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: Tuple) -> Optional[TPoly]:
     """Extract ``e`` as a TPoly in the base angle, or None if unsupported."""
+    return _memoized(_tpoly, base_ratio, base_key)(e)
+
+
+def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: Tuple) -> Optional[TPoly]:
+    """One node of ``tpoly_from_expr``, its children through ``extract``."""
     if e.kind == "rat":
         v = rat_value(e)
         return TPoly.const(K3(v.numerator, 0, v.denominator))
     if e.kind == "neg":
-        inner = tpoly_from_expr(e.args[0], base_ratio, base_key)
+        inner = extract(e.args[0])
         return None if inner is None else -inner
     if e.kind == "add":
-        a = tpoly_from_expr(e.args[0], base_ratio, base_key)
-        b = tpoly_from_expr(e.args[1], base_ratio, base_key)
+        a, b = extract(e.args[0]), extract(e.args[1])
         return None if a is None or b is None else a + b
     if e.kind == "mul":
-        a = tpoly_from_expr(e.args[0], base_ratio, base_key)
-        b = tpoly_from_expr(e.args[1], base_ratio, base_key)
+        a, b = extract(e.args[0]), extract(e.args[1])
         return None if a is None or b is None else a * b
     if e.kind == "div":
-        a = tpoly_from_expr(e.args[0], base_ratio, base_key)
-        b = tpoly_from_expr(e.args[1], base_ratio, base_key)
+        a, b = extract(e.args[0]), extract(e.args[1])
         if a is None or b is None or not b.is_const() or b.const_value().is_zero():
             return None
         return a * TPoly.const(b.const_value().inv())
     if e.kind == "pow":
         n = e.value
-        base = tpoly_from_expr(e.args[0], base_ratio, base_key)
+        base = extract(e.args[0])
         if base is None:
             return None
         if n < 0:
@@ -601,8 +628,8 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
         base_ratio, base_key, base_expr = Fraction(1), (), ONE
     else:
         base_ratio, base_key, base_expr = found
-    N = tpoly_from_expr(num_e, base_ratio, base_key)
-    D = tpoly_from_expr(den_e, base_ratio, base_key)
+    extract = _memoized(_tpoly, base_ratio, base_key)
+    N, D = extract(num_e), extract(den_e)
     if N is None or D is None:
         return None
 
@@ -712,21 +739,23 @@ def _merge_factors(a: Dict[str, Tuple[Expr, int]],
     return out
 
 
-def _expand(e: Expr) -> List[_Term]:
-    """Multilinear expansion of ``e`` as a list of (coefficient, factors)."""
+def _expand(e: Expr, expand) -> List[_Term]:
+    """Multilinear expansion of ``e`` as a list of (coefficient, factors),
+    its children through ``expand``; no term list or factor dict is
+    changed after it is built."""
     if e.kind == "rat":
         return [(rat_value(e), {})]
     if e.kind == "neg":
-        return [(-c, f) for c, f in _expand(e.args[0])]
+        return [(-c, f) for c, f in expand(e.args[0])]
     if e.kind == "add":
-        return _expand(e.args[0]) + _expand(e.args[1])
+        return expand(e.args[0]) + expand(e.args[1])
     if e.kind == "mul":
-        left, right = _expand(e.args[0]), _expand(e.args[1])
+        left, right = expand(e.args[0]), expand(e.args[1])
         return [(cl * cr, _merge_factors(fl, fr))
                 for cl, fl in left for cr, fr in right]
     if e.kind == "div":
-        num = _expand(e.args[0])
-        den = _expand(e.args[1])
+        num = expand(e.args[0])
+        den = expand(e.args[1])
         if len(den) == 1:
             cd, fd = den[0]
             if cd == 0:
@@ -739,12 +768,12 @@ def _expand(e: Expr) -> List[_Term]:
         n = e.value
         if 0 <= n <= _EXPAND_POW_LIMIT:
             out: List[_Term] = [(Fraction(1), {})]
-            base = _expand(e.args[0])
+            base = expand(e.args[0])
             for _ in range(n):
                 out = [(c1 * c2, _merge_factors(f1, f2))
                        for c1, f1 in out for c2, f2 in base]
             return out
-        base = _expand(e.args[0])
+        base = expand(e.args[0])
         if len(base) == 1:
             c0, f0 = base[0]
             return [(c0 ** n, {k: (a, x * n) for k, (a, x) in f0.items()})]
@@ -785,7 +814,7 @@ def collect_terms(e: Expr) -> Expr:
     atoms: Dict[str, Expr] = {}
 
     raw: List[_Term] = []
-    for coeff, factors in _expand(e):
+    for coeff, factors in _memoized(_expand)(e):
         raw.extend(_reduce_sin_squares(coeff, factors))
 
     for coeff, factors in raw:

@@ -315,6 +315,21 @@ def test_suite_rows_independent_of_blas_threads():
     assert one.stdout == two.stdout and one.stdout.count("\n") == 57
 
 
+@pytest.mark.parametrize("argv", [
+    ("map", "fourier", "--sum=-ln(1-t)*t/(1+t^2)", "--kind", "sin", "--c", "pi",
+     "--format", "json"),
+    ("map", "cospow", "--sum=-ln(1-t) + t/(1-t)^2", "--kind", "cos"),
+    ("operator", "apply", "--kind", "sin", "--expr", "arccot(x)*ln(x)/sin(x)^2",
+     "--arg", "x", "--shift", "h", "--format", "json"),
+], ids=["map-fourier", "map-cospow", "operator-apply"])
+def test_stdout_independent_of_hash_seed(argv):
+    # expression nodes hash by identity and strings by a per-process seed,
+    # so any output that followed set or hash order would differ here
+    runs = [run_fresh(*argv, env={"PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != ""
+
+
 class TestFreshProcessErrors:
     """Each command imports its own modules, and the errors that map to exit
     2 are imported only when one is raised: a new process still exits 2."""

@@ -174,6 +174,20 @@ class TestInterning:
         gc.collect()
         assert len(expr_module._INTERN) <= before - 7
 
+    def test_stale_callback_keeps_the_live_node(self):
+        # a dead node's callback that runs after its key was taken by a newer
+        # node of the same structure must leave the newer node in the table
+        e = parse_expr("stale_probe_a*sin(stale_probe_b)")
+        ref = next(r for r in list(expr_module._INTERN.values()) if r() is e)
+        callback, args = ref.__callback__, e.args
+        del e
+        gc.collect()
+        assert ref() is None
+        again = Expr("mul", args)
+        callback(ref)
+        assert Expr("mul", args) is again
+        assert parse_expr("stale_probe_a*sin(stale_probe_b)") is again
+
     def test_threads_build_one_node(self):
         # four threads build the same fresh trees at once; every node they
         # return is the one node of its structure
@@ -200,6 +214,38 @@ class TestInterning:
         for other in built[1:]:
             assert all(a is b for a, b in zip(built[0], other))
         assert [to_text(e) for e in built[0]] == [to_text(fold(parse_expr(t))) for t in texts]
+
+    def test_threads_dropping_nodes_keep_one_node(self):
+        # four threads build and drop the same trees at once, so dead nodes'
+        # callbacks run while other threads insert the same keys; a node a
+        # thread holds must stay the one node of its structure
+        texts = [f"cos(dropping_probe_{k}*x) + sin(x)/{k + 2}" for k in range(40)]
+        barrier = threading.Barrier(4, timeout=30)
+        mismatches = [0] * 4
+
+        def churn(i):
+            barrier.wait()
+            for _ in range(80):
+                held, stack = [], [parse_expr(t) for t in texts]
+                while stack:
+                    node = stack.pop()
+                    held.append(node)
+                    stack.extend(node.args)
+                mismatches[i] += sum(Expr(n.kind, n.args, n.value) is not n for n in held)
+                del held
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == [0] * 4
 
     def test_map_fourier_folds_each_node_once(self, monkeypatch):
         worked = []

@@ -9,9 +9,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum.expr import parse_expr, to_text
+from trigsum import trigpoly
+from trigsum.expr import Expr, func, parse_expr, symbol, to_text
+from trigsum.mapping import map_cospow, map_fourier
 from trigsum.trigpoly import (K3, AngleLocus, _ARCCOT_CONSTS, _ARCTAN_CONSTS,
-                              _kgcd, _rational_roots, collapse_inverse_trig)
+                              _kgcd, _rational_roots, collapse_inverse_trig,
+                              find_trig_base)
 
 F = Fraction
 SMALL = st.integers(-20, 20)
@@ -231,3 +234,39 @@ class TestCollapse:
         assert collapse_inverse_trig("arctan", parse_expr("sin(x)/(3*cos(x))")) is None
         assert collapse_inverse_trig("arctan", parse_expr("0")) is None
         assert to_text(collapse_inverse_trig("arccot", parse_expr("0")).expr) == "1/2*pi"
+
+
+class TestWalksOncePerNode:
+    """Each walk over a DAG works on a distinct node at most once per call."""
+
+    @pytest.mark.parametrize("request_", [
+        lambda: map_fourier(parse_expr("-ln(1-t)*t/(1+t^2)"), kind="sine"),
+        lambda: map_cospow(parse_expr("t/(1-t)^2 + arctan(t)"), kind="cos"),
+    ], ids=["map_fourier", "map_cospow"])
+    def test_map_request(self, monkeypatch, request_):
+        worked = {"_expand": [], "_tpoly": []}
+        for name, visits in worked.items():
+            def counted(e, recurse, *extra, worker=getattr(trigpoly, name),
+                        visits=visits):
+                visits.append((recurse, e))   # holds both, so no id is reused
+                return worker(e, recurse, *extra)
+            monkeypatch.setattr(trigpoly, name, counted)
+        request_()
+        for visits in worked.values():
+            assert len(visits) > 20
+            assert len(set(visits)) == len(visits)
+
+    def test_find_trig_base_splits_a_shared_argument_once(self, monkeypatch):
+        e = func("sin", symbol("x"))
+        for _ in range(20):
+            e = Expr("add", (e, e))
+        split = []
+        worker = trigpoly.split_rational
+
+        def counted(x):
+            split.append(x)
+            return worker(x)
+
+        monkeypatch.setattr(trigpoly, "split_rational", counted)
+        assert find_trig_base(e) == (F(1), (("x", 1),), symbol("x"))
+        assert split == [symbol("x")]
