@@ -19,7 +19,8 @@ import mpmath as mp
 from . import exact
 from .dirichlet import (PrecisionContext, ZETA_ODD_METHODS, dirichlet_oracle,
                         identity_checks, zeta_odd)
-from .expr import PI, eval_real, func, parse_expr, symbol
+from .evaluate import eval_real
+from .expr import PI, func, parse_expr, symbol
 from .mapping import detect_singularities, map_cospow, map_fourier
 from .operators import apply_operator, complex_shift_oracle, verify_inverse_system
 from .registry import (closed_form_eval, corollary2_integrate, get_record,

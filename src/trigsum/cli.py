@@ -4,6 +4,12 @@ Everything is an explicit flag; there is no configuration file and no
 environment lookup, so identical invocations produce byte-identical
 output.  Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or precision-refusal errors.
+
+This module imports only the standard library when it loads, and the
+parser is built from names alone.  Each command imports the modules it
+runs, after its flag checks, so that a fresh call loads no more than that
+(`exact`, `operator` and `map` load no mpmath).  An unknown `--method` or
+`--series` is refused by the library, which lists the accepted names.
 """
 
 from __future__ import annotations
@@ -16,25 +22,17 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-import mpmath as mp
-
-# Only what build_parser needs is imported here; each command imports the
-# modules it runs, so that a call loads no more than that (numpy, for one,
-# only with grid verification).
-from . import exact
-from .dirichlet import (ORACLE_SERIES, PrecisionContext, PrecisionError,
-                        ZETA_ODD_METHODS, dirichlet_oracle, zeta_odd)
-
+# `exact` value name -> the trigsum.exact function that computes it
 _EXACT_FUNCS = {
-    "zeta-even": exact.zeta_even,
-    "eta-even": exact.eta_even,
-    "lambda-even": exact.lambda_even,
-    "beta-odd": exact.beta_odd,
-    "frakd": exact.frakD,
-    "cald": exact.calD,
-    "bernoulli-star": exact.bernoulli_star,
-    "euler-number": exact.euler_number,
-    "harmonic": exact.harmonic,
+    "zeta-even": "zeta_even",
+    "eta-even": "eta_even",
+    "lambda-even": "lambda_even",
+    "beta-odd": "beta_odd",
+    "frakd": "frakD",
+    "cald": "calD",
+    "bernoulli-star": "bernoulli_star",
+    "euler-number": "euler_number",
+    "harmonic": "harmonic",
 }
 
 
@@ -72,11 +70,12 @@ def _check_at_most(flag: str, value: int, limit: int, what: str = "") -> None:
 
 
 def _cmd_exact(args) -> int:
+    from . import exact
     if args.value == "harmonic":
         _check_at_most("--n", args.n, MAX_HARMONIC_N, " for harmonic")
     else:
         _check_at_most("--n", args.n, MAX_N)
-    value = _EXACT_FUNCS[args.value](args.n)
+    value = getattr(exact, _EXACT_FUNCS[args.value])(args.n)
     # exact values can pass Python's 4300-digit limit on int -> str; the
     # limit is lifted for the write only (it is absent before 3.10.7)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -91,9 +90,10 @@ def _cmd_exact(args) -> int:
 
 
 def _write_exact(value, fmt: str) -> None:
+    from .exact import PiPolynomial
     if fmt == "text":
         print(value)
-    elif isinstance(value, exact.PiPolynomial):
+    elif isinstance(value, PiPolynomial):
         print(value.to_json())
     elif isinstance(value, Fraction):
         print(json.dumps({"num": str(value.numerator),
@@ -152,13 +152,18 @@ def _cmd_map(args) -> int:
 def _cmd_zeta_odd(args) -> int:
     _check_at_most("--r", args.r, MAX_ZETA_R)
     _check_at_most("--digits", args.digits, MAX_DIGITS)
+    from .dirichlet import PrecisionContext, zeta_odd
     ctx = PrecisionContext.for_digits(args.digits + 10)
     approx = zeta_odd(args.r, args.method, ctx)
     return _write_approx(approx, args, {"r": args.r, "method": args.method})
 
 
 def _cmd_oracle(args) -> int:
+    if args.a is not None and args.series != "hurwitz":
+        raise ValueError(f"--a applies only to --series hurwitz, "
+                         f"got --series {args.series}")
     _check_at_most("--digits", args.digits, MAX_DIGITS)
+    from .dirichlet import PrecisionContext, dirichlet_oracle
     ctx = PrecisionContext.for_digits(args.digits + 10)
     a = _fraction_flag("--a", args.a) if args.a else None
     approx = dirichlet_oracle(args.series, args.s, ctx, a=a)
@@ -167,6 +172,7 @@ def _cmd_oracle(args) -> int:
 
 def _write_approx(approx, args, head: dict) -> int:
     """A series value to --digits, with its tail bound and term count in JSON."""
+    import mpmath as mp
     with mp.workdps(args.digits + 10):
         value_txt = mp.nstr(approx.value, args.digits)
         bound_txt = mp.nstr(approx.tail_bound, 3)
@@ -318,14 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta-odd", help="zeta at odd integers via the "
                                         "fast-converging representations")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--method", choices=ZETA_ODD_METHODS, default="thm15-zeta")
+    p.add_argument("--method", default="thm15-zeta",
+                   help="series representation (default %(default)s); an "
+                        "unknown name is refused with the accepted ones listed")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_zeta_odd)
 
     p = sub.add_parser("oracle", help="brute-force Dirichlet series reference")
-    p.add_argument("--series", choices=sorted(set(ORACLE_SERIES) | {"hurwitz"}),
-                   required=True)
+    p.add_argument("--series", required=True,
+                   help="Dirichlet series, such as zeta or hurwitz; an unknown "
+                        "name is refused with the accepted ones listed")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--a", default=None, help="offset for hurwitz, e.g. 1/3")
     p.add_argument("--digits", type=int, default=30)
@@ -370,11 +379,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _usage_errors() -> tuple:
-    """The library errors that end a command with exit 2.  They are imported
-    once one is raised, so that no command loads a module for them."""
-    from .expr import ExprError  # covers ParseError, MappingError, UnsupportedHeadError
-    from .registry import RegistryError
-    return (PrecisionError, ExprError, RegistryError, ValueError)
+    """The library errors that end a command with exit 2, taken only from
+    modules already loaded: an error of a module that was never loaded
+    cannot have been raised.  PrecisionError is a ValueError."""
+    errors = [ValueError]
+    # ExprError covers ParseError, MappingError and UnsupportedHeadError
+    for module, name in (("expr", "ExprError"), ("registry", "RegistryError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 if __name__ == "__main__":

@@ -350,7 +350,8 @@ def dirichlet_oracle(series: str | PeriodicPattern, s: int,
             return SeriesApprox(+val, +bound, n)
         pattern = ORACLE_SERIES.get(series)
         if pattern is None:
-            raise ValueError(f"unknown series {series!r}")
+            names = ", ".join(sorted({*ORACLE_SERIES, "hurwitz"}))
+            raise ValueError(f"unknown series {series!r}; expected one of {names}")
         if series in ("zeta", "lambda") and s < 2:
             raise PrecisionError(f"{series} diverges at s = {s}")
         return _pattern_value(pattern, s, ctx)
@@ -427,7 +428,8 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
     if r < 1:
         raise ValueError("r must be >= 1")
     if method not in ZETA_ODD_METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}; expected one of "
+                         f"{', '.join(ZETA_ODD_METHODS)}")
     ctx = ctx or PrecisionContext.for_digits(40)
     m = 2 if method.startswith("thm15") else 3
     key = (m, ctx.digits, ctx.target)

@@ -17,9 +17,7 @@ import threading
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
-from typing import Dict, List, Tuple
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 __all__ = [
     "ExactRational",
@@ -34,6 +32,9 @@ __all__ = [
     "frakD",
     "calD",
 ]
+
+if TYPE_CHECKING:  # PiPolynomial.eval imports it itself
+    import mpmath as mp
 
 # Arbitrary-precision rational in canonical form (gcd 1, positive denominator);
 # fractions.Fraction guarantees both invariants.
@@ -114,6 +115,7 @@ class PiPolynomial:
         return not self.coeffs
 
     def eval(self, digits: int = 30) -> mp.mpf:
+        import mpmath as mp
         with mp.workdps(digits):
             pi = +mp.pi
             total = mp.mpf(0)

@@ -17,8 +17,10 @@ thread that holds it), and only while the key still maps to a dead
 reference, in one atomic step, so it never evicts a newer live node.  A
 memo slot only ever receives the value every thread would compute.
 
-Numeric evaluation is done with mpmath at an explicitly requested decimal
-precision; precision is never ambient state.
+Numeric evaluation lives in ``trigsum.evaluate``, the module that imports
+mpmath; ``eval_real``, ``eval_complex`` and ``ComplexVal`` resolve from it
+on first use (PEP 562), so that building, parsing and printing expressions
+never load mpmath.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from fractions import Fraction
-from typing import Callable, Mapping, Union
-
-import mpmath as mp
+from typing import Mapping, Union
 
 __all__ = [
     "Expr",
@@ -70,11 +70,6 @@ FUNCTIONS = (
     "exp", "ln", "sin", "cos", "tan", "cot", "sec", "csc",
     "sinh", "cosh", "tanh", "arctan", "arccot", "artanh", "arcoth", "sqrt",
 )
-
-# mpmath.mpc plays the role of a complex value with configurable-precision
-# real and imaginary parts (.real / .imag).
-ComplexVal = mp.mpc
-
 
 class ExprError(Exception):
     pass
@@ -634,169 +629,15 @@ def _to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation
+# numeric evaluation, loaded with mpmath on first use
 
-def _arccot_real(x):
-    return mp.pi / 2 - mp.atan(x)
-
-
-_REAL_FUNCS: dict[str, Callable] = {
-    "exp": mp.exp, "sin": mp.sin, "cos": mp.cos, "tan": mp.tan,
-    "cot": mp.cot, "sec": mp.sec, "csc": mp.csc,
-    "sinh": mp.sinh, "cosh": mp.cosh, "tanh": mp.tanh,
-    "arctan": mp.atan, "arccot": _arccot_real,
-}
+_EVALUATE = ("eval_real", "eval_complex", "ComplexVal")
 
 
-def eval_real(e: Expr, bindings: Mapping[str, object] | None = None,
-              digits: int = 30) -> mp.mpf:
-    """Evaluate on the reals at the requested decimal precision.
-
-    arccot has range (0, pi): arccot(t) = pi/2 - arctan(t), so that
-    arccot(-t) = pi - arccot(t).
-    """
-    bindings = bindings or {}
-    with mp.workdps(digits):
-        vals = {k: mp.mpf(v) if not isinstance(v, mp.mpf) else v
-                for k, v in bindings.items()}
-        return +_eval_real(e, vals)
-
-
-def _eval_real(e: Expr, vals: Mapping[str, mp.mpf]) -> mp.mpf:
-    if e.kind == "rat":
-        v = rat_value(e)
-        return mp.mpf(v.numerator) / v.denominator
-    if e.kind == "pi":
-        return +mp.pi
-    if e.kind == "sym":
-        try:
-            return vals[e.value]  # type: ignore[index]
-        except KeyError:
-            raise UnboundSymbolError(f"unbound symbol {e.value!r}") from None
-    if e.kind == "neg":
-        return -_eval_real(e.args[0], vals)
-    if e.kind == "add":
-        return _eval_real(e.args[0], vals) + _eval_real(e.args[1], vals)
-    if e.kind == "mul":
-        return _eval_real(e.args[0], vals) * _eval_real(e.args[1], vals)
-    if e.kind == "div":
-        den = _eval_real(e.args[1], vals)
-        if den == 0:
-            raise PoleError("division by zero")
-        return _eval_real(e.args[0], vals) / den
-    if e.kind == "pow":
-        base = _eval_real(e.args[0], vals)
-        n = e.value
-        if base == 0 and n < 0:
-            raise PoleError("zero base with negative exponent")
-        return base ** n
-    if e.kind == "call":
-        x = _eval_real(e.args[0], vals)
-        name = e.value
-        if name == "ln":
-            if x <= 0:
-                raise DomainError("ln of a non-positive value")
-            return mp.ln(x)
-        if name == "sqrt":
-            if x < 0:
-                raise DomainError("sqrt of a negative value")
-            return mp.sqrt(x)
-        if name == "artanh":
-            if abs(x) >= 1:
-                raise DomainError("artanh outside (-1, 1)")
-            return mp.atanh(x)
-        if name == "arcoth":
-            if abs(x) <= 1:
-                raise DomainError("arcoth inside [-1, 1]")
-            return mp.acoth(x)
-        fn = _REAL_FUNCS.get(name)  # type: ignore[arg-type]
-        if fn is None:
-            raise EvalError(f"no real evaluator for {name!r}")
-        try:
-            return fn(x)
-        except ZeroDivisionError:
-            raise PoleError(f"{name} pole hit") from None
-    raise ExprError(f"unknown node kind {e.kind!r}")
-
-
-def eval_complex(e: Expr, bindings: Mapping[str, object] | None = None,
-                 digits: int = 30) -> mp.mpc:
-    """Principal-branch complex evaluation; ln has Im in (-pi, pi].
-
-    Poles raise PoleError; points exactly on a branch cut raise
-    BranchCutError rather than picking a side silently.
-    """
-    bindings = bindings or {}
-    with mp.workdps(digits):
-        vals = {k: mp.mpc(v) for k, v in bindings.items()}
-        return +_eval_complex(e, vals)
-
-
-def _eval_complex(e: Expr, vals: Mapping[str, mp.mpc]) -> mp.mpc:
-    if e.kind == "rat":
-        v = rat_value(e)
-        return mp.mpc(mp.mpf(v.numerator) / v.denominator)
-    if e.kind == "pi":
-        return mp.mpc(mp.pi)
-    if e.kind == "sym":
-        try:
-            return vals[e.value]  # type: ignore[index]
-        except KeyError:
-            raise UnboundSymbolError(f"unbound symbol {e.value!r}") from None
-    if e.kind == "neg":
-        return -_eval_complex(e.args[0], vals)
-    if e.kind == "add":
-        return _eval_complex(e.args[0], vals) + _eval_complex(e.args[1], vals)
-    if e.kind == "mul":
-        return _eval_complex(e.args[0], vals) * _eval_complex(e.args[1], vals)
-    if e.kind == "div":
-        den = _eval_complex(e.args[1], vals)
-        if den == 0:
-            raise PoleError("division by zero")
-        return _eval_complex(e.args[0], vals) / den
-    if e.kind == "pow":
-        base = _eval_complex(e.args[0], vals)
-        n = e.value
-        if base == 0 and n < 0:
-            raise PoleError("zero base with negative exponent")
-        return base ** n
-    if e.kind == "call":
-        z = _eval_complex(e.args[0], vals)
-        name = e.value
-        if name == "ln":
-            if z == 0:
-                raise PoleError("ln(0)")
-            return mp.log(z)
-        if name == "sqrt":
-            return mp.sqrt(z)
-        if name == "exp":
-            return mp.exp(z)
-        if name in ("sin", "cos", "sinh", "cosh"):
-            return getattr(mp, name)(z)
-        if name in ("tan", "cot", "sec", "csc"):
-            try:
-                return getattr(mp, name)(z)
-            except ZeroDivisionError:
-                raise PoleError(f"{name} pole hit") from None
-        if name == "arctan":
-            if z.real == 0 and abs(z.imag) >= 1:
-                raise BranchCutError("arctan on its branch cut")
-            return mp.atan(z)
-        if name == "arccot":
-            if z.real == 0 and abs(z.imag) >= 1:
-                raise BranchCutError("arccot on its branch cut")
-            return mp.pi / 2 - mp.atan(z)
-        if name == "artanh":
-            if z.imag == 0 and abs(z.real) >= 1:
-                raise BranchCutError("artanh on its branch cut")
-            return mp.atanh(z)
-        if name == "arcoth":
-            if z.imag == 0 and abs(z.real) <= 1:
-                raise BranchCutError("arcoth on its branch cut")
-            return mp.acoth(z)
-        if name == "tanh":
-            try:
-                return mp.tanh(z)
-            except ZeroDivisionError:
-                raise PoleError("tanh pole hit") from None
-    raise ExprError(f"unknown node kind {e.kind!r}")
+def __getattr__(name):
+    if name not in _EVALUATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluate
+    value = getattr(evaluate, name)
+    globals()[name] = value
+    return value

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import mpmath as mp
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .expr import (
     Expr, ExprError, EvalError, PI, ZERO,
-    add, mul, div, func, rational, symbol, substitute, fold, eval_real,
+    add, mul, div, func, rational, symbol, substitute, fold,
 )
 from .operators import apply_operator, simplify_collect
 from .trigpoly import collect_terms
@@ -29,6 +27,9 @@ from .trigpoly import (
     AngleLocus, UnsolvableLocusError, split_rational, find_trig_base,
     tpoly_from_expr, polynomial_in, _common_zero_loci,
 )
+
+if TYPE_CHECKING:  # the functions that compute numbers import it themselves
+    import mpmath as mp
 
 __all__ = [
     "TrigSeriesResult",
@@ -248,6 +249,8 @@ class IntegralStepForm:
     integral_symbolic: Optional[Expr]  # exact (pi/c) * antiderivative, if polynomial
 
     def eval(self, x, digits: int = 25) -> mp.mpf:
+        import mpmath as mp
+        from .evaluate import eval_real
         with mp.workdps(digits):
             xm = mp.mpf(x)
             cval = mp.mpf(self.c_value.numerator) / self.c_value.denominator
@@ -265,6 +268,8 @@ class IntegralStepForm:
 def _safe_integrand(e: Expr, var: str, digits: int, extra=None):
     """Integrand wrapper tolerating integrable endpoint singularities: nodes
     that land exactly on a log singularity contribute 0."""
+    import mpmath as mp
+    from .evaluate import eval_real
     extra = extra or {}
 
     def f(t):
@@ -293,6 +298,8 @@ def _check_integrable(S: Expr, digits: int) -> None:
     explosion between 1e-3 and 1e-6 distances) or an interior pole is a
     precondition failure.  Integrable log-type endpoint singularities pass.
     """
+    import mpmath as mp
+    from .evaluate import eval_real
     with mp.workdps(digits):
         def sample(t):
             return eval_real(S, {"t": mp.mpf(t)}, digits)
@@ -326,6 +333,7 @@ def integral_step(S: Expr, c: Expr | Fraction = Fraction(1),
     shift pi x/c.  Polynomial images integrate symbolically; everything
     else uses adaptive quadrature at the requested precision.
     """
+    import mpmath as mp
     c_frac = c if isinstance(c, Fraction) else None
     if c_frac is None:
         if isinstance(c, Expr) and c.kind == "rat":

@@ -25,19 +25,20 @@ every rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .expr import (
     Expr, ExprError, EvalError, ZERO, ONE,
     add, sub, mul, div, neg, ipow, func, rational,
-    eval_real, eval_complex, free_symbols, fold, is_zero, rebuild,
+    free_symbols, fold, is_zero, rebuild,
 )
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError,
     collapse_inverse_trig, collect_terms, fold_const_denominator,
 )
+
+if TYPE_CHECKING:  # the functions that compute numbers import it themselves
+    import mpmath as mp
 
 __all__ = [
     "OperatorPair",
@@ -225,6 +226,8 @@ def _quotient_pair(uv: Tuple[Expr, Expr], wv: Tuple[Expr, Expr]) -> Tuple[Expr, 
 def complex_shift_oracle(e: Expr, x, h, digits: int = 30,
                          var: str = "x") -> Tuple[mp.mpf, mp.mpf]:
     """Ground truth for apply_operator: (Re, Im) of e evaluated at x + i h."""
+    import mpmath as mp
+    from .evaluate import eval_complex
     with mp.workdps(digits):
         z = mp.mpc(mp.mpf(x), mp.mpf(h))
         val = eval_complex(e, {var: z}, digits)
@@ -244,6 +247,7 @@ def verify_inverse_system(g: Expr, pair: OperatorPair,
     at every sample (x, h).  Raises EvalError (annotated with the failing
     sample) if evaluation breaks down.
     """
+    from .evaluate import eval_real
     gx = apply_operator(g, pair.cos_part, pair.sin_part, var=var)
     arg_s, shift_s = pair.argument, pair.shift
     for x, h in samples:
@@ -371,6 +375,8 @@ def _locus_points_numeric(locus: AngleLocus, base: Expr, var: str,
                           lo: float, hi: float, digits: int) -> List[float]:
     """Map a base-angle locus B = (offset + k modulus) pi to var-space
     points inside [lo, hi]; base is affine in var for this pipeline."""
+    import mpmath as mp
+    from .evaluate import eval_real
     binding0 = {name: 1 for name in free_symbols(base) if name != var}
     with mp.workdps(digits):
         try:

@@ -97,6 +97,27 @@ class TestNumericCommands:
                            "--format", "json")
         assert code == 0 and json.loads(out)["terms"] <= first * 150 ** 2
 
+    @pytest.mark.parametrize("series", ["zeta", "beta", "nope"])
+    def test_offset_only_for_hurwitz(self, capsys, series):
+        code, out, err = run(capsys, "oracle", "--series", series, "--s", "3",
+                             "--a", "1/2")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --a ")
+
+    @pytest.mark.parametrize("what,argv,names", [
+        ("method", ("zeta-odd", "--r", "1", "--method", "nope"),
+         "thm15, thm15-zeta, thm17, thm17-zeta"),
+        ("series", ("oracle", "--series", "nope", "--s", "3"),
+         "beta, calD, cos_2pi3, cos_pi2, cos_pi3, eta, frakD, hurwitz, lambda, "
+         "sin_2pi3, zeta"),
+    ], ids=["method", "series"])
+    def test_unknown_name_lists_accepted_names(self, capsys, what, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: unknown {what} 'nope'; expected one of {names}"]
+
     def test_divergent_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--series", "zeta", "--s", "1")
         assert code == 2 and "error" in err
@@ -295,14 +316,19 @@ class TestIdentitiesListing:
         assert len(rows) >= 18
 
 
-def run_fresh(*argv, env=None):
-    """`python -m trigsum.cli` in a new interpreter on this checkout, with
-    env added to the environment."""
+def run_python(*args, env=None):
+    """`python *args` in a new interpreter on this checkout, with env added
+    to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "trigsum.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
                           env={**os.environ, **(env or {}), "PYTHONPATH": path})
+
+
+def run_fresh(*argv, env=None):
+    """`python -m trigsum.cli` in a new interpreter on this checkout."""
+    return run_python("-m", "trigsum.cli", *argv, env=env)
 
 
 def test_suite_rows_independent_of_blas_threads():
@@ -345,11 +371,33 @@ class TestFreshProcessErrors:
         ("verify", "--id", "thm11-cos", "--r", "1", "--x0", "1/0"),
         ("verify", "--id", "thm11-cos", "--r", "1", "--terms", "100000000"),
         ("zeta-odd", "--r", "2000"),
+        ("zeta-odd", "--r", "1", "--method", "nope"),
+        ("oracle", "--series", "nope", "--s", "3"),
     ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000",
             "hurwitz-offset-zero-denominator", "shift-zero-denominator",
-            "terms-over-limit", "zeta-odd-r-over-limit"])
+            "terms-over-limit", "zeta-odd-r-over-limit", "unknown-method",
+            "unknown-series"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""
         lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "fourier", "--sum=sin(", "--kind", "cos"],
+        ["map", "cospow", "--sum=tanh(t)", "--kind", "sin"],
+    ], ids=["parse-error", "unsupported-head"])
+    def test_refused_map_loads_no_registry(self, argv):
+        # a refusal takes its error classes from the modules already loaded
+        code = ("import contextlib, io, sys\n"
+                "from trigsum.cli import main\n"
+                "err = io.StringIO()\n"
+                "with contextlib.redirect_stderr(err):\n"
+                f"    code = main({argv!r})\n"
+                "print(code, 'trigsum.registry' in sys.modules, 'mpmath' in sys.modules)\n"
+                "print(err.getvalue(), end='')\n")
+        out = run_python("-c", code)
+        assert out.returncode == 0, out.stderr
+        status, *lines = out.stdout.splitlines()
+        assert status == "2 False False"
         assert len(lines) == 1 and lines[0].startswith("error:")

@@ -34,6 +34,14 @@ class TestMapFourier:
         assert r.validity_ratio == (F(0), F(2))
         assert [to_text(p) for p in r.singular_points] == ["0", "2*c"]
 
+    @pytest.mark.xfail(strict=True, reason="denominators carried as negative "
+                       "powers are not searched for zeros")
+    def test_geometric_sine_singular_points(self):
+        # sum sin(n pi x / c) = 1/2 cot(pi x / 2c) diverges at 0 and 2c
+        r = map_fourier(parse_expr("1/(1-t)"), kind="sine")
+        assert r.validity_ratio == (F(0), F(2))
+        assert [to_text(p) for p in r.singular_points] == ["0", "2*c"]
+
     def test_alternating_log_sine(self):
         r = map_fourier(parse_expr("ln(1+t)"), kind="sine")
         assert to_text(r.closed_form) == "1/2*c^-1*pi*x"
@@ -81,6 +89,15 @@ class TestMapCospow:
         r = map_cospow(parse_expr("-ln(1-t)"), kind="sin")
         assert to_text(r.closed_form) == "1/2*pi - x"
         assert r.validity_ratio == (F(0), F(1))
+        assert [to_text(p) for p in r.singular_points] == ["0", "pi"]
+
+    @pytest.mark.xfail(strict=True, reason="denominators carried as negative "
+                       "powers are not searched for zeros")
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("text", ["1/(1-t)", "1/(1-t)^2"])
+    def test_pole_sum_singular_points(self, text, kind):
+        # t = cos(x) e^(ix) meets the pole of S at t = 1 where x = 0 and x = pi
+        r = map_cospow(parse_expr(text), kind=kind)
         assert [to_text(p) for p in r.singular_points] == ["0", "pi"]
 
     def test_single_term(self):

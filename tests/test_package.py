@@ -1,5 +1,6 @@
-"""Package surface: public names resolve on first use, and importing the
-package or a symbolic or precision entry module leaves numpy unloaded."""
+"""Package surface: public names resolve on first use, importing a module
+loads only what it needs, and a fresh CLI call loads only the modules its
+command runs."""
 
 import os
 import subprocess
@@ -11,15 +12,21 @@ import pytest
 import trigsum
 
 
-def modules_after_import(module):
-    """The modules a new interpreter holds after `import module`."""
+def modules_after(code):
+    """The modules a new interpreter holds after running ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    return set(out.stdout.split())
+    *_, last = out.stdout.splitlines()
+    return out.stdout, set(last.split())
+
+
+def modules_after_import(module):
+    """The modules a new interpreter holds after `import module`."""
+    return modules_after(f"import {module}")[1]
 
 
 @pytest.mark.parametrize("module", ["trigsum", "trigsum.cli", "trigsum.expr",
@@ -30,6 +37,55 @@ def test_import_leaves_numpy_unloaded(module):
     assert "numpy" not in loaded
     if module == "trigsum.cli":
         assert "trigsum.registry" not in loaded
+
+
+@pytest.mark.parametrize("module", ["trigsum.cli", "trigsum.expr",
+                                    "trigsum.operators", "trigsum.mapping",
+                                    "trigsum.exact"])
+def test_import_leaves_mpmath_unloaded(module):
+    loaded = modules_after_import(module)
+    assert module in loaded
+    assert "mpmath" not in loaded
+    if module == "trigsum.cli":
+        assert "trigsum.dirichlet" not in loaded
+
+
+def _run_main(*argvs):
+    return ("import contextlib, io\n"
+            "from trigsum.cli import main\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n")
+
+
+def test_exact_operator_and_map_commands_load_no_numeric_modules():
+    _, loaded = modules_after(_run_main(
+        ["exact", "frakd", "--n", "3", "--format", "json"],
+        ["operator", "apply", "--kind", "sin", "--expr", "arccot(x)*ln(x)",
+         "--arg", "x", "--shift", "h"],
+        ["map", "fourier", "--sum=-ln(1-t)", "--kind", "sin"],
+        ["map", "cospow", "--sum=t/(1-t)^2", "--kind", "cos"]))
+    assert {"trigsum.exact", "trigsum.operators", "trigsum.mapping"} <= loaded
+    assert not loaded & {"mpmath", "trigsum.dirichlet", "trigsum.registry",
+                         "trigsum.evaluate", "numpy"}
+
+
+def test_zeta_odd_loads_what_it_runs():
+    stdout, loaded = modules_after(
+        "from trigsum.cli import main\nmain(['zeta-odd', '--r', '1'])")
+    assert stdout.splitlines()[0] == "1.20205690315959428539973816151"
+    assert {"mpmath", "trigsum.dirichlet"} <= loaded
+
+
+def test_evaluators_resolve_from_expr():
+    from trigsum import evaluate, expr
+    from trigsum.expr import EvalError, eval_real
+    assert eval_real is evaluate.eval_real
+    assert expr.eval_complex is evaluate.eval_complex
+    assert trigsum.ComplexVal is evaluate.ComplexVal
+    assert issubclass(EvalError, expr.ExprError)
+    with pytest.raises(AttributeError):
+        expr.no_such_name
 
 
 def test_public_names_resolve():
