@@ -213,6 +213,26 @@ MAX_GRID = 1_000
 MAX_R = 100
 
 
+# verify's per-identity flags and the defaults the --id path applies; the
+# parser leaves them None, so that a flag given without --id is seen
+_VERIFY_ID_DEFAULTS = {"r": None, "x0": None, "grid": 50, "terms": 2000,
+                       "tol": 1e-6}
+
+
+def _check_verify_flags(args) -> None:
+    """Refuse flags that verify would ignore: more than one of --id, --all
+    and --suite, or a per-identity flag without --id."""
+    modes = [flag for flag, given in (("--id", args.id is not None),
+                                      ("--all", args.all),
+                                      ("--suite", args.suite)) if given]
+    if len(modes) > 1:
+        raise ValueError(f"{modes[0]} and {modes[1]} exclude one another")
+    if args.id is None:
+        for name in _VERIFY_ID_DEFAULTS:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} applies only with --id")
+
+
 def _check_verify_values(args) -> None:
     """Refuse a grid or term count outside 1..its limit, an r above its
     limit and a tolerance that is not a positive finite number before any
@@ -229,10 +249,8 @@ def _check_verify_values(args) -> None:
 
 
 def _cmd_verify(args) -> int:
-    _check_verify_values(args)
-    x0 = _fraction_flag("--x0", args.x0) if args.x0 else None
-    reports = []
-    if getattr(args, "suite", False):
+    _check_verify_flags(args)
+    if args.suite:
         return _cmd_verify_suite_rows(args)
     if args.all:
         # the full acceptance suite: the registry sweep is one criterion of
@@ -254,18 +272,20 @@ def _cmd_verify(args) -> int:
             for name, ok, detail in outcomes:
                 print(f"{'PASS' if ok else 'FAIL'} [{name}] {detail}")
         return 0 if all(ok for _, ok, _ in outcomes) else 1
-    else:
-        if not args.id:
-            print("verify needs --id or --all", file=sys.stderr)
-            return 2
-        from .registry import get_record, theorem23_shift, verify
-        record = get_record(args.id)
-        if x0 is not None:
-            record = theorem23_shift(record, x0)
-        reports.append(verify(record, args.r, grid=args.grid, N=args.terms,
-                              tol=args.tol))
-    _emit_reports(reports, args.format)
-    return 0 if all(rep.passed for rep in reports) else 1
+    if not args.id:
+        raise ValueError("verify needs one of --id, --all and --suite")
+    for name, default in _VERIFY_ID_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    _check_verify_values(args)
+    x0 = _fraction_flag("--x0", args.x0) if args.x0 else None
+    from .registry import get_record, theorem23_shift, verify
+    record = get_record(args.id)
+    if x0 is not None:
+        record = theorem23_shift(record, x0)
+    report = verify(record, args.r, grid=args.grid, N=args.terms, tol=args.tol)
+    _emit_reports([report], args.format)
+    return 0 if report.passed else 1
 
 
 def _cmd_verify_suite_rows(args) -> int:
@@ -350,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--x0", default=None,
                    help="apply the cosh shift by x0*c first, e.g. 1/4")
-    p.add_argument("--grid", type=int, default=50)
-    p.add_argument("--terms", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--grid", type=int, default=None, help="default 50")
+    p.add_argument("--terms", type=int, default=None, help="default 2000")
+    p.add_argument("--tol", type=float, default=None, help="default 1e-6")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_verify)
 

@@ -344,10 +344,7 @@ def dirichlet_oracle(series: str | PeriodicPattern, s: int,
         if isinstance(series, PeriodicPattern):
             return _pattern_value(series, s, ctx)
         if series == "hurwitz":
-            if a is None or a <= 0:
-                raise ValueError("hurwitz requires a positive offset a")
-            val, bound, n = _hurwitz_sum(s, a, ctx)
-            return SeriesApprox(+val, +bound, n)
+            return hurwitz_zeta(s, a, ctx)
         pattern = ORACLE_SERIES.get(series)
         if pattern is None:
             names = ", ".join(sorted({*ORACLE_SERIES, "hurwitz"}))
@@ -357,12 +354,12 @@ def dirichlet_oracle(series: str | PeriodicPattern, s: int,
         return _pattern_value(pattern, s, ctx)
 
 
-def hurwitz_zeta(s: int, a: Fraction, ctx: PrecisionContext | None = None) -> SeriesApprox:
-    """Hurwitz zeta sum_{n>=0} (n+a)^(-s) for integer s >= 2, a > 0."""
-    if s < 2:
-        raise PrecisionError("hurwitz_zeta requires s >= 2")
-    if a <= 0:
-        raise ValueError("a must be positive")
+def hurwitz_zeta(s: int, a: Fraction | None,
+                 ctx: PrecisionContext | None = None) -> SeriesApprox:
+    """Hurwitz zeta sum_{n>=0} (n+a)^(-s) for integer s >= 2, a > 0; an s
+    below 2 is a PrecisionError from the power tail."""
+    if a is None or a <= 0:
+        raise ValueError("hurwitz requires a positive offset a")
     ctx = ctx or PrecisionContext.for_digits(30)
     with mp.workdps(ctx.digits):
         val, bound, n = _hurwitz_sum(s, a, ctx)

@@ -9,6 +9,9 @@ the pair directly at argument cos^2 x with shift sin x cos x.  The non-
 analytical points come out of the rewrite guards (0/0 loci of the collapsed
 quotients) plus any denominator zeros surviving in the closed form; the
 validity interval is the singularity-free component around the origin.
+Every point is placed exactly by ``trigpoly.AngleLocus``, the one placer
+that ``operators.simplify_guarded`` also uses, as a rational multiple of
+the unit c or pi.
 """
 
 from __future__ import annotations
@@ -93,11 +96,7 @@ def _loci_in_x(guards, theta: Expr) -> List[Tuple[AngleLocus, Fraction]]:
 def _ratio_points(loci: Sequence[Tuple[AngleLocus, Fraction]],
                   lo: Fraction, hi: Fraction) -> List[Fraction]:
     """All singular ratios r (x = r * unit) with lo <= r <= hi."""
-    pts = set()
-    for locus, g in loci:
-        scaled = AngleLocus(locus.offset / g, locus.modulus / g)
-        pts.update(scaled.points_in(lo, hi))
-    return sorted(pts)
+    return sorted({r for locus, g in loci for r in locus.scaled(g).points_in(lo, hi)})
 
 
 def _component_of_origin(loci) -> Tuple[Optional[Tuple[Fraction, Fraction]],
@@ -105,7 +104,7 @@ def _component_of_origin(loci) -> Tuple[Optional[Tuple[Fraction, Fraction]],
     """The singularity-free component around 0+ and its bounding points."""
     if not loci:
         return None, []
-    span = max(locus.modulus / g for locus, g in loci) * 2 + 2
+    span = max(locus.scaled(g).modulus for locus, g in loci) * 2 + 2
     pts = _ratio_points(loci, -span, span)
     if not pts:
         return None, []
@@ -119,10 +118,15 @@ def _component_of_origin(loci) -> Tuple[Optional[Tuple[Fraction, Fraction]],
 
 
 def _denominator_loci(e: Expr) -> List[Tuple[AngleLocus, Expr]]:
-    """Zero loci of denominators surviving in a closed form."""
+    """Zero loci of denominators surviving in a closed form; each distinct
+    node is visited once."""
     found: List[Tuple[AngleLocus, Expr]] = []
+    seen = set()
 
     def walk(x: Expr):
+        if x in seen:
+            return
+        seen.add(x)
         for a in x.args:
             walk(a)
         if x.kind == "div":
@@ -141,21 +145,16 @@ def _denominator_loci(e: Expr) -> List[Tuple[AngleLocus, Expr]]:
     return found
 
 
-def _simplified_loci(part: Expr, theta: Expr):
-    """The simplified image and its guard and denominator loci in x; a locus
-    that cannot be solved is a MappingError."""
-    outcome = simplify_collect(part)
-    guards = list(outcome.guards)
-    try:
-        guards.extend(_denominator_loci(outcome.expr))
-        return outcome, _loci_in_x(guards, theta)
-    except UnsolvableLocusError as exc:
-        raise MappingError(str(exc)) from exc
-
-
 def _map_common(part: Expr, theta: Expr, kind: str, unit: Expr,
                 period_ratio: Fraction) -> TrigSeriesResult:
-    outcome, loci = _simplified_loci(part, theta)
+    """The simplified image with its guard and denominator loci in x; a
+    locus that cannot be solved is a MappingError."""
+    outcome = simplify_collect(part)
+    try:
+        loci = _loci_in_x([*outcome.guards, *_denominator_loci(outcome.expr)],
+                          theta)
+    except UnsolvableLocusError as exc:
+        raise MappingError(str(exc)) from exc
     validity, inside = _component_of_origin(loci)
     return TrigSeriesResult(
         closed_form=outcome.expr,
@@ -201,33 +200,19 @@ def map_cospow(S: Expr, kind: str = "cos", var: str = "x") -> TrigSeriesResult:
     return _map_common(part, x, f"{kind}-cospow", PI, Fraction(1))
 
 
-def detect_singularities(e, var: str = "x", c: Expr | None = None,
-                         period: Fraction = Fraction(2),
-                         window: Optional[Tuple[Fraction, Fraction]] = None,
-                         cospow: bool = False) -> List[Expr]:
-    """Exact non-analytical points of a module-produced form within one
-    closed period window.
+def detect_singularities(result: TrigSeriesResult,
+                         window: Optional[Tuple[Fraction, Fraction]] = None
+                         ) -> List[Expr]:
+    """Exact non-analytical points of a mapped series within a closed
+    window, by default one period [0, result.period_ratio].
 
-    ``e`` is either a TrigSeriesResult (recorded guards are reused) or an
-    Expr still carrying its guard structure (the operator image before
-    collapse); fully collapsed entire forms simply have no guard zeros.
-    Points are rational multiples of c (Fourier) or pi (cos-power family);
-    the default window is [0, period].
+    The points come from the loci the mapping recorded, placed by
+    ``AngleLocus``; they are rational multiples of c (Fourier) or pi
+    (cos-power family).
     """
-    if isinstance(e, TrigSeriesResult):
-        loci = e.loci
-        unit = e.unit
-    else:
-        if cospow:
-            unit = PI
-            theta: Expr = symbol(var)
-        else:
-            c = c if c is not None else symbol("c")
-            unit = fold(c)
-            theta = collect_terms(fold(div(mul(PI, symbol(var)), c)))
-        _, loci = _simplified_loci(e, theta)
-    lo, hi = window if window is not None else (Fraction(0), period)
-    return [fold(mul(rational(r), unit)) for r in _ratio_points(loci, lo, hi)]
+    lo, hi = window if window is not None else (Fraction(0), result.period_ratio)
+    return [fold(mul(rational(r), result.unit))
+            for r in _ratio_points(result.loci, lo, hi)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ every rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .expr import (
@@ -34,7 +36,7 @@ from .expr import (
 )
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError,
-    collapse_inverse_trig, collect_terms, fold_const_denominator,
+    collapse_inverse_trig, collect_terms, fold_const_denominator, split_rational,
 )
 
 if TYPE_CHECKING:  # the functions that compute numbers import it themselves
@@ -312,9 +314,8 @@ def _simplify_walk(e: Expr, accept) -> SimplifyOutcome:
             except UnsolvableLocusError:
                 hit = None
             if hit is not None:
-                base = _guard_base(out.args[0])
-                if accept is None or accept(hit.guards, base):
-                    guards.extend((locus, base) for locus in hit.guards)
+                if accept is None or accept(hit.guards, hit.base):
+                    guards.extend((locus, hit.base) for locus in hit.guards)
                     if hit.branch:
                         branches += 1
                     out = hit.expr
@@ -340,63 +341,44 @@ def simplify_collect(e: Expr) -> SimplifyOutcome:
     return _simplify_walk(e, None)
 
 
-def _guard_base(argument: Expr) -> Expr:
-    from .trigpoly import find_trig_base
-    found = find_trig_base(argument)
-    return found[2] if found is not None else ONE
-
-
-def simplify_guarded(e: Expr, interval: Tuple[float, float], var: str = "x",
-                     digits: int = 20) -> Expr:
+def simplify_guarded(e: Expr, interval: Tuple[float, float],
+                     var: str = "x") -> Expr:
     """Apply the guarded rewrites, keeping each collapse only when its
     guards hold strictly inside the open interval.
 
     A guard holds when its zero locus meets (lo, hi) at most at the
     endpoints (those are the singular points bounding the interval).
-    A violated guard skips that rewrite; it is not an error.  Free symbols
-    other than ``var`` are sampled at 1, which is sound for the
+    A violated guard skips that rewrite; it is not an error.  The zeros are
+    placed exactly by ``AngleLocus``: a base angle rho*pi*var gives
+    rational points, compared exactly with the interval's floats, and a
+    base rho*var gives points t*pi/rho, of which only the product with pi
+    is a float.  A base of any other shape skips its rewrite.  Free symbols
+    other than ``var`` are taken at 1, which is sound for the
     homogeneous-in-x/c closed forms this pipeline produces.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("empty interval")
+    lo_q, hi_q = Fraction(lo), Fraction(hi)
+    # the window, in units of pi, that holds (lo, hi) for a base rho*var
+    lo_pi = Fraction(math.floor(lo / math.pi) - 1)
+    hi_pi = Fraction(math.ceil(hi / math.pi) + 1)
 
-    def accept(loci: List[AngleLocus], base: Expr) -> bool:
-        for locus in loci:
-            for t in _locus_points_numeric(locus, base, var, lo, hi, digits):
-                if lo + 1e-12 < t < hi - 1e-12:
-                    return False
+    def meets(locus: AngleLocus, base: Expr) -> bool:
+        names = free_symbols(base)
+        if var not in names:
+            return False
+        rho, key = split_rational(base)
+        shape = {name: exp for name, exp in key if name == var or name not in names}
+        if shape == {"pi": 1, var: 1}:
+            return any(lo_q < t < hi_q
+                       for t in locus.scaled(rho).points_in(lo_q, hi_q))
+        if shape == {var: 1}:
+            return any(lo < float(t) * math.pi < hi
+                       for t in locus.scaled(rho).points_in(lo_pi, hi_pi))
         return True
 
+    def accept(loci: List[AngleLocus], base: Expr) -> bool:
+        return not any(meets(locus, base) for locus in loci)
+
     return _simplify_walk(e, accept).expr
-
-
-def _locus_points_numeric(locus: AngleLocus, base: Expr, var: str,
-                          lo: float, hi: float, digits: int) -> List[float]:
-    """Map a base-angle locus B = (offset + k modulus) pi to var-space
-    points inside [lo, hi]; base is affine in var for this pipeline."""
-    import mpmath as mp
-    from .evaluate import eval_real
-    binding0 = {name: 1 for name in free_symbols(base) if name != var}
-    with mp.workdps(digits):
-        try:
-            b0 = eval_real(base, {**binding0, var: 0.0}, digits)
-            b1 = eval_real(base, {**binding0, var: 1.0}, digits)
-        except EvalError:
-            return []
-        slope = b1 - b0
-        if slope == 0:
-            return []
-        out = []
-        step = mp.pi * locus.modulus.numerator / locus.modulus.denominator
-        start = mp.pi * locus.offset.numerator / locus.offset.denominator
-        lo_a = min(lo * slope + b0, hi * slope + b0)
-        hi_a = max(lo * slope + b0, hi * slope + b0)
-        k_lo = int(mp.floor((lo_a - start) / step)) - 1
-        k_hi = int(mp.ceil((hi_a - start) / step)) + 1
-        for k in range(k_lo, k_hi + 1):
-            angle = start + k * step
-            t = float((angle - b0) / slope)
-            if lo - 1e-9 <= t <= hi + 1e-9:
-                out.append(t)
-        return out

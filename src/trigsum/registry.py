@@ -805,6 +805,12 @@ def _term_mp(rec: IdentityRecord, r: int, n: int, xc: mp.mpf) -> mp.mpf:
 # ---------------------------------------------------------------------------
 # grid verification
 
+# the share of a period that verify's default grid leaves out at each end
+# of the interval, and the digits at which it evaluates the closed form
+GRID_MARGIN = 0.05
+COMPARE_DIGITS = 30
+
+
 def _blocks(N: int) -> Tuple[int, int]:
     """The two levels of the grid sums: N terms as K blocks of B,
     B = ceil(sqrt N) and K = ceil(N / B)."""
@@ -855,11 +861,10 @@ def _series_partial_float(rec: IdentityRecord, r: int, c: float,
 
 
 def _grid_points(rec: IdentityRecord, c: float, grid: int,
-                 interval: Optional[Tuple[float, float]] = None,
-                 margin: Optional[float] = None) -> np.ndarray:
+                 interval: Optional[Tuple[float, float]] = None) -> np.ndarray:
     """verify's grid: grid points strictly inside the interval (by default
-    the record's, less a margin of 0.05 period at each end, where
-    partial-sum convergence degrades); x = 0 alone for a value record."""
+    the record's, less GRID_MARGIN periods at each end, where partial-sum
+    convergence degrades); x = 0 alone for a value record."""
     import numpy as np
     if rec.kind == "value":
         return np.array([0.0])
@@ -870,30 +875,29 @@ def _grid_points(rec: IdentityRecord, c: float, grid: int,
     if interval is not None:
         lo, hi = interval
     else:
-        m = margin if margin is not None else 0.05 * float(rec.period) * unit
+        m = GRID_MARGIN * float(rec.period) * unit
         lo, hi = lo + m, hi - m
     return np.linspace(lo, hi, grid + 2)[1:-1]
 
 
 def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
            c: float = 1.0, grid: int = 50, N: int = 2000, tol: float = 1e-6,
-           interval: Optional[Tuple[float, float]] = None,
-           margin: Optional[float] = None,
-           digits: int = 30) -> VerificationReport:
+           interval: Optional[Tuple[float, float]] = None) -> VerificationReport:
     """Compare closed form against the N-term partial sum on an interior
     grid; deterministic given inputs.  Failures are reported, not raised.
 
-    The grid excludes a margin (default 0.05 * period) around the interval
-    endpoints, where partial-sum convergence degrades.
+    The grid excludes GRID_MARGIN periods around the interval endpoints,
+    where partial-sum convergence degrades; the closed form is evaluated at
+    COMPARE_DIGITS digits.
     """
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
     r_eff = rec.effective_r(r)
-    xs = _grid_points(rec, c, grid, interval, margin)
-    return _compare(rec, r_eff, c, xs, N, tol, digits, rec.id)
+    xs = _grid_points(rec, c, grid, interval)
+    return _compare(rec, r_eff, c, xs, N, tol, rec.id)
 
 
 def _compare(rec: IdentityRecord, r: int, c: float, xs: np.ndarray, N: int,
-             tol: float, digits: int, report_id: str) -> VerificationReport:
+             tol: float, report_id: str) -> VerificationReport:
     """The float64 N-term partial sums against the closed form at xs."""
     import numpy as np
     t0 = time.perf_counter()
@@ -901,7 +905,7 @@ def _compare(rec: IdentityRecord, r: int, c: float, xs: np.ndarray, N: int,
     t1 = time.perf_counter()
     closed_at = _closed_form_evaluator(
         rec, r, np.pi if rec.kind == "cospow" else c,
-        PrecisionContext.for_digits(digits), mp.mpf(tol) / 20)
+        PrecisionContext.for_digits(COMPARE_DIGITS), mp.mpf(tol) / 20)
     closed = np.array([float(closed_at(x)) for x in xs])
     t2 = time.perf_counter()
     errors = np.abs(closed - partial)
@@ -926,9 +930,7 @@ def corollary2_integrate(identity_id: str, r: int) -> Dict[int, Coeff]:
     with the stored successor record.  Raises when no successor is defined.
     """
     rec = get_record(identity_id)
-    successor_id = _INTEGRATION_SUCCESSOR.get(identity_id)
-    if successor_id is None:
-        raise RegistryError(f"no integration successor defined for {identity_id}")
+    integration_successor(identity_id)
     poly = rec.poly(rec.effective_r(r))
     return {p + 1: coeff.scale(Fraction(1, p + 1)) for p, coeff in poly.items()}
 
@@ -1006,7 +1008,7 @@ def verify_endpoint(identity_id: str, r: Optional[int], c: float = 1.0,
     tail = 2.0 * N ** (1 - d) / (d - 1)
     tol = max(4 * tail, 1e-12)
     xs = np.array([float(a) * c, float(b) * c])
-    return _compare(rec, r_eff, c, xs, N, tol, 30, rec.id + "@endpoints")
+    return _compare(rec, r_eff, c, xs, N, tol, rec.id + "@endpoints")
 
 
 def suite_reports() -> List[VerificationReport]:

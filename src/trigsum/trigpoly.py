@@ -506,6 +506,11 @@ class AngleLocus:
             t += self.modulus
         return out
 
+    def scaled(self, g: Fraction) -> "AngleLocus":
+        """The same zeros in a unit y with base angle B = g*y*pi, so that
+        y = (offset + k*modulus)/g."""
+        return AngleLocus(self.offset / g, abs(self.modulus / g))
+
 
 class UnsolvableLocusError(Exception):
     """A guard polynomial has zeros not expressible as rational pi multiples."""
@@ -566,6 +571,7 @@ class CollapseResult:
     expr: Expr
     guards: List[AngleLocus]
     branch: bool  # True when an odd-convention arccot sign pull was used
+    base: Expr    # the base angle B of the guards (1 when the argument has none)
 
 
 def _pattern_result(name: str, which: str, base: Expr) -> Expr:
@@ -647,7 +653,7 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
             result = mul(rational(sgn), div(PI, rational(2)))
         else:
             result = ZERO if sgn > 0 else PI
-        return CollapseResult(result, guards, False)
+        return CollapseResult(result, guards, False, base_expr)
 
     guards = _common_zero_loci(N, D)
 
@@ -660,7 +666,8 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
             if frac is not None:
                 branch = sign < 0 and name == "arccot"
                 return CollapseResult(
-                    _apply_sign(mul(rational(frac), PI), sign), guards, branch)
+                    _apply_sign(mul(rational(frac), PI), sign), guards, branch,
+                    base_expr)
         return None
 
     # tan / cot / half-angle patterns, up to overall sign; the negative-sign
@@ -675,7 +682,7 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
             continue
         result = _pattern_result(name, which, base_expr)
         branch = sign < 0 and name == "arccot"
-        return CollapseResult(_apply_sign(result, sign), guards, branch)
+        return CollapseResult(_apply_sign(result, sign), guards, branch, base_expr)
     return None
 
 

@@ -196,6 +196,36 @@ class TestVerifyValues:
         assert code == 1 and out.startswith("FAIL thm11-cos r=1 N=1 ")
 
 
+class TestVerifyFlags:
+    """verify refuses the flags it would ignore: --id, --all and --suite
+    exclude one another, one of them is needed, and the per-identity flags
+    need --id.  Each refusal exits 2 with one `error:` line that names the
+    flag."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--suite", "--id", "nope", "--grid", "7"), "--suite"),
+        (("--all", "--id", "thm11-cos", "--tol", "5", "--x0", "1/9"), "--all"),
+        (("--all", "--suite"), "--suite"),
+        (("--all", "--r", "1"), "--r"),
+        (("--all", "--x0", "1/9"), "--x0"),
+        (("--suite", "--grid", "7"), "--grid"),
+        (("--suite", "--terms", "10"), "--terms"),
+        (("--tol", "1e-3"), "--tol"),
+        ((), "--suite"),
+    ])
+    def test_refused(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert flag in lines[0]
+
+    def test_id_path_defaults(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "thm11-sin", "--r", "1")
+        assert code == 0
+        assert out.startswith("PASS thm11-sin r=1 N=2000 tol=1e-06 ")
+
+
 class TestVerifyLimits:
     """--terms, --grid and --r above their documented limits are refused
     before any work: exit 2 at once, one `error:` line that names the flag
@@ -373,10 +403,17 @@ class TestFreshProcessErrors:
         ("zeta-odd", "--r", "2000"),
         ("zeta-odd", "--r", "1", "--method", "nope"),
         ("oracle", "--series", "nope", "--s", "3"),
+        ("verify", "--suite", "--id", "nope", "--grid", "7"),
+        ("verify", "--all", "--id", "thm11-cos", "--tol", "5", "--x0", "1/9"),
+        ("verify", "--all", "--suite"),
+        ("verify", "--all", "--grid", "7"),
+        ("verify", "--suite", "--terms", "10"),
     ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000",
             "hurwitz-offset-zero-denominator", "shift-zero-denominator",
             "terms-over-limit", "zeta-odd-r-over-limit", "unknown-method",
-            "unknown-series"])
+            "unknown-series", "verify-suite-and-id", "verify-all-and-id",
+            "verify-all-and-suite", "verify-grid-without-id",
+            "verify-terms-without-id"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""

@@ -10,7 +10,6 @@ import pytest
 from trigsum.expr import PI, eval_real, parse_expr, to_text, rational
 from trigsum.mapping import (MappingError, detect_singularities,
                              integral_step, map_cospow, map_fourier)
-from trigsum.operators import apply_operator
 
 F = Fraction
 
@@ -121,30 +120,30 @@ class TestMapCospow:
 
 class TestDetectSingularities:
     def test_log_form_window(self):
-        theta = parse_expr("pi*x/c")
-        img = apply_operator(parse_expr("-ln(1-exp(z))"), rational(0), theta,
-                             var="z").sin_part
-        pts = detect_singularities(img)
+        r = map_fourier(parse_expr("-ln(1-t)"), kind="sine")
+        pts = detect_singularities(r)
         assert [to_text(p) for p in pts] == ["0", "2*c"]
 
     def test_entire_function(self):
-        assert detect_singularities(parse_expr("cos(pi*x/c)")) == []
+        assert detect_singularities(map_fourier(parse_expr("t"), kind="cosine")) == []
 
     def test_example2_four_points(self):
         r = map_fourier(parse_expr(EXAMPLE2_SUM), c=PI, kind="cosine")
         pts = detect_singularities(r, window=(F(-1), F(1)))
         assert len(pts) == 4
 
+    def test_default_window_is_one_period(self):
+        # the cos-power period is pi, so pi is the last point: 2*pi is in
+        # the next period
+        r = map_cospow(parse_expr("-ln(1-t)"), kind="sin")
+        assert [to_text(p) for p in detect_singularities(r)] == ["0", "pi"]
+
     def test_unsolvable_locus_is_mapping_error(self):
         # the cos-power sine image of arctan(t) has a guard factor with no
-        # rational cos root: both entry points refuse it the same way
-        img = apply_operator(parse_expr("arctan(t)"), parse_expr("cos(x)*cos(x)"),
-                             parse_expr("sin(x)*cos(x)"), var="t").sin_part
-        with pytest.raises(MappingError) as direct:
-            detect_singularities(img, cospow=True)
-        with pytest.raises(MappingError) as mapped:
+        # rational cos root; the message is the one the golden row pins
+        with pytest.raises(MappingError) as refused:
             map_cospow(parse_expr("arctan(t)"), kind="sin")
-        assert str(direct.value) == str(mapped.value)
+        assert str(refused.value) == "common factor with no rational cos root"
 
 
 class TestIntegralStep:

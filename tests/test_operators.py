@@ -1,7 +1,11 @@
 """Operator-pair rules against the complex-shift oracle, the structural
 algorithms, inverse-function systems, and the guarded simplifier."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -211,6 +215,44 @@ class TestSimplifyGuarded:
         assert wide.kind == "call" and wide.value == "arccot"
         narrow = simplify_guarded(e, (0.02, 0.30))
         assert to_text(narrow) == "c^-1*pi*x"
+
+    def test_guard_just_inside_the_interval(self):
+        # the guard x = c/3 (c taken at 1) lies 1e-13 inside the interval;
+        # it is placed exactly, so the rewrite is skipped
+        e = parse_expr("arccot((2*cos(pi*x/c)-1)*cos(pi*x/c)"
+                       "/((2*cos(pi*x/c)-1)*sin(pi*x/c)))")
+        kept = simplify_guarded(e, (0.02, 1 / 3 + 1e-13))
+        assert kept.kind == "call" and kept.value == "arccot"
+        assert to_text(simplify_guarded(e, (0.02, 0.30))) == "c^-1*pi*x"
+
+    def test_base_without_pi(self):
+        # base x: the guard x = pi is placed as t*pi with t rational
+        e = parse_expr("arccot((1+cos(x))/sin(x))")
+        assert to_text(simplify_guarded(e, (0.1, 3.1))) == "1/2*x"
+        assert simplify_guarded(e, (0.1, 3.2)).value == "arccot"
+        assert simplify_guarded(e, (-3.2, -0.1)).value == "arccot"
+
+    def test_base_of_other_shape_skips_the_rewrite(self):
+        # base x^2 has its guard zero at x = sqrt(pi), inside the interval;
+        # a base that is not rho*pi*x or rho*x is not placed, so the
+        # rewrite is skipped
+        e = parse_expr("arccot((1+cos(x^2))/sin(x^2))")
+        assert simplify_guarded(e, (0.1, 2.0)).value == "arccot"
+
+    def test_placement_loads_no_mpmath(self):
+        code = ("import sys\n"
+                "from trigsum.expr import parse_expr, to_text\n"
+                "from trigsum.operators import simplify_guarded\n"
+                "e = parse_expr('arccot((1+cos(pi*x))/sin(pi*x))')\n"
+                "print(to_text(simplify_guarded(e, (0.05, 0.95))))\n"
+                "print('mpmath' in sys.modules, 'trigsum.evaluate' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["1/2*pi*x", "False False"]
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
