@@ -1,5 +1,15 @@
 """Numeric evaluation of expression DAGs with mpmath.
 
+One walk serves both fields.  It evaluates each distinct node of the DAG
+once per call, through a dict keyed on the node, and handles the
+structural kinds (constants, symbols, sums, products, quotients and
+powers, with their pole checks) the same way for both.  A function head
+is looked up in the table of the field being evaluated: on the reals, ln,
+sqrt, artanh and arcoth refuse points outside their domain; on the
+complex numbers, arctan, arccot, artanh and arcoth refuse points on their
+branch cuts and ln refuses 0.  Heads that behave the same in both fields
+are written once.
+
 Every evaluation runs at an explicitly requested decimal precision;
 precision is never ambient state.  This is the one module of the symbolic
 side that imports mpmath when it loads: ``trigsum.expr`` resolves
@@ -9,12 +19,12 @@ so parsing, printing and the operator and mapping rewrites never load it.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Dict, Mapping
 
 import mpmath as mp
 
 from .expr import (BranchCutError, DomainError, EvalError, Expr, ExprError,
-                   PoleError, UnboundSymbolError, rat_value)
+                   PoleError, UnboundSymbolError)
 
 __all__ = ["eval_real", "eval_complex", "ComplexVal"]
 
@@ -23,15 +33,66 @@ __all__ = ["eval_real", "eval_complex", "ComplexVal"]
 ComplexVal = mp.mpc
 
 
-def _arccot_real(x):
+def _poles(name: str) -> Callable:
+    """mpmath's ``name``, reporting a pole it hits as a PoleError."""
+    fn = getattr(mp, name)
+
+    def head(x):
+        try:
+            return fn(x)
+        except ZeroDivisionError:
+            raise PoleError(f"{name} pole hit") from None
+    return head
+
+
+def _refuse(fn: Callable, outside: Callable, error: type, message: str) -> Callable:
+    """``fn``, raising ``error(message)`` where ``outside`` holds."""
+    def head(x):
+        if outside(x):
+            raise error(message)
+        return fn(x)
+    return head
+
+
+def _arccot(x):
     return mp.pi / 2 - mp.atan(x)
 
 
-_REAL_FUNCS: dict[str, Callable] = {
-    "exp": mp.exp, "sin": mp.sin, "cos": mp.cos, "tan": mp.tan,
-    "cot": mp.cot, "sec": mp.sec, "csc": mp.csc,
-    "sinh": mp.sinh, "cosh": mp.cosh, "tanh": mp.tanh,
-    "arctan": mp.atan, "arccot": _arccot_real,
+def _on_imaginary_cut(z) -> bool:
+    return z.real == 0 and abs(z.imag) >= 1
+
+
+_BOTH_FIELDS: Dict[str, Callable] = {
+    "exp": mp.exp, "sin": mp.sin, "cos": mp.cos, "sinh": mp.sinh, "cosh": mp.cosh,
+    **{name: _poles(name) for name in ("tan", "cot", "sec", "csc", "tanh")},
+}
+
+_REAL_HEADS: Dict[str, Callable] = {
+    **_BOTH_FIELDS,
+    "arctan": mp.atan,
+    "arccot": _arccot,
+    "ln": _refuse(mp.ln, lambda x: x <= 0, DomainError,
+                  "ln of a non-positive value"),
+    "sqrt": _refuse(mp.sqrt, lambda x: x < 0, DomainError,
+                    "sqrt of a negative value"),
+    "artanh": _refuse(mp.atanh, lambda x: abs(x) >= 1, DomainError,
+                      "artanh outside (-1, 1)"),
+    "arcoth": _refuse(mp.acoth, lambda x: abs(x) <= 1, DomainError,
+                      "arcoth inside [-1, 1]"),
+}
+
+_COMPLEX_HEADS: Dict[str, Callable] = {
+    **_BOTH_FIELDS,
+    "arctan": _refuse(mp.atan, _on_imaginary_cut, BranchCutError,
+                      "arctan on its branch cut"),
+    "arccot": _refuse(_arccot, _on_imaginary_cut, BranchCutError,
+                      "arccot on its branch cut"),
+    "ln": _refuse(mp.log, lambda z: z == 0, PoleError, "ln(0)"),
+    "sqrt": mp.sqrt,
+    "artanh": _refuse(mp.atanh, lambda z: z.imag == 0 and abs(z.real) >= 1,
+                      BranchCutError, "artanh on its branch cut"),
+    "arcoth": _refuse(mp.acoth, lambda z: z.imag == 0 and abs(z.real) <= 1,
+                      BranchCutError, "arcoth on its branch cut"),
 }
 
 
@@ -46,64 +107,7 @@ def eval_real(e: Expr, bindings: Mapping[str, object] | None = None,
     with mp.workdps(digits):
         vals = {k: mp.mpf(v) if not isinstance(v, mp.mpf) else v
                 for k, v in bindings.items()}
-        return +_eval_real(e, vals)
-
-
-def _eval_real(e: Expr, vals: Mapping[str, mp.mpf]) -> mp.mpf:
-    if e.kind == "rat":
-        v = rat_value(e)
-        return mp.mpf(v.numerator) / v.denominator
-    if e.kind == "pi":
-        return +mp.pi
-    if e.kind == "sym":
-        try:
-            return vals[e.value]  # type: ignore[index]
-        except KeyError:
-            raise UnboundSymbolError(f"unbound symbol {e.value!r}") from None
-    if e.kind == "neg":
-        return -_eval_real(e.args[0], vals)
-    if e.kind == "add":
-        return _eval_real(e.args[0], vals) + _eval_real(e.args[1], vals)
-    if e.kind == "mul":
-        return _eval_real(e.args[0], vals) * _eval_real(e.args[1], vals)
-    if e.kind == "div":
-        den = _eval_real(e.args[1], vals)
-        if den == 0:
-            raise PoleError("division by zero")
-        return _eval_real(e.args[0], vals) / den
-    if e.kind == "pow":
-        base = _eval_real(e.args[0], vals)
-        n = e.value
-        if base == 0 and n < 0:
-            raise PoleError("zero base with negative exponent")
-        return base ** n
-    if e.kind == "call":
-        x = _eval_real(e.args[0], vals)
-        name = e.value
-        if name == "ln":
-            if x <= 0:
-                raise DomainError("ln of a non-positive value")
-            return mp.ln(x)
-        if name == "sqrt":
-            if x < 0:
-                raise DomainError("sqrt of a negative value")
-            return mp.sqrt(x)
-        if name == "artanh":
-            if abs(x) >= 1:
-                raise DomainError("artanh outside (-1, 1)")
-            return mp.atanh(x)
-        if name == "arcoth":
-            if abs(x) <= 1:
-                raise DomainError("arcoth inside [-1, 1]")
-            return mp.acoth(x)
-        fn = _REAL_FUNCS.get(name)  # type: ignore[arg-type]
-        if fn is None:
-            raise EvalError(f"no real evaluator for {name!r}")
-        try:
-            return fn(x)
-        except ZeroDivisionError:
-            raise PoleError(f"{name} pole hit") from None
-    raise ExprError(f"unknown node kind {e.kind!r}")
+        return +_evaluate(e, vals, mp.mpf, _REAL_HEADS, "real")
 
 
 def eval_complex(e: Expr, bindings: Mapping[str, object] | None = None,
@@ -116,74 +120,55 @@ def eval_complex(e: Expr, bindings: Mapping[str, object] | None = None,
     bindings = bindings or {}
     with mp.workdps(digits):
         vals = {k: mp.mpc(v) for k, v in bindings.items()}
-        return +_eval_complex(e, vals)
+        return +_evaluate(e, vals, mp.mpc, _COMPLEX_HEADS, "complex")
 
 
-def _eval_complex(e: Expr, vals: Mapping[str, mp.mpc]) -> mp.mpc:
-    if e.kind == "rat":
-        v = rat_value(e)
-        return mp.mpc(mp.mpf(v.numerator) / v.denominator)
-    if e.kind == "pi":
-        return mp.mpc(mp.pi)
-    if e.kind == "sym":
-        try:
-            return vals[e.value]  # type: ignore[index]
-        except KeyError:
-            raise UnboundSymbolError(f"unbound symbol {e.value!r}") from None
-    if e.kind == "neg":
-        return -_eval_complex(e.args[0], vals)
-    if e.kind == "add":
-        return _eval_complex(e.args[0], vals) + _eval_complex(e.args[1], vals)
-    if e.kind == "mul":
-        return _eval_complex(e.args[0], vals) * _eval_complex(e.args[1], vals)
-    if e.kind == "div":
-        den = _eval_complex(e.args[1], vals)
-        if den == 0:
-            raise PoleError("division by zero")
-        return _eval_complex(e.args[0], vals) / den
-    if e.kind == "pow":
-        base = _eval_complex(e.args[0], vals)
-        n = e.value
-        if base == 0 and n < 0:
-            raise PoleError("zero base with negative exponent")
-        return base ** n
-    if e.kind == "call":
-        z = _eval_complex(e.args[0], vals)
-        name = e.value
-        if name == "ln":
-            if z == 0:
-                raise PoleError("ln(0)")
-            return mp.log(z)
-        if name == "sqrt":
-            return mp.sqrt(z)
-        if name == "exp":
-            return mp.exp(z)
-        if name in ("sin", "cos", "sinh", "cosh"):
-            return getattr(mp, name)(z)
-        if name in ("tan", "cot", "sec", "csc"):
+def _evaluate(e: Expr, vals: Mapping[str, object], number: Callable,
+              heads: Mapping[str, Callable], field: str):
+    """The value of e: constants through ``number``, function heads through
+    ``heads``; each distinct node is evaluated once."""
+    memo: Dict[Expr, object] = {}
+
+    def value(x: Expr):
+        out = memo.get(x)
+        if out is not None:
+            return out
+        kind = x.kind
+        if kind == "rat":
+            q = x.value
+            out = number(mp.mpf(q.numerator) / q.denominator)
+        elif kind == "pi":
+            out = number(mp.pi)
+        elif kind == "sym":
             try:
-                return getattr(mp, name)(z)
-            except ZeroDivisionError:
-                raise PoleError(f"{name} pole hit") from None
-        if name == "arctan":
-            if z.real == 0 and abs(z.imag) >= 1:
-                raise BranchCutError("arctan on its branch cut")
-            return mp.atan(z)
-        if name == "arccot":
-            if z.real == 0 and abs(z.imag) >= 1:
-                raise BranchCutError("arccot on its branch cut")
-            return mp.pi / 2 - mp.atan(z)
-        if name == "artanh":
-            if z.imag == 0 and abs(z.real) >= 1:
-                raise BranchCutError("artanh on its branch cut")
-            return mp.atanh(z)
-        if name == "arcoth":
-            if z.imag == 0 and abs(z.real) <= 1:
-                raise BranchCutError("arcoth on its branch cut")
-            return mp.acoth(z)
-        if name == "tanh":
-            try:
-                return mp.tanh(z)
-            except ZeroDivisionError:
-                raise PoleError("tanh pole hit") from None
-    raise ExprError(f"unknown node kind {e.kind!r}")
+                out = vals[x.value]
+            except KeyError:
+                raise UnboundSymbolError(f"unbound symbol {x.value!r}") from None
+        elif kind == "neg":
+            out = -value(x.args[0])
+        elif kind == "add":
+            out = value(x.args[0]) + value(x.args[1])
+        elif kind == "mul":
+            out = value(x.args[0]) * value(x.args[1])
+        elif kind == "div":
+            den = value(x.args[1])
+            if den == 0:
+                raise PoleError("division by zero")
+            out = value(x.args[0]) / den
+        elif kind == "pow":
+            base = value(x.args[0])
+            if base == 0 and x.value < 0:
+                raise PoleError("zero base with negative exponent")
+            out = base ** x.value
+        elif kind == "call":
+            arg = value(x.args[0])
+            head = heads.get(x.value)
+            if head is None:
+                raise EvalError(f"no {field} evaluator for {x.value!r}")
+            out = head(arg)
+        else:
+            raise ExprError(f"unknown node kind {kind!r}")
+        memo[x] = out
+        return out
+
+    return value(e)

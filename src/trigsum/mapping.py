@@ -306,7 +306,7 @@ def _check_integrable(S: Expr, digits: int) -> None:
                     f"S has pole-type growth near t={edge}: not integrable")
 
 
-def integral_step(S: Expr, c: Expr | Fraction = Fraction(1),
+def integral_step(S: Expr, c: Expr | Fraction | int = Fraction(1),
                   digits: int = 25) -> Tuple[IntegralStepForm, IntegralStepForm]:
     """The integral-step mapping for sum functions given through S with
     int_0^t S = sum_{n>=1} a_n t^n:
@@ -316,15 +316,15 @@ def integral_step(S: Expr, c: Expr | Fraction = Fraction(1),
 
     where (C_img, S_img) is the operator image of S(e^z) e^z at z = 0 with
     shift pi x/c.  Polynomial images integrate symbolically; everything
-    else uses adaptive quadrature at the requested precision.
+    else uses adaptive quadrature at the requested precision.  c must be a
+    positive rational (an int, a Fraction or a rational Expr); anything
+    else is a ValueError.
     """
     import mpmath as mp
-    c_frac = c if isinstance(c, Fraction) else None
-    if c_frac is None:
-        if isinstance(c, Expr) and c.kind == "rat":
-            c_frac = c.value  # type: ignore[assignment]
-        else:
-            c_frac = Fraction(1)
+    c_frac = c.value if isinstance(c, Expr) and c.kind == "rat" else c
+    if not isinstance(c_frac, (int, Fraction)) or c_frac <= 0:
+        raise ValueError(f"c must be a positive rational, not {str(c)!r}")
+    c_frac = Fraction(c_frac)
     _check_integrable(S, digits)
     c_expr = rational(c_frac)
     theta = fold(div(mul(PI, symbol("x")), c_expr))

@@ -352,9 +352,12 @@ def simplify_guarded(e: Expr, interval: Tuple[float, float],
     placed exactly by ``AngleLocus``: a base angle rho*pi*var gives
     rational points, compared exactly with the interval's floats, and a
     base rho*var gives points t*pi/rho, of which only the product with pi
-    is a float.  A base of any other shape skips its rewrite.  Free symbols
-    other than ``var`` are taken at 1, which is sound for the
-    homogeneous-in-x/c closed forms this pipeline produces.
+    is a float.  An interval wider than the spacing of a locus's zeros
+    holds one, so it vetoes without listing them; for the float points it
+    takes twice the spacing, which leaves a zero far from both ends.  A
+    base of any other shape skips its rewrite.  Free symbols other than
+    ``var`` are taken at 1, which is sound for the homogeneous-in-x/c
+    closed forms this pipeline produces.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -370,12 +373,14 @@ def simplify_guarded(e: Expr, interval: Tuple[float, float],
             return False
         rho, key = split_rational(base)
         shape = {name: exp for name, exp in key if name == var or name not in names}
+        zeros = locus.scaled(rho)
         if shape == {"pi": 1, var: 1}:
-            return any(lo_q < t < hi_q
-                       for t in locus.scaled(rho).points_in(lo_q, hi_q))
+            return (hi_q - lo_q > zeros.modulus
+                    or any(lo_q < t < hi_q for t in zeros.points_in(lo_q, hi_q)))
         if shape == {var: 1}:
-            return any(lo < float(t) * math.pi < hi
-                       for t in locus.scaled(rho).points_in(lo_pi, hi_pi))
+            return (hi - lo > 2 * float(zeros.modulus) * math.pi
+                    or any(lo < float(t) * math.pi < hi
+                           for t in zeros.points_in(lo_pi, hi_pi)))
         return True
 
     def accept(loci: List[AngleLocus], base: Expr) -> bool:

@@ -12,13 +12,14 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trigsum import expr as expr_module
+from trigsum import evaluate, expr as expr_module
 from trigsum.expr import (
-    DomainError, Expr, FUNCTIONS, MAX_NESTING, ONE, PI, ParseError,
-    UnboundSymbolError, ZERO, eval_complex, eval_real, fold, func, mul, neg,
-    parse_expr, rational, symbol, to_text,
+    BranchCutError, DomainError, EvalError, Expr, FUNCTIONS, MAX_NESTING, ONE,
+    PI, ParseError, PoleError, UnboundSymbolError, ZERO, eval_complex,
+    eval_real, fold, func, mul, neg, parse_expr, rational, symbol, to_text,
 )
 from trigsum.mapping import map_fourier
+from trigsum.operators import apply_operator
 
 
 class TestParse:
@@ -339,6 +340,86 @@ class TestEvalComplex:
                     cv = eval_complex(e, {"x": mp.mpc(x, 0)}, 25)
                     assert cv.imag == 0
                     assert rv == cv.real
+
+
+# (expression, binding of x, error class and message on the reals,
+#  error class and message on the complex numbers)
+EVAL_ERRORS = [
+    ("1/x", 0, PoleError, "division by zero", PoleError, "division by zero"),
+    ("x^-2", 0, PoleError, "zero base with negative exponent",
+     PoleError, "zero base with negative exponent"),
+    ("cot(x)", 0, PoleError, "cot pole hit", PoleError, "cot pole hit"),
+    ("csc(x)", 0, PoleError, "csc pole hit", PoleError, "csc pole hit"),
+    ("ln(x)", 0, DomainError, "ln of a non-positive value",
+     PoleError, "ln(0)"),
+    ("artanh(x)", 1, DomainError, "artanh outside (-1, 1)",
+     BranchCutError, "artanh on its branch cut"),
+    ("arcoth(x)", "0.5", DomainError, "arcoth inside [-1, 1]",
+     BranchCutError, "arcoth on its branch cut"),
+    ("y", 0, UnboundSymbolError, "unbound symbol 'y'",
+     UnboundSymbolError, "unbound symbol 'y'"),
+]
+
+
+class TestEvaluationWalk:
+    @pytest.mark.parametrize("text, x, real_error, real_message, "
+                             "complex_error, complex_message", EVAL_ERRORS)
+    def test_errors_per_field(self, text, x, real_error, real_message,
+                              complex_error, complex_message):
+        e = parse_expr(text)
+        with pytest.raises(real_error) as refused:
+            eval_real(e, {"x": x})
+        assert str(refused.value) == real_message
+        with pytest.raises(complex_error) as refused:
+            eval_complex(e, {"x": x})
+        assert str(refused.value) == complex_message
+
+    @pytest.mark.parametrize("name", ["arctan", "arccot"])
+    def test_imaginary_branch_cuts(self, name):
+        for z in (mp.mpc(0, 1), mp.mpc(0, -2)):
+            with pytest.raises(BranchCutError, match=f"{name} on its branch cut"):
+                eval_complex(func(name, symbol("x")), {"x": z})
+
+    def test_unknown_head_is_eval_error_in_both_fields(self):
+        e = Expr("call", (symbol("x"),), "erf")
+        with pytest.raises(EvalError, match="no real evaluator for 'erf'"):
+            eval_real(e, {"x": 1})
+        with pytest.raises(EvalError, match="no complex evaluator for 'erf'"):
+            eval_complex(e, {"x": 1})
+
+    def test_head_tables_cover_the_grammar(self):
+        assert sorted(evaluate._REAL_HEADS) == sorted(FUNCTIONS)
+        assert sorted(evaluate._COMPLEX_HEADS) == sorted(FUNCTIONS)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_each_head_runs_once_per_distinct_node(self, monkeypatch, field):
+        # the cos part of the operator image of sin nested 12 deep is a DAG
+        # with 12 sin nodes, reached along 2,048 tree paths; sin runs once
+        # per node
+        e = symbol("x")
+        for _ in range(12):
+            e = func("sin", e)
+        image = apply_operator(e, symbol("x"), symbol("h")).cos_part
+        seen, stack = set(), [image]
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(node.args)
+        sin_nodes = sum(1 for node in seen
+                        if node.kind == "call" and node.value == "sin")
+        table = evaluate._REAL_HEADS if field == "real" else evaluate._COMPLEX_HEADS
+        sin, calls = table["sin"], []
+
+        def counted(x):
+            calls.append(x)
+            return sin(x)
+
+        monkeypatch.setitem(table, "sin", counted)
+        evaluator = eval_real if field == "real" else eval_complex
+        evaluator(image, {"x": "0.3", "h": "0.2"}, 20)
+        assert sin_nodes >= 12
+        assert len(calls) == sin_nodes
 
 
 class TestFold:

@@ -11,13 +11,10 @@ the arithmetic under these rewrites must leave every string as it is.
 
 import pytest
 
+from trigsum.acceptance import EXAMPLE2_SUM
 from trigsum.expr import parse_expr, to_text
 from trigsum.mapping import MappingError, map_cospow, map_fourier
 from trigsum.operators import apply_operator
-
-EXAMPLE2_SUM = ("(t/12 - 1/(12*t))*ln(t^2 - t + 1) - (t/6 - 1/(6*t))*ln(1+t)"
-                " + (t/4 + 1/(4*t))*(2/sqrt(3))*(arctan((2*t-1)/sqrt(3)) + pi/6)"
-                " - 1/2")
 
 # (family, S(t), kind, c or None, closed form or "error: <message>",
 #  singular points, validity interval)

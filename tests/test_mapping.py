@@ -7,15 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from trigsum.expr import PI, eval_real, parse_expr, to_text, rational
+from trigsum.acceptance import EXAMPLE2_SUM
+from trigsum.expr import PI, eval_real, parse_expr, rational, symbol, to_text
 from trigsum.mapping import (MappingError, detect_singularities,
                              integral_step, map_cospow, map_fourier)
 
 F = Fraction
-
-EXAMPLE2_SUM = ("(t/12 - 1/(12*t))*ln(t^2 - t + 1) - (t/6 - 1/(6*t))*ln(1+t)"
-                " + (t/4 + 1/(4*t))*(2/sqrt(3))*(arctan((2*t-1)/sqrt(3)) + pi/6)"
-                " - 1/2")
 
 
 class TestMapFourier:
@@ -40,6 +37,17 @@ class TestMapFourier:
         r = map_fourier(parse_expr("1/(1-t)"), kind="sine")
         assert r.validity_ratio == (F(0), F(2))
         assert [to_text(p) for p in r.singular_points] == ["0", "2*c"]
+
+    @pytest.mark.xfail(strict=True, reason="the zeros of the sin denominator "
+                       "inside the ln rule's arccot(u/w), where that closed "
+                       "form jumps, are reported as singular points")
+    def test_analytic_log_sine_has_no_singular_points(self):
+        # sum (-1)^(n-1) sin(n pi x/c)/(n 2^n) = Im ln(1 + e^(i pi x/c)/2)
+        # is analytic on the whole line: S(t) = ln(1+t/2) has no
+        # singularity on |t| = 1; today 0 and c are reported
+        r = map_fourier(parse_expr("ln(1+t/2)"), kind="sine")
+        assert r.singular_points == []
+        assert r.validity_ratio is None
 
     def test_alternating_log_sine(self):
         r = map_fourier(parse_expr("ln(1+t)"), kind="sine")
@@ -178,6 +186,25 @@ class TestIntegralStep:
                 a = eval_real(cosine.inner_image, {"x": ratio, "c": 1}, 25)
                 b = eval_real(direct.closed_form, {"x": ratio, "c": 1}, 25)
                 assert abs(a - b) < 1e-20
+
+    @pytest.mark.parametrize("c", [PI, symbol("c"), rational(-1), 0,
+                                   Fraction(-1, 2), 0.5])
+    def test_c_not_a_positive_rational_refused(self, c):
+        # a c that is not a positive rational used to be taken as 1: with
+        # c = pi the cosine side gave -0.2056 at x = 1/2, where
+        # sum cos(n/2)/n^2 is about 0.922
+        with pytest.raises(ValueError, match="c must be a positive rational"):
+            integral_step(parse_expr("-ln(1-t)/t"), c=c)
+
+    def test_rational_c_scales_the_angle(self):
+        # c = 2: the cosine side is sum cos(n pi x/2)/n^2
+        for c in (2, Fraction(2), rational(2)):
+            cosine, _ = integral_step(parse_expr("-ln(1-t)/t"), c=c, digits=20)
+            assert cosine.c_value == 2
+            with mp.workdps(25):
+                th = mp.pi / 4
+                want = mp.pi ** 2 / 6 - mp.pi * th / 2 + th ** 2 / 4
+                assert abs(cosine.eval("0.5", 20) - want) < 1e-15
 
     def test_alternating_dilog_pipeline(self):
         # S = ln(1+t)/t gives the alternating series sum_n (-1)^(n-1) t^n/n^2

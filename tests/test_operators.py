@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -231,6 +232,19 @@ class TestSimplifyGuarded:
         assert to_text(simplify_guarded(e, (0.1, 3.1))) == "1/2*x"
         assert simplify_guarded(e, (0.1, 3.2)).value == "arccot"
         assert simplify_guarded(e, (-3.2, -0.1)).value == "arccot"
+
+    @pytest.mark.parametrize("text", ["arccot((1+cos(pi*x))/sin(pi*x))",
+                                      "arccot((1+cos(x))/sin(x))"])
+    def test_wide_interval_vetoes_without_listing_zeros(self, text):
+        # the guard zeros lie one spacing apart (2 and 2*pi); an interval
+        # wider than that holds one, so the veto does not list the 1e9
+        # zeros in (0.1, 1e9)
+        e = parse_expr(text)
+        start = time.perf_counter()
+        out = simplify_guarded(e, (0.1, 1e9))
+        assert time.perf_counter() - start < 1.0
+        assert out is simplify_guarded(e, (0.1, 1e3)) is e
+        assert to_text(out) == to_text(e)
 
     def test_base_of_other_shape_skips_the_rewrite(self):
         # base x^2 has its guard zero at x = sqrt(pi), inside the interval;
