@@ -1,14 +1,15 @@
 """Numeric evaluation of expression DAGs with mpmath.
 
-One walk serves both fields.  It evaluates each distinct node of the DAG
-once per call, through a dict keyed on the node, and handles the
-structural kinds (constants, symbols, sums, products, quotients and
-powers, with their pole checks) the same way for both.  A function head
-is looked up in the table of the field being evaluated: on the reals, ln,
-sqrt, artanh and arcoth refuse points outside their domain; on the
-complex numbers, arctan, arccot, artanh and arcoth refuse points on their
-branch cuts and ln refuses 0.  Heads that behave the same in both fields
-are written once.
+One walk serves both fields.  A value depends on the call's bindings, so
+the walk goes through ``expr.walk_once``, which evaluates each distinct
+node of the DAG once per call.  It handles the structural kinds
+(constants, symbols, sums, products, quotients and powers, with their pole
+checks) the same way for both.  A function head is looked up in the table
+of the field being evaluated: on the reals, ln, sqrt, artanh and arcoth
+refuse points outside their domain; on the complex numbers, every head
+with a branch cut (ln, sqrt, arctan, arccot, artanh and arcoth) refuses
+points on it, and ln refuses 0.  Heads that behave the same in both
+fields are written once.
 
 Every evaluation runs at an explicitly requested decimal precision;
 precision is never ambient state.  This is the one module of the symbolic
@@ -24,7 +25,7 @@ from typing import Callable, Dict, Mapping
 import mpmath as mp
 
 from .expr import (BranchCutError, DomainError, EvalError, Expr, ExprError,
-                   PoleError, UnboundSymbolError)
+                   PoleError, UnboundSymbolError, walk_once)
 
 __all__ = ["eval_real", "eval_complex", "ComplexVal"]
 
@@ -62,6 +63,10 @@ def _on_imaginary_cut(z) -> bool:
     return z.real == 0 and abs(z.imag) >= 1
 
 
+def _on_negative_axis(z) -> bool:
+    return z.imag == 0 and z.real < 0
+
+
 _BOTH_FIELDS: Dict[str, Callable] = {
     "exp": mp.exp, "sin": mp.sin, "cos": mp.cos, "sinh": mp.sinh, "cosh": mp.cosh,
     **{name: _poles(name) for name in ("tan", "cot", "sec", "csc", "tanh")},
@@ -87,8 +92,11 @@ _COMPLEX_HEADS: Dict[str, Callable] = {
                       "arctan on its branch cut"),
     "arccot": _refuse(_arccot, _on_imaginary_cut, BranchCutError,
                       "arccot on its branch cut"),
-    "ln": _refuse(mp.log, lambda z: z == 0, PoleError, "ln(0)"),
-    "sqrt": mp.sqrt,
+    "ln": _refuse(_refuse(mp.log, _on_negative_axis, BranchCutError,
+                          "ln on its branch cut"),
+                  lambda z: z == 0, PoleError, "ln(0)"),
+    "sqrt": _refuse(mp.sqrt, _on_negative_axis, BranchCutError,
+                    "sqrt on its branch cut"),
     "artanh": _refuse(mp.atanh, lambda z: z.imag == 0 and abs(z.real) >= 1,
                       BranchCutError, "artanh on its branch cut"),
     "arcoth": _refuse(mp.acoth, lambda z: z.imag == 0 and abs(z.real) <= 1,
@@ -127,48 +135,43 @@ def _evaluate(e: Expr, vals: Mapping[str, object], number: Callable,
               heads: Mapping[str, Callable], field: str):
     """The value of e: constants through ``number``, function heads through
     ``heads``; each distinct node is evaluated once."""
-    memo: Dict[Expr, object] = {}
+    return walk_once(_value, vals, number, heads, field)(e)
 
-    def value(x: Expr):
-        out = memo.get(x)
-        if out is not None:
-            return out
-        kind = x.kind
-        if kind == "rat":
-            q = x.value
-            out = number(mp.mpf(q.numerator) / q.denominator)
-        elif kind == "pi":
-            out = number(mp.pi)
-        elif kind == "sym":
-            try:
-                out = vals[x.value]
-            except KeyError:
-                raise UnboundSymbolError(f"unbound symbol {x.value!r}") from None
-        elif kind == "neg":
-            out = -value(x.args[0])
-        elif kind == "add":
-            out = value(x.args[0]) + value(x.args[1])
-        elif kind == "mul":
-            out = value(x.args[0]) * value(x.args[1])
-        elif kind == "div":
-            den = value(x.args[1])
-            if den == 0:
-                raise PoleError("division by zero")
-            out = value(x.args[0]) / den
-        elif kind == "pow":
-            base = value(x.args[0])
-            if base == 0 and x.value < 0:
-                raise PoleError("zero base with negative exponent")
-            out = base ** x.value
-        elif kind == "call":
-            arg = value(x.args[0])
-            head = heads.get(x.value)
-            if head is None:
-                raise EvalError(f"no {field} evaluator for {x.value!r}")
-            out = head(arg)
-        else:
-            raise ExprError(f"unknown node kind {kind!r}")
-        memo[x] = out
-        return out
 
-    return value(e)
+def _value(x: Expr, value: Callable, vals: Mapping[str, object],
+           number: Callable, heads: Mapping[str, Callable], field: str):
+    """One node of ``_evaluate``, its children through ``value``."""
+    kind = x.kind
+    if kind == "rat":
+        q = x.value
+        return number(mp.mpf(q.numerator) / q.denominator)
+    if kind == "pi":
+        return number(mp.pi)
+    if kind == "sym":
+        try:
+            return vals[x.value]
+        except KeyError:
+            raise UnboundSymbolError(f"unbound symbol {x.value!r}") from None
+    if kind == "neg":
+        return -value(x.args[0])
+    if kind == "add":
+        return value(x.args[0]) + value(x.args[1])
+    if kind == "mul":
+        return value(x.args[0]) * value(x.args[1])
+    if kind == "div":
+        den = value(x.args[1])
+        if den == 0:
+            raise PoleError("division by zero")
+        return value(x.args[0]) / den
+    if kind == "pow":
+        base = value(x.args[0])
+        if base == 0 and x.value < 0:
+            raise PoleError("zero base with negative exponent")
+        return base ** x.value
+    if kind == "call":
+        arg = value(x.args[0])
+        head = heads.get(x.value)
+        if head is None:
+            raise EvalError(f"no {field} evaluator for {x.value!r}")
+        return head(arg)
+    raise ExprError(f"unknown node kind {kind!r}")

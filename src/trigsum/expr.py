@@ -5,9 +5,15 @@ negation, sums, products, quotients, integer powers and a fixed set of
 function heads.  Expressions form a hash-consed DAG: each node is interned
 on (kind, args, value), so structurally equal expressions are one object,
 equality is identity and a shared subterm is stored once.  Nodes are
-immutable, hash by identity (which is what ``==`` means) and keep, once
-asked, their ``fold``, ``to_text`` and ``free_symbols`` results, so each
-costs one visit per distinct node.  Parsing inverts printing:
+immutable and hash by identity (which is what ``==`` means).  One memo
+rule covers every walk over the DAG.  A result that depends on the node
+alone lives in a slot on the node, filled once asked: ``fold``,
+``to_text``, ``free_symbols``, and ``trigpoly``'s ``split_rational`` and
+term expansion.  A pass whose result also depends on its call's arguments
+goes through ``walk_once``, which keeps one memo per call.  Either way a
+distinct node is worked on once.  No slot and no memo holds a cycle back
+to its own node, so a dropped DAG is freed at once, without the garbage
+collector.  Parsing inverts printing:
 ``parse_expr(to_text(e)) is e``.  The intern table is an implementation
 detail that callers never see: a plain dict from key to a weak reference to
 the node.  A hit takes no lock and a miss inserts under one after looking
@@ -59,6 +65,7 @@ __all__ = [
     "substitute",
     "fold",
     "free_symbols",
+    "walk_once",
     "eval_real",
     "eval_complex",
     "ComplexVal",
@@ -130,7 +137,7 @@ class Expr:
     """
 
     __slots__ = ("kind", "args", "value", "_fold", "_text", "_free", "_split",
-                 "__weakref__")
+                 "_terms", "__weakref__")
 
     def __new__(cls, kind: str, args: tuple = (), value: object = None):
         key = (kind, args, type(value), value)
@@ -149,6 +156,7 @@ class Expr:
                     _set(node, "_text", None)
                     _set(node, "_free", None)
                     _set(node, "_split", None)   # trigpoly.split_rational's memo
+                    _set(node, "_terms", None)   # trigpoly's term expansion
                     ref = _Ref(node, _forget)
                     ref.key = key
                     _INTERN[key] = ref
@@ -382,6 +390,29 @@ def free_symbols(e: Expr) -> frozenset:
             *map(free_symbols, e.args))
         _set(e, "_free", out)
     return out
+
+
+_MISS = object()
+
+
+class walk_once:
+    """One call's walk over a DAG: ``worker(node, recurse, *extra)`` runs once
+    per distinct node, and ``recurse(child)`` answers from this call's memo.
+    The answers are shared, so callers only read them.  The walk is an
+    object rather than a recursive closure: a closure refers to itself, and
+    that cycle would keep the memo, with every node in it, until the garbage
+    collector runs."""
+
+    __slots__ = ("_worker", "_extra", "_memo")
+
+    def __init__(self, worker, *extra):
+        self._worker, self._extra, self._memo = worker, extra, {}
+
+    def __call__(self, x: Expr):
+        out = self._memo.get(x, _MISS)
+        if out is _MISS:
+            out = self._memo[x] = self._worker(x, self, *self._extra)
+        return out
 
 
 # ---------------------------------------------------------------------------

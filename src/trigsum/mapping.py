@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .expr import (
     Expr, ExprError, EvalError, PI, ZERO,
-    add, mul, div, func, rational, symbol, substitute, fold,
+    add, mul, div, func, rational, symbol, substitute, fold, walk_once,
 )
 from .operators import apply_operator, simplify_collect
 from .trigpoly import collect_terms
@@ -121,28 +121,26 @@ def _denominator_loci(e: Expr) -> List[Tuple[AngleLocus, Expr]]:
     """Zero loci of denominators surviving in a closed form; each distinct
     node is visited once."""
     found: List[Tuple[AngleLocus, Expr]] = []
-    seen = set()
-
-    def walk(x: Expr):
-        if x in seen:
-            return
-        seen.add(x)
-        for a in x.args:
-            walk(a)
-        if x.kind == "div":
-            den = x.args[1]
-            base = find_trig_base(den)
-            if base is None:
-                return
-            ratio, key, base_expr = base
-            D = tpoly_from_expr(den, ratio, key)
-            if D is None:
-                raise MappingError(f"cannot place zeros of denominator {den}")
-            for locus in _common_zero_loci(D, D):
-                found.append((locus, base_expr))
-
-    walk(e)
+    walk_once(_node_denominator_loci, found)(e)
     return found
+
+
+def _node_denominator_loci(x: Expr, walk, found: List) -> None:
+    """One node of ``_denominator_loci``: its children through ``walk``, then
+    the zero loci of its own denominator, if it is a quotient, to ``found``."""
+    for a in x.args:
+        walk(a)
+    if x.kind != "div":
+        return
+    den = x.args[1]
+    base = find_trig_base(den)
+    if base is None:
+        return
+    ratio, key, base_expr = base
+    D = tpoly_from_expr(den, ratio, key)
+    if D is None:
+        raise MappingError(f"cannot place zeros of denominator {den}")
+    found.extend((locus, base_expr) for locus in _common_zero_loci(D, D))
 
 
 def _map_common(part: Expr, theta: Expr, kind: str, unit: Expr,

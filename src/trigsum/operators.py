@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .expr import (
-    Expr, ExprError, EvalError, ZERO, ONE,
-    add, sub, mul, div, neg, ipow, func, rational,
-    free_symbols, fold, is_zero, rebuild,
+    Expr, ExprError, EvalError, PI, ZERO, ONE,
+    add, sub, mul, div, neg, ipow, func, rational, symbol,
+    free_symbols, fold, is_zero, rebuild, walk_once,
 )
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError,
@@ -287,43 +287,35 @@ class SimplifyOutcome:
 def _simplify_walk(e: Expr, accept) -> SimplifyOutcome:
     """Bottom-up rewrite pass; ``accept(guards, base)`` may veto a collapse.
 
-    Each distinct node is rewritten once: a repeated subterm replays the
-    result, guards and branch count of its first visit."""
-    guards: List[Tuple[AngleLocus, Expr]] = []
-    branches = 0
-    seen: Dict[Expr, Tuple[Expr, List, int]] = {}
+    Each distinct node is rewritten once, and a repeated subterm adds its
+    subtree's guards and branch count at each of its occurrences."""
+    out, guards, branches = walk_once(_simplify_node, accept)(fold(e))
+    return SimplifyOutcome(collect_terms(out), list(guards), branches)
 
-    def walk(x: Expr) -> Expr:
-        nonlocal branches
-        if x.kind in ("rat", "pi", "sym"):
-            return x
-        if x in seen:
-            out, added, n = seen[x]
-            guards.extend(added)
-            branches += n
-            return out
-        start, start_branches = len(guards), branches
-        out = rebuild(x, tuple(walk(a) for a in x.args))
-        if x.kind == "div" and out.kind == "div":
-            folded = fold_const_denominator(out.args[0], out.args[1])
-            if folded is not None:
-                out = folded
-        if out.kind == "call" and out.value in ("arccot", "arctan"):
-            try:
-                hit = collapse_inverse_trig(out.value, out.args[0])
-            except UnsolvableLocusError:
-                hit = None
-            if hit is not None:
-                if accept is None or accept(hit.guards, hit.base):
-                    guards.extend((locus, hit.base) for locus in hit.guards)
-                    if hit.branch:
-                        branches += 1
-                    out = hit.expr
-        seen[x] = (out, guards[start:], branches - start_branches)
-        return out
 
-    result = collect_terms(walk(fold(e)))
-    return SimplifyOutcome(result, guards, branches)
+def _simplify_node(x: Expr, walk, accept) -> Tuple[Expr, Tuple, int]:
+    """One node of ``_simplify_walk``: the rewritten node with the guards
+    and the branch count of its subtree, its children through ``walk``."""
+    if x.kind in ("rat", "pi", "sym"):
+        return x, (), 0
+    children = [walk(a) for a in x.args]
+    guards = tuple(g for _, child_guards, _ in children for g in child_guards)
+    branches = sum(n for _, _, n in children)
+    out = rebuild(x, tuple(child for child, _, _ in children))
+    if x.kind == "div" and out.kind == "div":
+        folded = fold_const_denominator(out.args[0], out.args[1])
+        if folded is not None:
+            out = folded
+    if out.kind == "call" and out.value in ("arccot", "arctan"):
+        try:
+            hit = collapse_inverse_trig(out.value, out.args[0])
+        except UnsolvableLocusError:
+            hit = None
+        if hit is not None and (accept is None or accept(hit.guards, hit.base)):
+            guards += tuple((locus, hit.base) for locus in hit.guards)
+            branches += hit.branch
+            out = hit.expr
+    return out, guards, branches
 
 
 def simplify_collect(e: Expr) -> SimplifyOutcome:
@@ -367,17 +359,18 @@ def simplify_guarded(e: Expr, interval: Tuple[float, float],
     lo_pi = Fraction(math.floor(lo / math.pi) - 1)
     hi_pi = Fraction(math.ceil(hi / math.pi) + 1)
 
+    x = symbol(var)
+
     def meets(locus: AngleLocus, base: Expr) -> bool:
-        names = free_symbols(base)
-        if var not in names:
+        if var not in free_symbols(base):
             return False
         rho, key = split_rational(base)
-        shape = {name: exp for name, exp in key if name == var or name not in names}
+        shape = {atom: exp for atom, exp in key if atom is x or atom.kind != "sym"}
         zeros = locus.scaled(rho)
-        if shape == {"pi": 1, var: 1}:
+        if shape == {PI: 1, x: 1}:
             return (hi_q - lo_q > zeros.modulus
                     or any(lo_q < t < hi_q for t in zeros.points_in(lo_q, hi_q)))
-        if shape == {var: 1}:
+        if shape == {x: 1}:
             return (hi - lo > 2 * float(zeros.modulus) * math.pi
                     or any(lo < float(t) * math.pi < hi
                            for t in zeros.points_in(lo_pi, hi_pi)))

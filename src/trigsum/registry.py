@@ -369,9 +369,9 @@ class IdentityRecord:
     """One catalogued identity: series term spec plus exact closed form.
 
     Intervals are in units of c (Fourier records, including the pinned
-    c = pi examples) with open/closed endpoint flags; ``term`` gives the
-    frequency multiplier of pi x/c and the exact amplitude of the n-th term
-    for n >= n_start.  kind "value" records have no x-dependence.  Without
+    c = pi examples), closed at both endpoints or at neither; ``term``
+    gives the frequency multiplier of pi x/c and the exact amplitude of the
+    n-th term for n >= n_start.  kind "value" records have no x-dependence.  Without
     ``poly`` the closed form (poly and log_term) is derived from ``term``
     and ``trig``.
     """
@@ -382,8 +382,7 @@ class IdentityRecord:
     r_min: int
     r_fixed: Optional[int]
     interval: Optional[Tuple[Fraction, Fraction]]
-    closed_left: bool
-    closed_right: bool
+    closed: bool                                # both endpoints closed
     period: Fraction
     n_start: int
     term: TermSpec
@@ -585,107 +584,107 @@ def _make_records() -> Dict[str, IdentityRecord]:
     cor6 = IdentityRecord(
         id="cor6-lambda", label="odd-denominator cosine series over [0, c]",
         kind="fourier", trig="cos", r_min=1, r_fixed=None,
-        interval=(f(0), f(1)), closed_left=True, closed_right=True,
+        interval=(f(0), f(1)), closed=True,
         period=f(2), n_start=1, term=TermSpec(2, -1, lam, even))
     records = [
         IdentityRecord(
             id="thm11-cos", label="cosine series of n^(-2r) over [0, 2c]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(0), f(2)), closed_left=True, closed_right=True,
+            interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, even)),
         IdentityRecord(
             id="thm11-sin", label="sine series of n^(-2r-1) over [0, 2c]",
             kind="fourier", trig="sin", r_min=1, r_fixed=None,
-            interval=(f(0), f(2)), closed_left=True, closed_right=True,
+            interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
             id="thm16-zeta-odd-cos",
             label="cosine series of n^(-2r-1) with log and residual terms",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(0), f(2)), closed_left=True, closed_right=True,
+            interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
             residual=thm16_residual),
         IdentityRecord(
             id="thm18-cos", label="alternating cosine series of n^(-2r) over [-c, c]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(-1), f(1)), closed_left=True, closed_right=True,
+            interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, even)),
         IdentityRecord(
             id="thm18-sin", label="alternating sine series of n^(-2r-1) over [-c, c]",
             kind="fourier", trig="sin", r_min=1, r_fixed=None,
-            interval=(f(-1), f(1)), closed_left=True, closed_right=True,
+            interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
             id="thm21-eta-odd",
             label="alternating cosine series of n^(-2r-1) with Bernoulli residual",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(-1), f(1)), closed_left=True, closed_right=True,
+            interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
             residual=thm21_residual),
         IdentityRecord(
             id="cor5-beta", label="beta-family cosine series over [-c/2, c/2]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(-1, 2), f(1, 2)), closed_left=True, closed_right=True,
+            interval=(f(-1, 2), f(1, 2)), closed=True,
             period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
         cor6,
         IdentityRecord(
             id="cor7-frakd", label="signed odd-denominator cosine series over [0, c/4]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
+            interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even)),
         IdentityRecord(
             id="cor8-cald", label="signed odd-denominator odd-power cosine series over [0, c/4]",
             kind="fourier", trig="cos", r_min=1, r_fixed=None,
-            interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
+            interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=0, term=TermSpec(2, 1, calD, odd)),
         IdentityRecord(
             id="eq56-frakd-value", label="signed odd-denominator Dirichlet value",
             kind="value", trig=None, r_min=1, r_fixed=None,
-            interval=None, closed_left=False, closed_right=False,
+            interval=None, closed=False,
             period=f(2), n_start=1,
             term=TermSpec(2, -1, PeriodicPattern(frakD.period, frakD.weights), even),
             poly=_poly_eq56),
         IdentityRecord(
             id="eq69-frakd-poly", label="cubic closed form on [c/4, 3c/4]",
             kind="fourier", trig="cos", r_min=2, r_fixed=2,
-            interval=(f(1, 4), f(3, 4)), closed_left=True, closed_right=True,
+            interval=(f(1, 4), f(3, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
             poly=_poly_eq69),
         IdentityRecord(
             id="eq70-frakd-poly", label="quadratic closed form on [0, c/4]",
             kind="fourier", trig="cos", r_min=2, r_fixed=2,
-            interval=(f(0), f(1, 4)), closed_left=True, closed_right=True,
+            interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
             poly=_poly_eq70),
         IdentityRecord(
             id="example1-cospow", label="sin(nx) cos^n x / n over (0, pi)",
             kind="cospow", trig="sin", r_min=1, r_fixed=1,
-            interval=(f(0), f(1)), closed_left=False, closed_right=False,
+            interval=(f(0), f(1)), closed=False,
             period=f(1), n_start=1, term=TermSpec(1, 0, zeta, (0, 1)),
             poly=_poly_example1),
         IdentityRecord(
             id="example2-fourier",
             label="alternating cos(3 n x) over (-pi/3, pi/3), c = pi",
             kind="fourier", trig="cos", r_min=1, r_fixed=1,
-            interval=(f(-1, 3), f(1, 3)), closed_left=False, closed_right=False,
+            interval=(f(-1, 3), f(1, 3)), closed=False,
             period=f(2, 3), n_start=1, term=TermSpec(3, 0, eta, even, pole=1),
             poly=_poly_example2,
             cos_coeff=lambda r: Coeff({("sqrt3pi", 1): Fraction(1, 9)})),
         IdentityRecord(
             id="lemma4-sin-log", label="sine series of 1/n over (0, 2c)",
             kind="fourier", trig="sin", r_min=0, r_fixed=0,
-            interval=(f(0), f(2)), closed_left=False, closed_right=False,
+            interval=(f(0), f(2)), closed=False,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
             id="lemma4-sin-alt", label="alternating sine series of 1/n over (-c, c)",
             kind="fourier", trig="sin", r_min=0, r_fixed=0,
-            interval=(f(-1), f(1)), closed_left=False, closed_right=False,
+            interval=(f(-1), f(1)), closed=False,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
             id="lemma4-cos-arctan",
             label="alternating odd cosine series of 1/(2n+1) over (-c/2, c/2)",
             kind="fourier", trig="cos", r_min=0, r_fixed=0,
-            interval=(f(-1, 2), f(1, 2)), closed_left=False, closed_right=False,
+            interval=(f(-1, 2), f(1, 2)), closed=False,
             period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
     ]
     records.append(replace(
@@ -989,7 +988,7 @@ def endpoint_suite() -> List[Tuple[str, int]]:
     out = []
     for entry in default_suite():
         rec = get_record(entry.id)
-        if rec.kind == "fourier" and rec.closed_left and rec.interval is not None:
+        if rec.kind == "fourier" and rec.closed and rec.interval is not None:
             out.append((entry.id, rec.effective_r(entry.r)))
     return sorted(set(out))
 

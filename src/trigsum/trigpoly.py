@@ -19,6 +19,16 @@ arccot carries the convention arccot(t) = pi/2 - arctan(t) with range
 value continuously across branch jumps, which is the convention under
 which the closed forms equal their series sums on the whole validity
 interval.
+
+Every walk here follows the one memo rule of ``trigsum.expr``.  A result
+that depends on the node alone is kept in a slot on the node: the split of
+a product into coefficient and factors (``split_rational``) and the
+multilinear expansion of ``collect_terms``; an atom's split or expansion
+would hold the atom itself, so it is built when asked, not kept.  A walk
+that depends on its call's arguments, such as TPoly extraction in a base
+angle or the search for that angle, goes through ``expr.walk_once``.
+Factor maps are keyed on the interned atom; printed text is only the sort
+key of output order.
 """
 
 from __future__ import annotations
@@ -27,12 +37,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .expr import (
     Expr, PI, ZERO, ONE,
-    add, sub, mul, div, neg, ipow, func, rational, is_rat, rat_value,
-    free_symbols,
+    add, sub, mul, div, neg, ipow, func, rational, symbol, is_rat, rat_value,
+    free_symbols, to_text, walk_once,
 )
 
 __all__ = [
@@ -346,58 +356,73 @@ def _chebyshev(m: int, first: Tuple[int, ...]) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # expression -> TPoly extraction
 
-def split_rational(e: Expr) -> Tuple[Fraction, Tuple[Tuple[str, int], ...]]:
+_Key = Tuple[Tuple[Expr, int], ...]
+
+
+def split_rational(e: Expr) -> Tuple[Fraction, _Key]:
     """Split a product tree into (rational coefficient, canonical factor key).
 
-    The key is a sorted tuple of (printed factor, exponent) for the
-    non-rational atoms; pi is just another atom here.  The result is kept
-    on the node, as ``fold``'s is.
+    The key is a tuple of (atom, exponent) for the non-rational atoms, in
+    the order of their printed text; pi is just another atom here.  The
+    split of a neg, mul, div or pow node is kept on the node, as ``fold``'s
+    is; an atom's key holds the atom itself, a cycle that only the garbage
+    collector would free, so it is not kept.
     """
+    if e.kind == "rat":
+        return e.value, ()
+    if e.kind not in ("neg", "mul", "div", "pow"):
+        return Fraction(1), ((e, 1),)
     out = e._split
     if out is None:
-        coeff, factors = _flatten_product(e)
-        out = coeff, tuple(sorted((k, v[1]) for k, v in factors.items() if v[1] != 0))
+        out = _split_product(e)
         object.__setattr__(e, "_split", out)
     return out
 
 
-def _rebuild_from_key(coeff: Fraction,
-                      key: Sequence[Tuple[str, int]],
-                      atoms: Dict[str, Expr]) -> Expr:
+def _split_product(e: Expr) -> Tuple[Fraction, _Key]:
+    """One neg, mul, div or pow node of ``split_rational``."""
+    coeff, key = split_rational(e.args[0])
+    if e.kind == "neg":
+        return -coeff, key
+    if e.kind == "pow":
+        n = e.value
+        return coeff ** n, tuple((atom, exp * n) for atom, exp in key if n)
+    other, other_key = split_rational(e.args[1])
+    sign = 1 if e.kind == "mul" else -1
+    factors = dict(key)
+    for atom, exp in other_key:
+        factors[atom] = factors.get(atom, 0) + sign * exp
+    return coeff * other ** sign, _ordered(factors)
+
+
+def _ordered(factors: Dict[Expr, int]) -> _Key:
+    """The nonzero factors as (atom, exponent), in printed-text order."""
+    return tuple((atom, factors[atom]) for atom in sorted(factors, key=to_text)
+                 if factors[atom])
+
+
+def _rebuild_from_key(coeff: Fraction, key: _Key) -> Expr:
     out = rational(coeff)
-    for name, exp in key:
-        out = mul(out, ipow(atoms[name], exp))
+    for atom, exp in key:
+        out = mul(out, ipow(atom, exp))
     return out
 
 
-def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
+def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, _Key, Expr]]:
     """Discover the common base angle of all sin/cos atoms inside ``e``.
 
     Returns (base_ratio, symbolic_key, base_expr) where every trig argument
     equals an integer multiple of base_expr = base_ratio * key-product, or
     None when the arguments do not share one symbolic part.
     """
-    args: List[Tuple[Fraction, Tuple, Expr]] = []
-    seen = set()
-
-    def walk(x: Expr):
-        if x in seen:
-            return
-        seen.add(x)
-        if x.kind == "call" and x.value in ("sin", "cos"):
-            rho, key = split_rational(x.args[0])
-            args.append((rho, key, x.args[0]))
-            return
-        for a in x.args:
-            walk(a)
-
-    walk(e)
+    args: List[Tuple[Fraction, _Key]] = []
+    walk_once(_trig_arguments, args)(e)
     if not args:
         return None
     key0 = args[0][1]
-    if any(k != key0 for _, k, _ in args[1:]):
+    if any(k != key0 for _, k in args[1:]):
         return None
-    ratios = [r for r, _, _ in args]
+    ratios = [r for r, _ in args]
     if any(r <= 0 for r in ratios):
         # fold sin(-u) style signs before extraction; bail here
         return None
@@ -405,34 +430,25 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, Tuple, Expr]]:
     for r in ratios[1:]:
         g = Fraction(gcd(g.numerator * r.denominator, r.numerator * g.denominator),
                      g.denominator * r.denominator)
-    atoms = {k: atom for k, (atom, _) in _flatten_product(args[0][2])[1].items()}
-    base_expr = _rebuild_from_key(g, key0, atoms)
-    return g, key0, base_expr
+    return g, key0, _rebuild_from_key(g, key0)
 
 
-_MISS = object()
+def _trig_arguments(x: Expr, walk, found: List[Tuple[Fraction, _Key]]) -> None:
+    """One node of ``find_trig_base``: a sin/cos argument's split goes to
+    ``found``, any other node's children through ``walk``."""
+    if x.kind == "call" and x.value in ("sin", "cos"):
+        found.append(split_rational(x.args[0]))
+        return
+    for a in x.args:
+        walk(a)
 
 
-def _memoized(worker, *extra):
-    """One call's walk over a DAG: ``worker(node, recurse, *extra)`` runs once
-    per distinct node, and ``recurse(child)`` answers from this call's memo.
-    The answers are shared, so callers only read them."""
-    memo: Dict[Expr, object] = {}
-
-    def recurse(x: Expr):
-        out = memo.get(x, _MISS)
-        if out is _MISS:
-            out = memo[x] = worker(x, recurse, *extra)
-        return out
-    return recurse
-
-
-def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: Tuple) -> Optional[TPoly]:
+def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: _Key) -> Optional[TPoly]:
     """Extract ``e`` as a TPoly in the base angle, or None if unsupported."""
-    return _memoized(_tpoly, base_ratio, base_key)(e)
+    return walk_once(_tpoly, base_ratio, base_key)(e)
 
 
-def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: Tuple) -> Optional[TPoly]:
+def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[TPoly]:
     """One node of ``tpoly_from_expr``, its children through ``extract``."""
     if e.kind == "rat":
         v = rat_value(e)
@@ -634,7 +650,7 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
         base_ratio, base_key, base_expr = Fraction(1), (), ONE
     else:
         base_ratio, base_key, base_expr = found
-    extract = _memoized(_tpoly, base_ratio, base_key)
+    extract = walk_once(_tpoly, base_ratio, base_key)
     N, D = extract(num_e), extract(den_e)
     if N is None or D is None:
         return None
@@ -732,82 +748,103 @@ def _tpoly_float(P: TPoly, c: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 # linear-combination normal form (combining like terms)
 
-_Term = Tuple[Fraction, Dict[str, Tuple[Expr, int]]]
+_Term = Tuple[Fraction, Dict[Expr, int]]
 
 _EXPAND_POW_LIMIT = 6
 
 
-def _merge_factors(a: Dict[str, Tuple[Expr, int]],
-                   b: Dict[str, Tuple[Expr, int]], b_scale: int = 1):
+def _merge_factors(a: Dict[Expr, int], b: Dict[Expr, int], b_scale: int = 1):
     out = dict(a)
-    for k, (atom, exp) in b.items():
-        prev = out.get(k)
-        out[k] = (atom, (prev[1] if prev else 0) + exp * b_scale)
+    for atom, exp in b.items():
+        out[atom] = out.get(atom, 0) + exp * b_scale
     return out
 
 
-def _expand(e: Expr, expand) -> List[_Term]:
-    """Multilinear expansion of ``e`` as a list of (coefficient, factors),
-    its children through ``expand``; no term list or factor dict is
-    changed after it is built."""
+def _expansion(e: Expr) -> List[_Term]:
+    """The multilinear expansion of ``e``, kept on the node, as ``fold``'s
+    is, except for an atom, as ``split_rational`` does; no term list or
+    factor dict is changed after it is built."""
+    if e.kind in ("pi", "sym", "call"):
+        return [(Fraction(1), {e: 1})]
+    out = e._terms
+    if out is None:
+        out = _expand(e)
+        object.__setattr__(e, "_terms", out)
+    return out
+
+
+def _expand(e: Expr) -> List[_Term]:
+    """Multilinear expansion of a node that is not an atom, as a list of
+    (coefficient, {atom: exponent}), its children through ``_expansion``."""
     if e.kind == "rat":
         return [(rat_value(e), {})]
     if e.kind == "neg":
-        return [(-c, f) for c, f in expand(e.args[0])]
+        return [(-c, f) for c, f in _expansion(e.args[0])]
     if e.kind == "add":
-        return expand(e.args[0]) + expand(e.args[1])
+        return _expansion(e.args[0]) + _expansion(e.args[1])
     if e.kind == "mul":
-        left, right = expand(e.args[0]), expand(e.args[1])
+        left, right = _expansion(e.args[0]), _expansion(e.args[1])
         return [(cl * cr, _merge_factors(fl, fr))
                 for cl, fl in left for cr, fr in right]
     if e.kind == "div":
-        num = expand(e.args[0])
-        den = expand(e.args[1])
+        num = _expansion(e.args[0])
+        den = _expansion(e.args[1])
         if len(den) == 1:
             cd, fd = den[0]
             if cd == 0:
                 raise ZeroDivisionError("zero denominator")
             return [(cn / cd, _merge_factors(fn, fd, -1)) for cn, fn in num]
         atom = collect_terms(e.args[1])
-        key = str(atom)
-        return [(cn, _merge_factors(fn, {key: (atom, -1)})) for cn, fn in num]
-    if e.kind == "pow":
-        n = e.value
-        if 0 <= n <= _EXPAND_POW_LIMIT:
-            out: List[_Term] = [(Fraction(1), {})]
-            base = expand(e.args[0])
-            for _ in range(n):
-                out = [(c1 * c2, _merge_factors(f1, f2))
-                       for c1, f1 in out for c2, f2 in base]
-            return out
-        base = expand(e.args[0])
-        if len(base) == 1:
-            c0, f0 = base[0]
-            return [(c0 ** n, {k: (a, x * n) for k, (a, x) in f0.items()})]
-        atom = collect_terms(e.args[0])
-        return [(Fraction(1), {str(atom): (atom, n)})]
-    return [(Fraction(1), {str(e): (e, 1)})]
+        return [(cn, _merge_factors(fn, {atom: -1})) for cn, fn in num]
+    n = e.value    # a pow node
+    base = _expansion(e.args[0])
+    if 0 <= n <= _EXPAND_POW_LIMIT:
+        out: List[_Term] = [(Fraction(1), {})]
+        for _ in range(n):
+            out = [(c1 * c2, _merge_factors(f1, f2))
+                   for c1, f1 in out for c2, f2 in base]
+        return out
+    if len(base) == 1:
+        c0, f0 = base[0]
+        return [(c0 ** n, {a: x * n for a, x in f0.items()})]
+    return [(Fraction(1), {collect_terms(e.args[0]): n})]
 
 
-def _reduce_sin_squares(coeff: Fraction,
-                        factors: Dict[str, Tuple[Expr, int]]) -> List[_Term]:
+def _reduce_sin_squares(coeff: Fraction, factors: Dict[Expr, int]) -> List[_Term]:
     """Rewrite sin(u)^(2m+r) -> (1 - cos(u)^2)^m sin(u)^r within one term,
     expanding binomially; sin keeps exponent 0 or 1 afterwards."""
-    for keyname, (atom, exp) in factors.items():
+    for atom, exp in factors.items():
         if (exp >= 2 and atom.kind == "call" and atom.value == "sin"):
             m, r = divmod(exp, 2)
             cos_atom = func("cos", atom.args[0])
-            cos_key = str(cos_atom)
             out: List[_Term] = []
             for j in range(m + 1):
                 binom = Fraction((-1) ** j) * math.comb(m, j)
                 new_factors = dict(factors)
-                new_factors[keyname] = (atom, r)
-                prev = new_factors.get(cos_key)
-                new_factors[cos_key] = (cos_atom, (prev[1] if prev else 0) + 2 * j)
+                new_factors[atom] = r
+                new_factors[cos_atom] = new_factors.get(cos_atom, 0) + 2 * j
                 out.extend(_reduce_sin_squares(coeff * binom, new_factors))
             return out
     return [(coeff, factors)]
+
+
+def _collected(e: Expr) -> List[Tuple[_Key, Fraction]]:
+    """The like terms of ``e`` combined, as (factor key, nonzero
+    coefficient) in the printed-text order of the keys."""
+    terms: Dict[_Key, Fraction] = {}
+    for raw_coeff, raw_factors in _expansion(e):
+        for coeff, factors in _reduce_sin_squares(raw_coeff, raw_factors):
+            kept: Dict[Expr, int] = {}
+            for atom, exp in factors.items():
+                if atom.kind == "call" and atom.value == "sqrt" and is_rat(atom.args[0]):
+                    # even powers of sqrt(rational) go into the coefficient
+                    coeff *= rat_value(atom.args[0]) ** (exp // 2)
+                    exp %= 2
+                kept[atom] = exp
+            key = _ordered(kept)
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+    return sorted(((k, v) for k, v in terms.items() if v != 0),
+                  key=lambda kv: [(to_text(atom), exp) for atom, exp in kv[0]])
 
 
 def collect_terms(e: Expr) -> Expr:
@@ -817,112 +854,43 @@ def collect_terms(e: Expr) -> Expr:
     Even powers of sqrt(rational) are absorbed into the coefficient.  The
     result is value-equal to the input.
     """
-    terms: Dict[Tuple, Fraction] = {}
-    atoms: Dict[str, Expr] = {}
-
-    raw: List[_Term] = []
-    for coeff, factors in _memoized(_expand)(e):
-        raw.extend(_reduce_sin_squares(coeff, factors))
-
-    for coeff, factors in raw:
-        items = []
-        for keyname in sorted(factors):
-            atom, exp = factors[keyname]
-            if exp == 0:
-                continue
-            if atom.kind == "call" and atom.value == "sqrt" and is_rat(atom.args[0]):
-                root_of = rat_value(atom.args[0])
-                coeff *= root_of ** (exp // 2)
-                exp = exp % 2
-                if exp == 0:
-                    continue
-            items.append((keyname, atom, exp))
-        key = tuple((kn, exp) for kn, _, exp in items)
-        atoms.update({kn: atom for kn, atom, _ in items})
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-
-    ordered = sorted(k for k, v in terms.items() if v != 0)
     out: Optional[Expr] = None
-    for key in ordered:
-        coeff = terms[key]
+    for key, coeff in _collected(e):
         if coeff == -1 and key:
-            piece: Optional[Expr] = None
-            for keyname, exp in key:
-                factor = ipow(atoms[keyname], exp)
-                piece = factor if piece is None else mul(piece, factor)
-            piece = neg(piece)
+            piece = neg(_rebuild_from_key(Fraction(1), key))
         else:
-            piece = rational(coeff)
-            for keyname, exp in key:
-                piece = mul(piece, ipow(atoms[keyname], exp))
+            piece = _rebuild_from_key(coeff, key)
         out = piece if out is None else add(out, piece)
     return out if out is not None else ZERO
 
 
-def _flatten_product(x: Expr) -> Tuple[Fraction, Dict[str, Tuple[Expr, int]]]:
-    """A product tree as (rational coefficient, {printed atom: (atom, exponent)})."""
-    coeff = Fraction(1)
-    factors: Dict[str, Tuple[Expr, int]] = {}
-
-    def walk(y: Expr, exp: int):
-        nonlocal coeff
-        if y.kind == "rat":
-            coeff *= rat_value(y) ** exp
-        elif y.kind == "neg":
-            coeff *= (-1) ** exp
-            walk(y.args[0], exp)
-        elif y.kind == "mul":
-            walk(y.args[0], exp)
-            walk(y.args[1], exp)
-        elif y.kind == "div":
-            walk(y.args[0], exp)
-            walk(y.args[1], -exp)
-        elif y.kind == "pow":
-            walk(y.args[0], exp * y.value)  # type: ignore[operator]
-        else:
-            k = str(y)
-            prev = factors.get(k)
-            factors[k] = (y, (prev[1] if prev else 0) + exp)
-
-    walk(x, 1)
-    return coeff, factors
-
-
 def polynomial_in(e: Expr, var: str) -> Optional[List[Expr]]:
     """Coefficients [a0, a1, ...] if ``e`` is polynomial in ``var`` with
-    var-free coefficients, else None."""
-    collected = collect_terms(e)
-    coeffs: Dict[int, Expr] = {}
+    var-free coefficients, else None.
 
-    def handle_term(t: Expr):
-        coeff, factors = _flatten_product(t)
+    Each collected term is flattened through ``split_rational``, so that a
+    factor collected from a denominator, such as (2*c)^-1, cancels against
+    the term's other factors."""
+    x = symbol(var)
+    coeffs: Dict[int, Expr] = {}
+    for key, coeff in _collected(e):
+        factors: Dict[Expr, int] = {}
+        for atom, exp in key:
+            rho, sub_key = split_rational(ipow(atom, exp))
+            coeff *= rho
+            for a, k in sub_key:
+                factors[a] = factors.get(a, 0) + k
         power = 0
         rest: Expr = rational(coeff)
-        for keyname in sorted(factors):
-            atom, exp = factors[keyname]
-            if exp == 0:
-                continue
-            if atom.kind == "sym" and atom.value == var:
+        for atom, exp in _ordered(factors):
+            if atom is x:
                 if exp < 0:
-                    raise ValueError
+                    return None
                 power = exp
+            elif var in free_symbols(atom):
+                return None
             else:
-                if var in free_symbols(atom):
-                    raise ValueError
                 rest = mul(rest, ipow(atom, exp))
         coeffs[power] = add(coeffs.get(power, ZERO), rest)
-
-    def walk_sum(x: Expr):
-        if x.kind == "add":
-            walk_sum(x.args[0])
-            walk_sum(x.args[1])
-        else:
-            handle_term(x)
-
-    try:
-        walk_sum(collected)
-    except ValueError:
-        return None
     top = max(coeffs) if coeffs else 0
     return [coeffs.get(i, ZERO) for i in range(top + 1)]
-

@@ -31,3 +31,15 @@ def test_sweep_failure_names_each_row_once(monkeypatch):
     assert not passed
     assert detail.startswith("1 grid/endpoint checks pass")
     assert detail.endswith("; failures: ['thm16-zeta-odd-cos@endpoints']")
+
+
+def test_operator_oracle_stays_off_branch_cuts():
+    # criterion 4 evaluates head(x + ih), and ln(1 + exp(x + ih)), with
+    # 0 < h < pi: every argument has a positive imaginary part, so no ln or
+    # sqrt argument lands on the negative real axis, where eval_complex
+    # raises BranchCutError
+    from math import pi
+    from trigsum import acceptance
+    boxes = [*acceptance._BOXES.values(),
+             *(box for _, box in acceptance._ALGORITHMS.values())]
+    assert all(0.05 <= h0 <= h1 < pi for _, _, h0, h1 in boxes)

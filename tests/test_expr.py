@@ -352,6 +352,10 @@ EVAL_ERRORS = [
     ("csc(x)", 0, PoleError, "csc pole hit", PoleError, "csc pole hit"),
     ("ln(x)", 0, DomainError, "ln of a non-positive value",
      PoleError, "ln(0)"),
+    ("ln(x)", -1, DomainError, "ln of a non-positive value",
+     BranchCutError, "ln on its branch cut"),
+    ("sqrt(x)", -1, DomainError, "sqrt of a negative value",
+     BranchCutError, "sqrt on its branch cut"),
     ("artanh(x)", 1, DomainError, "artanh outside (-1, 1)",
      BranchCutError, "artanh on its branch cut"),
     ("arcoth(x)", "0.5", DomainError, "arcoth inside [-1, 1]",

@@ -5,16 +5,23 @@ The rows run through every part of the exact (cos, sin) normal form in
 `trigpoly`: the inverse-trig collapse with its 0/0 guard loci, the
 constant-denominator fold (the Pythagorean denominators of arctan(t) and
 arctan(t/2)), results that carry sqrt(3) (the paper's Example 2), the
-denominator loci, and a refusal whose message is pinned too.  A change to
-the arithmetic under these rewrites must leave every string as it is.
+denominator loci, and a refusal whose message is pinned too.  Further rows
+print sums of several atoms and negative powers of collected denominators,
+whose order rests on the term maps (keyed on the atom, ordered by its
+printed text), and the exact antiderivatives of the integral-step mapping.
+A change to the arithmetic under these rewrites must leave every string as
+it is.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from trigsum.acceptance import EXAMPLE2_SUM
 from trigsum.expr import parse_expr, to_text
-from trigsum.mapping import MappingError, map_cospow, map_fourier
+from trigsum.mapping import MappingError, integral_step, map_cospow, map_fourier
 from trigsum.operators import apply_operator
+from trigsum.trigpoly import polynomial_in
 
 # (family, S(t), kind, c or None, closed form or "error: <message>",
 #  singular points, validity interval)
@@ -54,6 +61,21 @@ MAP_ROWS = [
      [], None),
     ('cospow', 'arctan(t)', 'sin', None,
      'error: common factor with no rational cos root', None, None),
+    ('fourier', 'ln(1+t) + t^2', 'cosine', None,
+     '-1 + 2*cos(c^-1*pi*x)^2 + 1/2*ln((1 + cos(c^-1*pi*x))^2 + sin(c^-1*pi*x)^2)',
+     [], None),
+    ('fourier', 'ln(1+t) + t^2', 'sine', None,
+     '1/2*c^-1*pi*x + 2*cos(c^-1*pi*x)*sin(c^-1*pi*x)',
+     ['(-1)*c', 'c'], ('(-1)*c', 'c')),
+    ('fourier', 't^3/(1-t/2)', 'cosine', None,
+     '1/2*(5/4 - cos(c^-1*pi*x))^-1 + (-3)*(5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x) - (5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x)^2 + 4*(5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x)^3',
+     [], None),
+    ('fourier', 't^3/(1-t/2)', 'sine', None,
+     '-((5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x)*sin(c^-1*pi*x)) + 4*(5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x)^2*sin(c^-1*pi*x) - (5/4 - cos(c^-1*pi*x))^-1*sin(c^-1*pi*x)',
+     [], None),
+    ('cospow', 't/(1-t)^2 + arctan(t)', 'cos', None,
+     '-((1 + (-2)*cos(x)^2 + cos(x)^4)^-1*cos(x)^2) + (1 + (-2)*cos(x)^2 + cos(x)^4)^-1*cos(x)^4 + 1/2*arctan(2*(cos(x)*cos(x))/(1 - ((cos(x)*cos(x))^2 + (sin(x)*cos(x))^2)))',
+     ['0', 'pi'], ('0', 'pi')),
 ]
 
 # (expression, argument, shift, cos part, sin part)
@@ -67,6 +89,15 @@ OPERATOR_ROWS = [
     ('1/(x^2+1)', 'x', 'h',
      '(x*x - h*h + 1)/((x*x - h*h + 1)^2 + (x*h + h*x)^2)',
      '(-(x*h + h*x))/((x*x - h*h + 1)^2 + (x*h + h*x)^2)'),
+]
+
+
+# integral_step("-ln(1-t)/t", c): the cosine side's exact (pi/c) times the
+# antiderivative; the sine side's image is not polynomial in x
+INTEGRAL_ROWS = [
+    (1, 'pi*(1/2*pi*x + 1/2*((-1/2)*pi)*(x*x))'),
+    (2, '1/2*pi*(1/2*pi*x + 1/2*((-1/4)*pi)*(x*x))'),
+    (Fraction(1, 3), '3*pi*(1/2*pi*x + 1/2*((-3/2)*pi)*(x*x))'),
 ]
 
 
@@ -95,3 +126,17 @@ def test_operator_output_pinned(expr, arg, shift, cos_part, sin_part):
     pair = apply_operator(parse_expr(expr), parse_expr(arg), parse_expr(shift))
     assert to_text(pair.cos_part) == cos_part
     assert to_text(pair.sin_part) == sin_part
+
+
+@pytest.mark.parametrize("c,integral", INTEGRAL_ROWS)
+def test_integral_step_antiderivative_pinned(c, integral):
+    cosine, sine = integral_step(parse_expr("-ln(1-t)/t"), c)
+    assert to_text(cosine.integral_symbolic) == integral
+    assert sine.integral_symbolic is None
+
+
+def test_polynomial_coefficients_flatten_collected_denominators():
+    # c+c collects to the atom 2*c; its inverse cancels against c only once
+    # each term is flattened, so the x coefficient is 1/2, not (2*c)^-1*c
+    coeffs = polynomial_in(parse_expr("c/(c+c)*x"), "x")
+    assert [to_text(a) for a in coeffs] == ["0", "1/2"]

@@ -6,17 +6,19 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from trigsum.expr import (eval_real, func, parse_expr, rational,
+from trigsum.expr import (Expr, eval_real, fold, func, parse_expr, rational,
                           symbol, to_text)
 from trigsum.operators import (UnsupportedHeadError,
                                apply_operator, complex_shift_oracle,
                                simplify_collect, simplify_guarded,
                                verify_inverse_system)
+from trigsum.trigpoly import AngleLocus
 
 X, H = symbol("x"), symbol("h")
 
@@ -338,3 +340,21 @@ class TestGuardedFirstForm:
                 a = eval_real(out, {"x": ratio, "c": 1}, 25)
                 b = eval_real(want, {"x": ratio, "c": 1}, 25)
                 assert abs(a - b) < 1e-20
+
+
+class TestSimplifyCollect:
+    @pytest.mark.parametrize("text, once, branches", [
+        ("arccot((1+cos(x))/sin(x))", "1/2*x", 0),
+        ("arccot(-(1+cos(x))/sin(x))", "(-1/2)*x", 1),
+    ])
+    def test_repeated_subterm_counts_at_each_occurrence(self, text, once, branches):
+        # the rewrite runs once on the shared node, but its guard and its
+        # branch count are reported for each of the sum's two occurrences
+        a = fold(parse_expr(text))
+        guard = (AngleLocus(Fraction(1), Fraction(2)), symbol("x"))
+        single = simplify_collect(a)
+        assert (to_text(single.expr), single.guards, single.branch_rewrites) == (
+            once, [guard], branches)
+        twice = simplify_collect(Expr("add", (a, a)))
+        assert (twice.guards, twice.branch_rewrites) == ([guard, guard], 2 * branches)
+        assert to_text(twice.expr) == ("x" if branches == 0 else "-x")

@@ -269,7 +269,7 @@ class TestStructural:
         with pytest.raises(RegistryError):
             IdentityRecord(id="x", label="x", kind="fourier", trig="cos",
                            r_min=1, r_fixed=None, interval=(F(0), F(1)),
-                           closed_left=True, closed_right=True, period=F(2),
+                           closed=True, period=F(2),
                            n_start=1, term=rec.term)
 
     def test_eq70_equals_cor7(self):

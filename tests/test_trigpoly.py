@@ -2,7 +2,9 @@
 pseudo-remainder gcd, rational roots and the inverse-trig collapse, each
 against a plain Fraction-pair reference written here."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +16,7 @@ from trigsum.expr import Expr, func, parse_expr, symbol, to_text
 from trigsum.mapping import map_cospow, map_fourier
 from trigsum.trigpoly import (K3, AngleLocus, _ARCCOT_CONSTS, _ARCTAN_CONSTS,
                               _kgcd, _rational_roots, collapse_inverse_trig,
-                              find_trig_base)
+                              find_trig_base, split_rational)
 
 F = Fraction
 SMALL = st.integers(-20, 20)
@@ -237,22 +239,31 @@ class TestCollapse:
 
 
 class TestWalksOncePerNode:
-    """Each walk over a DAG works on a distinct node at most once per call."""
+    """A distinct node is expanded at most once while it lives, and worked on
+    at most once per call by a walk that depends on the call's arguments."""
 
     @pytest.mark.parametrize("request_", [
         lambda: map_fourier(parse_expr("-ln(1-t)*t/(1+t^2)"), kind="sine"),
         lambda: map_cospow(parse_expr("t/(1-t)^2 + arctan(t)"), kind="cos"),
     ], ids=["map_fourier", "map_cospow"])
     def test_map_request(self, monkeypatch, request_):
-        worked = {"_expand": [], "_tpoly": []}
-        for name, visits in worked.items():
-            def counted(e, recurse, *extra, worker=getattr(trigpoly, name),
-                        visits=visits):
-                visits.append((recurse, e))   # holds both, so no id is reused
-                return worker(e, recurse, *extra)
-            monkeypatch.setattr(trigpoly, name, counted)
+        # the visit lists hold the nodes (and the per-call walks), so no id
+        # is reused while they are counted
+        expanded, extracted = [], []
+        expand, tpoly = trigpoly._expand, trigpoly._tpoly
+
+        def counted_expand(e):
+            expanded.append(e)
+            return expand(e)
+
+        def counted_tpoly(e, recurse, *extra):
+            extracted.append((recurse, e))
+            return tpoly(e, recurse, *extra)
+
+        monkeypatch.setattr(trigpoly, "_expand", counted_expand)
+        monkeypatch.setattr(trigpoly, "_tpoly", counted_tpoly)
         request_()
-        for visits in worked.values():
+        for visits in (expanded, extracted):
             assert len(visits) > 20
             assert len(set(visits)) == len(visits)
 
@@ -268,5 +279,41 @@ class TestWalksOncePerNode:
             return worker(x)
 
         monkeypatch.setattr(trigpoly, "split_rational", counted)
-        assert find_trig_base(e) == (F(1), (("x", 1),), symbol("x"))
+        assert find_trig_base(e) == (F(1), ((symbol("x"), 1),), symbol("x"))
         assert split == [symbol("x")]
+
+
+@pytest.mark.parametrize("request_", [
+    lambda: map_fourier(parse_expr("-ln(1-t)*t/(1+t^2)"), kind="sine"),
+    lambda: map_cospow(parse_expr("t/(1-t)^2 + arctan(t)"), kind="cos"),
+    lambda: map_fourier(parse_expr("3*t^3/(1-t/2) + ln(1+t)"), kind="cosine"),
+], ids=["map_fourier", "map_cospow", "map_fourier_collected"])
+def test_dropped_result_frees_its_nodes_without_the_collector(request_):
+    # a kept split or expansion refers to other nodes only, never to its own
+    # node, and a walk_once memo is not held by a cycle, so the nodes of a
+    # request go with its last reference even while the collector is off;
+    # the earlier tests' garbage is collected first, so that none of it
+    # holds a node of this request
+    gc.collect()
+    gc.disable()
+    try:
+        result = request_()
+        refs, stack = {}, [result.closed_form]   # refs holds no node
+        while stack:
+            node = stack.pop()
+            if node.kind not in ("rat", "pi", "sym") and id(node) not in refs:
+                refs[id(node)] = weakref.ref(node)
+                stack.extend(node.args)
+        del result, stack, node
+        assert len(refs) > 10
+        assert [ref() for ref in refs.values()] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_split_coefficients_stay_exact():
+    # a sign under a negative power is the Fraction -1, not the float
+    # (-1) ** -1, which then reached rational() and raised a TypeError
+    assert split_rational(parse_expr("(-(y))^-1")) == (F(-1), ((symbol("y"), -1),))
+    coeffs = trigpoly.polynomial_in(parse_expr("(x/3)/((-y-y)+y)"), "x")
+    assert [to_text(a) for a in coeffs] == ["0", "(-1/3)*y^-1"]
