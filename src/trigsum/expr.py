@@ -10,10 +10,12 @@ rule covers every walk over the DAG.  A result that depends on the node
 alone lives in a slot on the node, filled once asked: ``fold``,
 ``to_text``, ``free_symbols``, and ``trigpoly``'s ``split_rational`` and
 term expansion.  A pass whose result also depends on its call's arguments
-goes through ``walk_once``, which keeps one memo per call.  Either way a
-distinct node is worked on once.  No slot and no memo holds a cycle back
-to its own node, so a dropped DAG is freed at once, without the garbage
-collector.  Parsing inverts printing:
+goes through ``walk_once``, which keeps one memo per call.  Numeric
+evaluation, which runs at many points, instead compiles the distinct nodes
+once per call into a program that it runs at each point
+(``trigsum.evaluate``).  Either way a distinct node is worked on once.  No
+slot, memo or program holds a cycle back to its own node, so a dropped DAG
+is freed at once, without the garbage collector.  Parsing inverts printing:
 ``parse_expr(to_text(e)) is e``.  The intern table is an implementation
 detail that callers never see: a plain dict from key to a weak reference to
 the node.  A hit takes no lock and a miss inserts under one after looking

@@ -227,7 +227,11 @@ def _quotient_pair(uv: Tuple[Expr, Expr], wv: Tuple[Expr, Expr]) -> Tuple[Expr, 
 
 def complex_shift_oracle(e: Expr, x, h, digits: int = 30,
                          var: str = "x") -> Tuple[mp.mpf, mp.mpf]:
-    """Ground truth for apply_operator: (Re, Im) of e evaluated at x + i h."""
+    """Ground truth for apply_operator: (Re, Im) of e evaluated at x + i h.
+
+    This is the one-point form; to check a pair at many points, evaluate e
+    through one ``evaluate.eval_complex_batch`` call with ``var`` bound to
+    each x + i h, and the pair through one ``eval_real_batch`` call."""
     import mpmath as mp
     from .evaluate import eval_complex
     with mp.workdps(digits):
@@ -249,13 +253,14 @@ def verify_inverse_system(g: Expr, pair: OperatorPair,
     at every sample (x, h).  Raises EvalError (annotated with the failing
     sample) if evaluation breaks down.
     """
-    from .evaluate import eval_real
+    from .evaluate import eval_real_batch
     gx = apply_operator(g, pair.cos_part, pair.sin_part, var=var)
     arg_s, shift_s = pair.argument, pair.shift
+    exprs = (gx.cos_part, gx.sin_part, arg_s, shift_s)
+    names = frozenset().union(*map(free_symbols, exprs))
     for x, h in samples:
         binding = {}
-        for name in (free_symbols(gx.cos_part) | free_symbols(gx.sin_part)
-                     | free_symbols(arg_s) | free_symbols(shift_s)):
+        for name in names:
             if name == "x":
                 binding[name] = x
             elif name == "h":
@@ -263,10 +268,8 @@ def verify_inverse_system(g: Expr, pair: OperatorPair,
             else:
                 raise EvalError(f"unexpected free symbol {name!r}")
         try:
-            lhs_c = eval_real(gx.cos_part, binding, digits)
-            lhs_s = eval_real(gx.sin_part, binding, digits)
-            want_c = eval_real(arg_s, binding, digits)
-            want_s = eval_real(shift_s, binding, digits)
+            [(lhs_c, lhs_s, want_c, want_s)] = eval_real_batch(exprs, [binding],
+                                                               digits)
         except EvalError as exc:
             raise EvalError(f"evaluation failed at sample {(x, h)}: {exc}") from exc
         if abs(lhs_c - want_c) > tol or abs(lhs_s - want_s) > tol:

@@ -331,18 +331,21 @@ class TermSpec:
         table = dict(self.pattern.weights)
         return tuple(table.get(j or P, Fraction(0)) for j in range(P))
 
-    def amplitude(self, n: int | range, r: int):
+    def amplitude(self, n: int | range, r: int, scale: mp.mpf | None = None):
         """Amplitude of term n: one int n gives an mpf (exact partial sums,
-        computed at the working precision); a range of n gives a float64
-        array over it (grid partial sums, computed in float64), whose sign
-        weights tile the first period, since m mod P repeats with period P
-        in n."""
+        computed at the working precision), where a caller that sums many
+        terms passes the pattern's ``scale_value()`` as ``scale``; a range
+        of n gives a float64 array over it (grid partial sums, computed in
+        float64), whose sign weights tile the first period, since m mod P
+        repeats with period P in n."""
         P = self.pattern.period
         if isinstance(n, int):
             cos, pi, num = mp.cos, mp.pi, _to_mpf
             w = self._weights[self.frequency(n) % P]
             m = mp.mpf(self.frequency(n))
-            coef = self.pattern.scale_value() * w.numerator
+            if scale is None:
+                scale = self.pattern.scale_value()
+            coef = scale * w.numerator
             if w.denominator != 1:
                 coef /= w.denominator
         else:
@@ -781,24 +784,27 @@ def partial_sum_eval(identity_id: str | IdentityRecord, r: Optional[int],
     """Exact-term partial sum at working precision (single point)."""
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
     r_eff = rec.effective_r(r)
+    term = rec.term
     with mp.workdps(digits):
-        total = mp.mpf(0)
+        # what no term changes is computed once: the pattern's scale, pi,
+        # pi x/c and, for cospow, cos(pi x/c)
+        scale, pi = term.pattern.scale_value(), +mp.pi
         xc = mp.mpf(x) / mp.mpf(c)
+        x_pi = pi * xc
+        cos_x = mp.cos(x_pi)
+        trig = mp.cos if rec.trig == "cos" else mp.sin
+        total = mp.mpf(0)
         for n in range(rec.n_start, rec.n_start + N):
-            total += _term_mp(rec, r_eff, n, xc)
+            amp = term.amplitude(n, r_eff, scale)
+            if rec.kind == "value":
+                total += amp
+                continue
+            m = mp.mpf(term.frequency(n))
+            if rec.kind == "cospow":
+                total += amp * mp.sin(m * x_pi) * cos_x ** n
+            else:
+                total += amp * trig(m * pi * xc)
         return +total
-
-
-def _term_mp(rec: IdentityRecord, r: int, n: int, xc: mp.mpf) -> mp.mpf:
-    amp = rec.term.amplitude(n, r)
-    if rec.kind == "value":
-        return amp
-    m = mp.mpf(rec.term.frequency(n))
-    if rec.kind == "cospow":
-        x = mp.pi * xc
-        return amp * mp.sin(m * x) * mp.cos(x) ** n
-    angle = m * mp.pi * xc
-    return amp * (mp.cos(angle) if rec.trig == "cos" else mp.sin(angle))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ evaluation."""
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -17,7 +18,9 @@ from trigsum.expr import (
     BranchCutError, DomainError, EvalError, Expr, FUNCTIONS, MAX_NESTING, ONE,
     PI, ParseError, PoleError, UnboundSymbolError, ZERO, eval_complex,
     eval_real, fold, func, mul, neg, parse_expr, rational, symbol, to_text,
+    walk_once,
 )
+from trigsum.evaluate import eval_complex_batch, eval_real_batch
 from trigsum.mapping import map_fourier
 from trigsum.operators import apply_operator
 
@@ -413,17 +416,195 @@ class TestEvaluationWalk:
         sin_nodes = sum(1 for node in seen
                         if node.kind == "call" and node.value == "sin")
         table = evaluate._REAL_HEADS if field == "real" else evaluate._COMPLEX_HEADS
-        sin, calls = table["sin"], []
+        sin, calls, paired = table["sin"], [], []
 
         def counted(x):
             calls.append(x)
             return sin(x)
 
         monkeypatch.setitem(table, "sin", counted)
+        if field == "real":
+            # a real sin node whose argument also has a cos node takes its
+            # value from the one kernel call that gives both
+            kernel, _ = evaluate._PAIRED["sin"]
+
+            def counted_pair(x, prec, rounding):
+                paired.append(x)
+                return kernel(x, prec, rounding)
+
+            monkeypatch.setitem(evaluate._PAIRED, "cos", (counted_pair, 0))
+            monkeypatch.setitem(evaluate._PAIRED, "sin", (counted_pair, 1))
         evaluator = eval_real if field == "real" else eval_complex
         evaluator(image, {"x": "0.3", "h": "0.2"}, 20)
         assert sin_nodes >= 12
-        assert len(calls) == sin_nodes
+        assert len(calls) + len(paired) == sin_nodes
+        assert (len(paired) > 0) == (field == "real")
+
+
+def _reference_eval(e, bindings, digits, field):
+    """The recursive walk that evaluation ran before it compiled programs,
+    kept as the reference: each distinct node once, through walk_once."""
+    real = field == "real"
+    heads = evaluate._REAL_HEADS if real else evaluate._COMPLEX_HEADS
+    number = mp.mpf if real else mp.mpc
+    with mp.workdps(digits):
+        vals = {k: (v if isinstance(v, mp.mpf) else mp.mpf(v)) if real
+                else mp.mpc(v) for k, v in bindings.items()}
+        return +walk_once(_reference_value, vals, number, heads, field)(e)
+
+
+def _reference_value(x, value, vals, number, heads, field):
+    kind = x.kind
+    if kind == "rat":
+        return number(mp.mpf(x.value.numerator) / x.value.denominator)
+    if kind == "pi":
+        return number(mp.pi)
+    if kind == "sym":
+        if x.value not in vals:
+            raise UnboundSymbolError(f"unbound symbol {x.value!r}")
+        return vals[x.value]
+    if kind == "neg":
+        return -value(x.args[0])
+    if kind in ("add", "mul"):
+        a, b = value(x.args[0]), value(x.args[1])
+        return a + b if kind == "add" else a * b
+    if kind == "div":
+        den = value(x.args[1])
+        if den == 0:
+            raise PoleError("division by zero")
+        return value(x.args[0]) / den
+    if kind == "pow":
+        base = value(x.args[0])
+        if base == 0 and x.value < 0:
+            raise PoleError("zero base with negative exponent")
+        return base ** x.value
+    arg = value(x.args[0])
+    if x.value not in heads:
+        raise EvalError(f"no {field} evaluator for {x.value!r}")
+    return heads[x.value](arg)
+
+
+def _outcome(compute):
+    """A value as its type and exact bits, or an error as class and text."""
+    try:
+        v = compute()
+    except Exception as exc:  # every error must match, whatever its class
+        return type(exc), str(exc)
+    return type(v), getattr(v, "_mpf_", None) or v._mpc_
+
+
+_LEAVES = [symbol("x"), symbol("y"), PI, ZERO, ONE, rational(-1),
+           rational(1, 2), rational(3)]
+
+
+def _random_dag(rng):
+    """Three roots over one pool of raw nodes (unfolded, so every kind and
+    head occurs, constant zero denominators too); later nodes reuse earlier
+    ones, so the roots share subterms.  Depth stays at most 3, so that no
+    value grows past what a trig head reduces quickly."""
+    pool = [(leaf, 0) for leaf in rng.sample(_LEAVES, 5)]
+    if rng.random() < 0.05:
+        pool.append((symbol("z"), 0))       # never bound
+    for _ in range(10):
+        (a, da), (b, db) = rng.choice(pool), rng.choice(pool)
+        if max(da, db) == 3:
+            continue
+        kind = rng.choice(("neg", "add", "mul", "div", "pow", "call", "call"))
+        if kind == "neg":
+            node = Expr("neg", (a,))
+        elif kind == "pow":
+            node = Expr("pow", (a,), rng.randint(-3, 5))
+        elif kind == "call":
+            node = Expr("call", (a,), rng.choice(FUNCTIONS))
+            partner = _PARTNERS.get(node.value)
+            if partner and rng.random() < 0.5:
+                # a head whose values come in pairs on the reals, with its
+                # partner on the same argument next to it
+                pool.append((Expr("call", (a,), partner), 1 + da))
+        else:
+            node = Expr(kind, (a, b))
+        pool.append((node, 1 + max(da, db if kind in ("add", "mul", "div") else 0)))
+    return [node for node, _ in pool[-3:]]
+
+
+_PARTNERS = {"sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh"}
+
+
+_POINTS = {
+    "real": [{"x": "0.3", "y": -2}, {"x": 0, "y": "1.5"}, {"x": -1, "y": 1},
+             {"x": 2, "y": "-0.5"}, {"x": "1e-3", "y": 0}],
+    "complex": [{"x": mp.mpc("0.3", "0.7"), "y": -2}, {"x": 0, "y": 1},
+                {"x": mp.mpc(0, 1), "y": "0.5"}, {"x": -1, "y": mp.mpc(1, -2)},
+                {"x": 2, "y": mp.mpc("-0.5", "1e-3")}],
+}
+
+
+class TestCompiledPrograms:
+    """The compiled programs against the reference walk."""
+
+    @pytest.mark.parametrize("digits", [15, 20, 30, 50])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_programs_match_the_reference_walk(self, field, digits):
+        one_point = eval_real if field == "real" else eval_complex
+        batch = eval_real_batch if field == "real" else eval_complex_batch
+        rng = random.Random(f"{field}-{digits}")
+        for _ in range(300):
+            roots = _random_dag(rng)
+            points = rng.sample(_POINTS[field], 3)
+            want = [[_outcome(lambda: _reference_eval(e, p, digits, field))
+                     for e in roots] for p in points]
+            for e, per_point in zip(roots, zip(*want)):
+                for p, expected in zip(points, per_point):
+                    assert _outcome(lambda: one_point(e, p, digits)) == expected
+            # the batch runs point by point, each point's roots in order, so
+            # it stops at the first error in that order
+            failed = [o for row in want for o in row if issubclass(o[0], Exception)]
+            try:
+                got = batch(roots, points, digits)
+            except Exception as exc:
+                assert failed and (type(exc), str(exc)) == failed[0]
+            else:
+                assert not failed
+                assert [[_outcome(lambda: v) for v in row] for row in got] == want
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_zero_denominator_is_checked_before_a_failing_numerator(self, field):
+        x = symbol("x")
+        e = Expr("div", (Expr("call", (x,), "ln"), Expr("add", (x, Expr("neg", (x,))))))
+        for evaluate_at in ((lambda: eval_real(e, {"x": -1}))
+                            if field == "real" else
+                            (lambda: eval_complex(e, {"x": -1})),
+                            lambda: _reference_eval(e, {"x": -1}, 30, field)):
+            with pytest.raises(PoleError, match="division by zero"):
+                evaluate_at()
+        # the numerator's error comes first where the denominator is not zero
+        e = Expr("div", (Expr("call", (x,), "ln"), x))
+        expected = DomainError if field == "real" else BranchCutError
+        with pytest.raises(expected):
+            (eval_real if field == "real" else eval_complex)(e, {"x": -1})
+
+    def test_unbound_symbol_after_earlier_roots(self):
+        x, z = symbol("x"), symbol("z")
+        with pytest.raises(UnboundSymbolError, match="unbound symbol 'z'"):
+            eval_real_batch((func("sin", x), Expr("add", (x, z))),
+                            [{"x": 1}], 20)
+        assert eval_real_batch((func("sin", x),), [], 20) == []
+
+    @pytest.mark.parametrize("t", [0, 2 ** -200, -2 ** -200, 1e30, -1e30,
+                                   "-0.7", -3, "2.5"])
+    @pytest.mark.parametrize("digits", [15, 30, 50])
+    def test_paired_kernels_equal_mpmath(self, t, digits):
+        x = symbol("x")
+        for pair in (("sin", "cos"), ("cosh", "sinh")):
+            roots = tuple(Expr("call", (x,), name) for name in pair)
+            [got] = eval_real_batch(roots, [{"x": t}], digits)
+            with mp.workdps(digits):
+                # the symbol and one step for the pair
+                assert len(evaluate._Program(roots, mp.mpf, evaluate._REAL_HEADS,
+                                             "real", evaluate._PAIRED).steps) == 2
+                want = tuple(getattr(mp, name)(mp.mpf(t)) for name in pair)
+            assert [type(v) for v in got] == [mp.mpf, mp.mpf]
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 class TestFold:

@@ -96,6 +96,33 @@ class TestEvaluation:
             v = partial_sum_eval("cor5-beta", 1, c=1.0, x=0.0, N=100_000)
             assert abs(v - mp.pi ** 3 / 32) < 1e-9
 
+    # (record, r, c, x, N, digits, repr of the value at those digits): the
+    # partial sums as the per-term loop gave them before the values that no
+    # term changes were taken out of it; cor6-lambda@1/8 is cor6-lambda
+    # shifted by Theorem 23
+    @pytest.mark.parametrize("rid, r, c, x, N, digits, want", [
+        ("example1-cospow", None, np.pi, 0.7, 300, 25,
+         "mpf('0.8707963267948966363530399331')"),
+        ("thm11-cos", 2, 1.0, 0.3, 300, 25,
+         "mpf('0.5544877217303699658734772068')"),
+        ("thm11-sin", 2, 1.0, 0.3, 300, 25,
+         "mpf('0.8390932248606386726189313852')"),
+        ("cor6-lambda@1/8", 1, 1.0, 0.4, 300, 25,
+         "mpf('0.246740112444338178439378291')"),
+        ("cor7-frakd", 1, 1.0, 0.25, 300, 25,
+         "mpf('0.6164336087872192158165390871')"),
+        ("example2-fourier", None, np.pi, 1.2, 300, 40,
+         "mpf('-0.1215249054521021004084584515790520541178169')"),
+        ("eq56-frakd-value", 1, 1.0, 0.0, 50, 25,
+         "mpf('0.8723600205763258670761746867')"),
+    ])
+    def test_partial_sum_golden(self, rid, r, c, x, N, digits, want):
+        rec = (theorem23_shift("cor6-lambda", F(1, 8)) if rid == "cor6-lambda@1/8"
+               else rid)
+        v = partial_sum_eval(rec, r, c=float(c), x=x, N=N, digits=digits)
+        with mp.workdps(digits):
+            assert repr(v) == want
+
     def test_thm11_cos_endpoint_value(self):
         # at x = c the series is -eta(2) and the closed form matches exactly
         with mp.workdps(30):

@@ -317,3 +317,13 @@ def test_split_coefficients_stay_exact():
     assert split_rational(parse_expr("(-(y))^-1")) == (F(-1), ((symbol("y"), -1),))
     coeffs = trigpoly.polynomial_in(parse_expr("(x/3)/((-y-y)+y)"), "x")
     assert [to_text(a) for a in coeffs] == ["0", "(-1/3)*y^-1"]
+
+
+@pytest.mark.xfail(strict=True, reason="a sum under a power above the "
+                   "expansion limit that cancels down to exponent 1 stays "
+                   "one atom: collect_terms gives 2*(1 + x) and "
+                   "polynomial_in gives None")
+def test_cancelled_high_power_is_expanded():
+    e = parse_expr("2*(x+1)^8/(x+1)^7")
+    assert to_text(trigpoly.collect_terms(e)) == "2 + 2*x"
+    assert [to_text(a) for a in trigpoly.polynomial_in(e, "x")] == ["2", "2"]
