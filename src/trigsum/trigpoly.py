@@ -14,6 +14,14 @@ base angle discovered from the expression.  In that form,
     (N, D) on the unit circle ("0/0 points"), which this module solves in
     closed form as rational-multiple-of-pi angle loci.
 
+The exact arithmetic has one layout.  A polynomial in c over Q(sqrt 3) is a
+half: a pair (A, B) of trimmed integer coefficient tuples meaning
+A(c) + sqrt3*B(c).  A TPoly is two halves over one positive denominator,
+and a number of Q(sqrt 3) is a constant TPoly.  So the ring rules of
+Z[sqrt3] (``_kmul``) and content normalization (``_primitive``) are each
+written once, and the gcds and rational roots that place the 0/0 points
+run on the halves themselves.
+
 arccot carries the convention arccot(t) = pi/2 - arctan(t) with range
 (0, pi); collapse rewrites marked "branch" below extend that principal
 value continuously across branch jumps, which is the convention under
@@ -46,82 +54,19 @@ from .expr import (
 )
 
 __all__ = [
-    "K3", "TPoly", "AngleLocus", "CollapseResult",
+    "TPoly", "AngleLocus", "CollapseResult",
     "split_rational", "find_trig_base", "tpoly_from_expr",
     "collapse_inverse_trig", "collect_terms", "polynomial_in",
 ]
 
 
 # ---------------------------------------------------------------------------
-# the coefficient field Q(sqrt 3)
+# Q(sqrt3) and polynomials in c over it, in one layout: a half is a pair
+# (A, B) of trimmed integer coefficient tuples, low degree first, meaning
+# A(c) + sqrt3*B(c); a number is a half of degree 0
 
-class K3:
-    """(a + b*sqrt(3))/d with integers a, b, d, where d > 0 and
-    gcd(a, b, d) = 1, so that equal values have equal fields."""
+_KZERO = ((), ())
 
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int = 0, b: int = 0, d: int = 1):
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(a, b, d)
-        if g > 1:
-            a, b, d = a // g, b // g, d // g
-        self.a, self.b, self.d = a, b, d
-
-    def __add__(self, o):
-        return K3(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d,
-                  self.d * o.d)
-
-    def __sub__(self, o): return self + (-o)
-    def __neg__(self): return K3(-self.a, -self.b, self.d)
-
-    def __mul__(self, o):
-        return K3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a,
-                  self.d * o.d)
-
-    def inv(self) -> "K3":
-        # the norm a^2 - 3 b^2 of a nonzero value is nonzero: sqrt(3) is
-        # irrational
-        norm = self.a * self.a - 3 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt3)")
-        return K3(self.a * self.d, -self.b * self.d, norm)
-
-    def __truediv__(self, o): return self * o.inv()
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        # opposite signs: the part of larger magnitude, a^2 against 3 b^2
-        return sa if self.a * self.a > 3 * self.b * self.b else sb
-
-    def __eq__(self, o):
-        return (isinstance(o, K3) and self.a == o.a and self.b == o.b
-                and self.d == o.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def __repr__(self):
-        return f"K3({self.a}, {self.b}, {self.d})"
-
-    def as_expr(self) -> Expr:
-        out = rational(self.a, self.d) if self.a else None
-        if self.b:
-            root = mul(rational(self.b, self.d), func("sqrt", rational(3)))
-            out = root if out is None else add(out, root)
-        return out if out is not None else ZERO
-
-
-# ---------------------------------------------------------------------------
-# polynomials in c: integer coefficient tuples, low degree first, trimmed;
-# a pair (A, B) of them is A + B*sqrt(3), with coefficients in Z[sqrt3]
 
 def _ztrim(p) -> Tuple[int, ...]:
     n = len(p)
@@ -155,6 +100,16 @@ def _zmul(p, q):
     return tuple(out)  # the leading coefficients are nonzero, so is theirs
 
 
+def _zeval(p, num, den=1):
+    """den^(len(p) - 1) * p(num/den), by Horner: with den = 1 the value at
+    num, and in integers zero exactly where p vanishes at num/den."""
+    acc, scale = 0, 1
+    for v in reversed(p):
+        acc = acc * num + v * scale
+        scale *= den
+    return acc
+
+
 def _kadd(p, q):
     return _zadd(p[0], q[0]), _zadd(p[1], q[1])
 
@@ -164,6 +119,7 @@ def _kscale(p, k: int):
 
 
 def _kmul(p, q):
+    """The product in Z[sqrt3][c], the one place of sqrt3 * sqrt3 = 3."""
     (a, b), (c, d) = p, q
     if not b and not d:
         return _zmul(a, c), ()
@@ -171,70 +127,61 @@ def _kmul(p, q):
             _zadd(_zmul(a, d), _zmul(b, c)))
 
 
-def _zeval(p, c):
-    acc = 0
-    for v in reversed(p):
-        acc = acc * c + v
-    return acc
+def _kdeg(p) -> int:
+    """The degree of a half, -1 for zero."""
+    return max(len(p[0]), len(p[1])) - 1
 
 
-def _pairs(p) -> List[Tuple[int, int]]:
-    """The coefficient pairs (a_i, b_i) of an (A, B) polynomial."""
-    A, B = p
-    return [(A[i] if i < len(A) else 0, B[i] if i < len(B) else 0)
-            for i in range(max(len(A), len(B)))]
+def _klead(p, shift: int = 0, k: int = 1):
+    """k * lc(p) * c^shift as a half, lc(p) the leading coefficient."""
+    n, pad = _kdeg(p), (0,) * shift
+    A, B = p[0][n:], p[1][n:]   # (the part of lc(p),) or () when it is 0
+    return pad + _zscale(A, k) if A else (), pad + _zscale(B, k) if B else ()
 
 
-def _primitive(p: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    g = gcd(*(v for pair in p for v in pair))
-    return [(a // g, b // g) for a, b in p] if g > 1 else p
+def _kvanishes(p, num: int, den: int = 1) -> bool:
+    """p(num/den) == 0: a rational point roots both components."""
+    return _zeval(p[0], num, den) == 0 and _zeval(p[1], num, den) == 0
 
 
-def _prem(p: List[Tuple[int, int]], q: List[Tuple[int, int]]):
+def _primitive(p0, p1=_KZERO, den: int = 0):
+    """Two halves and a denominator over their content, the gcd of den and
+    every coefficient: the one content normalization, of a TPoly and of a
+    half alone (p1 zero, den 0) in a gcd's remainder sequence."""
+    g = gcd(den, *p0[0], *p0[1], *p1[0], *p1[1])
+    if g > 1:
+        p0 = tuple(v // g for v in p0[0]), tuple(v // g for v in p0[1])
+        p1 = tuple(v // g for v in p1[0]), tuple(v // g for v in p1[1])
+        den //= g
+    return p0, p1, den
+
+
+def _prem(p, q):
     """Pseudo-remainder of p by q over Z[sqrt3]: lc(q)^k p mod q, one
     factor lc(q) per step, so that no coefficient is divided."""
-    qa, qb = q[-1]
-    r = list(p)
-    while len(r) >= len(q):
-        la, lb = r[-1]
-        shift = len(r) - len(q)
-        # r <- lc(q) r - lead(r) c^shift q cancels the top coefficient
-        r = [(a * qa + 3 * b * qb, a * qb + b * qa) for a, b in r]
-        for i, (ca, cb) in enumerate(q):
-            a, b = r[shift + i]
-            r[shift + i] = (a - la * ca - 3 * lb * cb, b - la * cb - lb * ca)
-        while r and r[-1] == (0, 0):
-            r.pop()
+    lc, r = _klead(q), p
+    while _kdeg(r) >= _kdeg(q):
+        # r <- lc(q) r - lc(r) c^shift q cancels the top coefficient
+        r = _kadd(_kmul(lc, r), _kmul(_klead(r, _kdeg(r) - _kdeg(q), -1), q))
     return r
 
 
-def _kgcd(*polys) -> List[Tuple[int, int]]:
-    """A gcd in Q(sqrt3)[c] of (A, B) polynomials, up to a unit factor, as
-    coefficient pairs: the primitive pseudo-remainder sequence over
-    Z[sqrt3] (Knuth, TAOCP vol. 2, 4.6.1), with the integer content taken
-    out at each step.  Only its roots are used."""
-    g: List[Tuple[int, int]] = []
+def _kgcd(*polys):
+    """A gcd in Q(sqrt3)[c] of halves, up to a unit factor: the primitive
+    pseudo-remainder sequence over Z[sqrt3] (Knuth, TAOCP vol. 2, 4.6.1),
+    with the integer content taken out at each step.  Only its roots are
+    used."""
+    g = _KZERO
     for p in polys:
-        a, b = g, _primitive(_pairs(p))
-        while b:
-            a, b = b, _primitive(_prem(a, b))
+        a, b = g, _primitive(p)[0]
+        while b[0] or b[1]:
+            a, b = b, _primitive(_prem(a, b))[0]
         g = a
     return g
 
 
-def _vanishes(p: List[Tuple[int, int]], num: int, den: int) -> bool:
-    """p(num/den) == 0, in integers: sum of p_i num^i den^(deg - i)."""
-    deg = len(p) - 1
-    va = vb = 0
-    for i, (a, b) in enumerate(p):
-        w = num ** i * den ** (deg - i)
-        va += a * w
-        vb += b * w
-    return va == 0 and vb == 0
-
-
-def _rational_roots(p: List[Tuple[int, int]]) -> List[Fraction]:
-    """Rational roots of a polynomial with coefficient pairs over Z[sqrt3].
+def _rational_roots(p) -> List[Fraction]:
+    """Rational roots of a half.
 
     A rational root annihilates the rational and the sqrt3 component
     separately, so the candidates come from the rational-root theorem on
@@ -242,23 +189,19 @@ def _rational_roots(p: List[Tuple[int, int]]) -> List[Fraction]:
     come out ordered by (|numerator|, denominator), + before -, whichever
     associate of a polynomial is given.
     """
-    comp = _ztrim([a for a, _ in p])
+    comp = p[0] or p[1]
     if not comp:
-        comp = _ztrim([b for _, b in p])
-    out: List[Fraction] = []
-    if not comp:
-        return out
+        return []
+    out = [Fraction(0)] if _kvanishes(p, 0) else []
     shift = 0
     while not comp[shift]:
         shift += 1
-    if shift and p[0] == (0, 0):
-        out.append(Fraction(0))
     lead, const = comp[-1], comp[shift]
     for dnum in _divisors(abs(const)):
         for dden in _divisors(abs(lead)):
             if gcd(dnum, dden) == 1:
                 out.extend(Fraction(n, dden) for n in (dnum, -dnum)
-                           if _vanishes(p, n, dden))
+                           if _kvanishes(p, n, dden))
     return out
 
 
@@ -270,7 +213,6 @@ def _divisors(n: int) -> List[int]:
 # ---------------------------------------------------------------------------
 # reduced polynomials in (c, s) with s^2 = 1 - c^2
 
-_KZERO = ((), ())
 _CIRCLE = ((1, 0, -1), ())  # 1 - c^2
 
 
@@ -281,22 +223,14 @@ class TPoly:
     degree first: the coefficient of c^i is (A[i] + B[i]*sqrt3)/den.  The
     polynomial is content-primitive: den > 0, and the gcd of den and every
     coefficient is 1.  So equal polynomials have equal fields, and zero is
-    the one with four empty tuples.
+    the one with four empty tuples.  A number of Q(sqrt3) is a constant:
+    p0 of degree 0 and p1 zero.
     """
 
     __slots__ = ("p0", "p1", "den")
 
     def __init__(self, p0=_KZERO, p1=_KZERO, den: int = 1):
-        g = gcd(den, *p0[0], *p0[1], *p1[0], *p1[1])
-        if g > 1:
-            p0 = tuple(v // g for v in p0[0]), tuple(v // g for v in p0[1])
-            p1 = tuple(v // g for v in p1[0]), tuple(v // g for v in p1[1])
-            den //= g
-        self.p0, self.p1, self.den = p0, p1, den
-
-    @classmethod
-    def const(cls, k: K3) -> "TPoly":
-        return cls(((k.a,) if k.a else (), (k.b,) if k.b else ()), _KZERO, k.d)
+        self.p0, self.p1, self.den = _primitive(p0, p1, den)
 
     def __add__(self, o):
         d1, d2 = self.den, o.den
@@ -318,27 +252,49 @@ class TPoly:
             p0 = _kadd(p0, _kmul(_kmul(a1, b1), _CIRCLE))
         return TPoly(p0, _kadd(_kmul(a0, b1), _kmul(a1, b0)), self.den * o.den)
 
+    def inv(self) -> "TPoly":
+        """The inverse of a nonzero constant (a + b sqrt3)/den: den (a - b
+        sqrt3) over the norm a^2 - 3 b^2, which is nonzero since sqrt3 is
+        irrational; a negative norm's sign moves to the numerator."""
+        assert self.is_const()
+        (A, B), d = self.p0, self.den
+        norm = (A[0] ** 2 if A else 0) - 3 * (B[0] ** 2 if B else 0)
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero in Q(sqrt3)")
+        if norm < 0:
+            d, norm = -d, -norm
+        return TPoly((_zscale(A, d), _zscale(B, -d)), _KZERO, norm)
+
+    def as_expr(self) -> Expr:
+        """A constant as a/den + (b/den)*sqrt(3), either part left out when
+        it is zero."""
+        assert self.is_const()
+        (A, B), d = self.p0, self.den
+        out = rational(A[0], d) if A else None
+        if B:
+            root = mul(rational(B[0], d), func("sqrt", rational(3)))
+            out = root if out is None else add(out, root)
+        return out if out is not None else ZERO
+
     def is_zero(self) -> bool:
         return not (self.p0[0] or self.p0[1] or self.p1[0] or self.p1[1])
 
     def is_const(self) -> bool:
-        return (len(self.p0[0]) <= 1 and len(self.p0[1]) <= 1
-                and not (self.p1[0] or self.p1[1]))
-
-    def const_value(self) -> K3:
-        assert self.is_const()
-        A, B = self.p0
-        return K3(A[0] if A else 0, B[0] if B else 0, self.den)
+        return _kdeg(self.p0) <= 0 and not (self.p1[0] or self.p1[1])
 
     def __eq__(self, o):
         return (isinstance(o, TPoly) and self.p0 == o.p0 and self.p1 == o.p1
                 and self.den == o.den)
+
+    def __hash__(self):
+        return hash((self.p0, self.p1, self.den))
 
     def __repr__(self):
         return f"TPoly(p0={self.p0}, p1={self.p1}, den={self.den})"
 
 
 _ONE = TPoly(((1,), ()))
+_SQRT3 = TPoly(((), (1,)))
 
 
 def _chebyshev(m: int, first: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -452,7 +408,7 @@ def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[T
     """One node of ``tpoly_from_expr``, its children through ``extract``."""
     if e.kind == "rat":
         v = rat_value(e)
-        return TPoly.const(K3(v.numerator, 0, v.denominator))
+        return TPoly(((v.numerator,) if v else (), ()), _KZERO, v.denominator)
     if e.kind == "neg":
         inner = extract(e.args[0])
         return None if inner is None else -inner
@@ -464,9 +420,9 @@ def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[T
         return None if a is None or b is None else a * b
     if e.kind == "div":
         a, b = extract(e.args[0]), extract(e.args[1])
-        if a is None or b is None or not b.is_const() or b.const_value().is_zero():
+        if a is None or b is None or not b.is_const() or b.is_zero():
             return None
-        return a * TPoly.const(b.const_value().inv())
+        return a * b.inv()
     if e.kind == "pow":
         n = e.value
         base = extract(e.args[0])
@@ -475,7 +431,7 @@ def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[T
         if n < 0:
             if not base.is_const() or base.is_zero():
                 return None
-            base, n = TPoly.const(base.const_value().inv()), -n
+            base, n = base.inv(), -n
         out = _ONE
         for _ in range(n):
             out = out * base
@@ -483,7 +439,7 @@ def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[T
     if e.kind == "call":
         name = e.value
         if name == "sqrt" and is_rat(e.args[0]) and rat_value(e.args[0]) == 3:
-            return TPoly.const(K3(0, 1))
+            return _SQRT3
         if name in ("sin", "cos"):
             rho, key = split_rational(e.args[0])
             if key != base_key or rho <= 0:
@@ -536,12 +492,17 @@ def _common_zero_loci(N: TPoly, D: TPoly) -> List[AngleLocus]:
     """Common zeros of N and D on the unit circle, as angle loci.
 
     These are the 0/0 points of N/D, i.e. the candidate non-analytical
-    points of an identity built from the quotient.
+    points of an identity built from the quotient.  The points c = +-1 and
+    c = 0, s = +-1 are checked directly, each as the half p0 + s*p1
+    vanishing at c.  The other loci are the rational roots c of the gcd of
+    all four halves, where N and D vanish for both signs of s; c = +-1/2 is
+    the only one placed exactly (at +-pi/3 and +-2pi/3).  Raises
+    UnsolvableLocusError for another rational root, or for a common factor
+    with none.
     """
     def vanishes_at(P: TPoly, c: int, s: int) -> bool:
-        # both the rational and the sqrt3 part of p0(c) + p1(c) s
-        return all(_zeval(h0, c) + s * _zeval(h1, c) == 0
-                   for h0, h1 in zip(P.p0, P.p1))
+        # the half p0 + s p1 at c
+        return _kvanishes(_kadd(P.p0, _kscale(P.p1, s)), c)
 
     loci: List[AngleLocus] = []
     at_one = vanishes_at(N, 1, 0) and vanishes_at(D, 1, 0)
@@ -562,7 +523,7 @@ def _common_zero_loci(N: TPoly, D: TPoly) -> List[AngleLocus]:
         loci.append(AngleLocus(Fraction(-1, 2), Fraction(2)))
     # interior rational cos values: common rational roots of all components
     g = _kgcd(N.p0, N.p1, D.p0, D.p1)
-    if len(g) > 1:
+    if _kdeg(g) > 0:
         roots = _rational_roots(g)
         for v in roots:
             if -1 < v < 1 and v != 0:
@@ -624,10 +585,10 @@ _PATTERNS = (
     ("cot_half", _S, _ONE_MINUS_C),
 )
 
-_ARCTAN_CONSTS = {K3(1): Fraction(1, 4), K3(0, 1): Fraction(1, 3),
-                  K3(0, 1, 3): Fraction(1, 6)}
-_ARCCOT_CONSTS = {K3(1): Fraction(1, 4), K3(0, 1): Fraction(1, 6),
-                  K3(0, 1, 3): Fraction(1, 3), K3(0): Fraction(1, 2)}
+_ARCTAN_CONSTS = {_ONE: Fraction(1, 4), _SQRT3: Fraction(1, 3),
+                  _SQRT3.inv(): Fraction(1, 6)}
+_ARCCOT_CONSTS = {_ONE: Fraction(1, 4), _SQRT3: Fraction(1, 6),
+                  _SQRT3.inv(): Fraction(1, 3), TPoly(): Fraction(1, 2)}
 
 
 def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]:
@@ -674,8 +635,8 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
     guards = _common_zero_loci(N, D)
 
     # constant quotient: N proportional to D
-    lam = _lead(N) / _lead(D)
-    if N == D * TPoly.const(lam):
+    lam = _lead(N) * _lead(D).inv()
+    if N == D * lam:
         table = _ARCTAN_CONSTS if name == "arctan" else _ARCCOT_CONSTS
         for lam_abs, sign in ((lam, 1), (-lam, -1)):
             frac = table.get(lam_abs)
@@ -702,10 +663,9 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
     return None
 
 
-def _lead(P: TPoly) -> K3:
-    top = _pairs(P.p1 if P.p1[0] or P.p1[1] else P.p0)
-    a, b = top[-1] if top else (0, 0)
-    return K3(a, b, P.den)
+def _lead(P: TPoly) -> TPoly:
+    """The leading coefficient in c of p1, or of p0 when p1 is zero."""
+    return TPoly(_klead(P.p1 if P.p1[0] or P.p1[1] else P.p0), _KZERO, P.den)
 
 
 def fold_const_denominator(num: Expr, den: Expr) -> Optional[Expr]:
@@ -719,7 +679,7 @@ def fold_const_denominator(num: Expr, den: Expr) -> Optional[Expr]:
     D = tpoly_from_expr(den, ratio, key)
     if D is None or not D.is_const() or D.is_zero():
         return None
-    return mul(D.const_value().inv().as_expr(), num)
+    return mul(D.inv().as_expr(), num)
 
 
 def _apply_sign(e: Expr, sign: int) -> Expr:
@@ -751,6 +711,7 @@ def _tpoly_float(P: TPoly, c: float, s: float) -> float:
 _Term = Tuple[Fraction, Dict[Expr, int]]
 
 _EXPAND_POW_LIMIT = 6
+_ATOMS = ("pi", "sym", "call")
 
 
 def _merge_factors(a: Dict[Expr, int], b: Dict[Expr, int], b_scale: int = 1):
@@ -764,7 +725,7 @@ def _expansion(e: Expr) -> List[_Term]:
     """The multilinear expansion of ``e``, kept on the node, as ``fold``'s
     is, except for an atom, as ``split_rational`` does; no term list or
     factor dict is changed after it is built."""
-    if e.kind in ("pi", "sym", "call"):
+    if e.kind in _ATOMS:
         return [(Fraction(1), {e: 1})]
     out = e._terms
     if out is None:
@@ -810,6 +771,27 @@ def _expand(e: Expr) -> List[_Term]:
     return [(Fraction(1), {collect_terms(e.args[0]): n})]
 
 
+def _expand_held(terms: List[_Term]) -> List[_Term]:
+    """``terms`` with each held sum expanded where its exponents merged into
+    1.._EXPAND_POW_LIMIT.  A held sum is a factor that is not an atom: the
+    collected base of a power outside 0.._EXPAND_POW_LIMIT, or of a
+    denominator, kept whole; 2*(x+1)^8/(x+1)^7 holds 1 + x at exponent 1,
+    and that expands to 2 + 2*x."""
+    out: List[_Term] = []
+    for term in terms:
+        coeff, factors = term
+        for atom, exp in factors.items():
+            if atom.kind not in _ATOMS and 1 <= exp <= _EXPAND_POW_LIMIT:
+                rest = dict(factors)
+                del rest[atom]
+                out += _expand_held([(coeff * c, _merge_factors(rest, f))
+                                     for c, f in _expansion(ipow(atom, exp))])
+                break
+        else:
+            out.append(term)
+    return out
+
+
 def _reduce_sin_squares(coeff: Fraction, factors: Dict[Expr, int]) -> List[_Term]:
     """Rewrite sin(u)^(2m+r) -> (1 - cos(u)^2)^m sin(u)^r within one term,
     expanding binomially; sin keeps exponent 0 or 1 afterwards."""
@@ -832,7 +814,7 @@ def _collected(e: Expr) -> List[Tuple[_Key, Fraction]]:
     """The like terms of ``e`` combined, as (factor key, nonzero
     coefficient) in the printed-text order of the keys."""
     terms: Dict[_Key, Fraction] = {}
-    for raw_coeff, raw_factors in _expansion(e):
+    for raw_coeff, raw_factors in _expand_held(_expansion(e)):
         for coeff, factors in _reduce_sin_squares(raw_coeff, raw_factors):
             kept: Dict[Expr, int] = {}
             for atom, exp in factors.items():

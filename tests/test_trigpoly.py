@@ -1,6 +1,7 @@
-"""The exact normal form's integer arithmetic: Q(sqrt3) values, the
-pseudo-remainder gcd, rational roots and the inverse-trig collapse, each
-against a plain Fraction-pair reference written here."""
+"""The exact normal form's integer arithmetic: Q(sqrt3) values as constant
+TPolys, the pseudo-remainder gcd and rational roots on (A, B) halves, and
+the inverse-trig collapse, each against a plain Fraction-pair reference
+written here."""
 
 import gc
 import math
@@ -12,20 +13,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigsum import trigpoly
-from trigsum.expr import Expr, func, parse_expr, symbol, to_text
+from trigsum.expr import Expr, eval_real, func, parse_expr, symbol, to_text
 from trigsum.mapping import map_cospow, map_fourier
-from trigsum.trigpoly import (K3, AngleLocus, _ARCCOT_CONSTS, _ARCTAN_CONSTS,
+from trigsum.trigpoly import (AngleLocus, TPoly, _ARCCOT_CONSTS, _ARCTAN_CONSTS,
                               _kgcd, _rational_roots, collapse_inverse_trig,
-                              find_trig_base, split_rational)
+                              find_trig_base, split_rational, tpoly_from_expr)
 
 F = Fraction
 SMALL = st.integers(-20, 20)
-k3s = st.builds(K3, SMALL, SMALL, st.integers(1, 12))
+
+
+def const(a, b=0, d=1):
+    """The constant TPoly (a + b*sqrt3)/d."""
+    return TPoly(((a,) if a else (), (b,) if b else ()), den=d)
+
+
+consts = st.builds(const, SMALL, SMALL, st.integers(1, 12))
 
 
 def ref(k):
-    """K3 as the pair (a, b) of Fractions meaning a + b*sqrt3."""
-    return F(k.a, k.d), F(k.b, k.d)
+    """A constant TPoly as the pair (a, b) of Fractions meaning a + b*sqrt3."""
+    assert k.is_const()
+    (A, B), d = k.p0, k.den
+    return F(A[0] if A else 0, d), F(B[0] if B else 0, d)
 
 
 def rmul(x, y):
@@ -38,8 +48,10 @@ def rinv(x):
 
 
 class TestK3:
+    """The numbers of the field K3 = Q(sqrt3), held as constant TPolys."""
+
     @settings(max_examples=200, deadline=None)
-    @given(k3s, k3s)
+    @given(consts, consts)
     def test_ring_laws(self, x, y):
         rx, ry = ref(x), ref(y)
         assert ref(x + y) == (rx[0] + ry[0], rx[1] + ry[1])
@@ -49,40 +61,54 @@ class TestK3:
         assert x * y == y * x and (x + y) - y == x
 
     @settings(max_examples=200, deadline=None)
-    @given(k3s)
+    @given(consts)
     def test_inverse(self, x):
         if x.is_zero():
             with pytest.raises(ZeroDivisionError):
                 x.inv()
             return
-        assert ref(x.inv()) == rinv(ref(x))
-        assert x * x.inv() == K3(1) and x / x == K3(1)
+        assert ref(x.inv()) == rinv(ref(x)) and x.inv().den > 0
+        assert x * x.inv() == const(1) and x.inv().inv() == x
 
-    @settings(max_examples=300, deadline=None)
-    @given(k3s)
-    def test_sign(self, x):
-        a, b = ref(x)
-        # |a + b sqrt3| = |a^2 - 3 b^2| / |a - b sqrt3| is at least 1e-4 here,
-        # far above the float error
-        value = float(a) + float(b) * math.sqrt(3)
-        assert x.sign() == (value > 0) - (value < 0)
+    def test_inverse_of_a_negative_norm(self):
+        # 1/(1 + sqrt3) = (sqrt3 - 1)/2: the norm -2 gives its sign to the
+        # numerator
+        x = const(1, 1).inv()
+        assert (x.p0, x.p1, x.den) == (((-1,), (1,)), ((), ()), 2)
+        assert const(3, 3, 3).inv() == x and hash(const(3, 3, 3).inv()) == hash(x)
 
     @settings(max_examples=200, deadline=None)
-    @given(SMALL, SMALL, st.integers(1, 12),
-           st.integers(-9, 9).filter(lambda m: m != 0))
+    @given(SMALL, SMALL, st.integers(1, 12), st.integers(1, 9))
     def test_equal_values_written_apart(self, a, b, d, m):
-        x, y = K3(a, b, d), K3(a * m, b * m, d * m)
+        x, y = const(a, b, d), const(a * m, b * m, d * m)
         assert x == y and hash(x) == hash(y)
-        assert (x.a, x.b, x.d) == (y.a, y.b, y.d) and x.d > 0
+        assert (x.p0, x.p1, x.den) == (y.p0, y.p1, y.den) and x.den > 0
+        if not x.is_zero():
+            assert x.inv() == y.inv() and hash(x.inv()) == hash(y.inv())
+            assert x.inv().den > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(consts)
+    def test_as_expr_extracts_back(self, x):
+        e = x.as_expr()
+        assert tpoly_from_expr(e, F(1), ()) == x
+        a, b = ref(x)
+        assert abs(eval_real(e, {}, 30) - (float(a) + float(b) * math.sqrt(3))) < 1e-12
+
+    def test_as_expr_text(self):
+        assert to_text(const(3, 2, 6).as_expr()) == "1/2 + 1/3*sqrt(3)"
+        assert to_text(const(0, -1, 3).as_expr()) == "(-1/3)*sqrt(3)"
+        assert to_text(const(0, 0, 7).as_expr()) == "0"
 
     def test_constant_tables_look_up_any_writing(self):
         # 1/sqrt3 written as 2 sqrt3 / 6 and as the inverse of sqrt3
-        assert _ARCTAN_CONSTS[K3(0, 2, 6)] == F(1, 6)
-        assert _ARCCOT_CONSTS[K3(0, 1).inv()] == F(1, 3)
-        assert _ARCCOT_CONSTS[K3(0, 0, 7)] == F(1, 2)
+        assert _ARCTAN_CONSTS[const(0, 2, 6)] == F(1, 6)
+        assert _ARCCOT_CONSTS[const(0, 1).inv()] == F(1, 3)
+        assert _ARCCOT_CONSTS[const(0, 0, 7)] == F(1, 2)
 
 
-# polynomials as lists of K3 coefficient pairs (a_i, b_i), low degree first
+# reference polynomials as lists of coefficient pairs (a_i, b_i), meaning
+# a_i + b_i*sqrt3, low degree first
 
 pair = st.tuples(st.integers(-3, 3), st.integers(-3, 3) | st.just(0))
 poly = st.lists(pair, min_size=1, max_size=3)
@@ -113,6 +139,13 @@ def as_halves(p):
             v.pop()
         return tuple(v)
     return strip(a for a, _ in p), strip(b for _, b in p)
+
+
+def as_rows(h):
+    """The coefficient pairs of a half."""
+    A, B = h
+    return [(A[i] if i < len(A) else 0, B[i] if i < len(B) else 0)
+            for i in range(max(len(A), len(B)))]
 
 
 def field_gcd(p, q):
@@ -147,11 +180,11 @@ class TestGcd:
         # a common factor f makes most gcds nontrivial
         p, q = pmul(f, u), pmul(f, v)
         got = _kgcd(as_halves(p), as_halves(q))
-        assert monic(got) == field_gcd(p, q)
+        assert monic(as_rows(got)) == field_gcd(p, q)
 
     def test_zero_and_one_argument(self):
-        assert _kgcd(((), ()), ((), ())) == []
-        assert monic(_kgcd(((2, 4), ()), ((), ()))) == [(F(1, 2), 0), (1, 0)]
+        assert _kgcd(((), ()), ((), ())) == ((), ())
+        assert monic(as_rows(_kgcd(((2, 4), ()), ((), ())))) == [(F(1, 2), 0), (1, 0)]
 
 
 def peval(p, v):
@@ -169,7 +202,7 @@ class TestRationalRoots:
         p = trim(rest) or [(1, 0)]
         for num, den in linear:
             p = pmul(p, [(-num, 0), (den, 0)])
-        roots = _rational_roots(p)
+        roots = _rational_roots(as_halves(p))
         # a root of the product roots a factor: |numerator|, denominator <= 4
         expected = {v for v in (F(n, d) for n, d in product(range(-6, 7), range(1, 7)))
                     if peval(p, v) == (0, 0)}
@@ -179,9 +212,9 @@ class TestRationalRoots:
 
     def test_sqrt3_part_must_vanish_too(self):
         # (c - 1) + sqrt3 (c - 2): 1 roots the rational part only
-        assert _rational_roots([(-1, -2), (1, 1)]) == []
+        assert _rational_roots(((-1, 1), (-2, 1))) == []
         # sqrt3 (2c - 1)(c + 1)
-        assert _rational_roots([(0, -1), (0, 1), (0, 2)]) == [F(-1), F(1, 2)]
+        assert _rational_roots(((), (-1, 1, 2))) == [F(-1), F(1, 2)]
 
 
 LOC2_0, LOC2_1 = AngleLocus(F(0), F(2)), AngleLocus(F(1), F(2))
@@ -319,11 +352,20 @@ def test_split_coefficients_stay_exact():
     assert [to_text(a) for a in coeffs] == ["0", "(-1/3)*y^-1"]
 
 
-@pytest.mark.xfail(strict=True, reason="a sum under a power above the "
-                   "expansion limit that cancels down to exponent 1 stays "
-                   "one atom: collect_terms gives 2*(1 + x) and "
-                   "polynomial_in gives None")
 def test_cancelled_high_power_is_expanded():
     e = parse_expr("2*(x+1)^8/(x+1)^7")
     assert to_text(trigpoly.collect_terms(e)) == "2 + 2*x"
     assert [to_text(a) for a in trigpoly.polynomial_in(e, "x")] == ["2", "2"]
+
+
+@pytest.mark.parametrize("text,collected", [
+    # a product, a power of a one-term quotient, and a product under a power
+    ("(x+1)^8*(x+1)^-7*y", "x*y + y"),
+    ("(1/(x+1))^-3", "1 + 3*x + 3*x^2 + x^3"),
+    ("((x+1)^7*(x+1)^-5)^2", "1 + 4*x + 6*x^2 + 4*x^3 + x^4"),
+    # outside 1..6 the sum stays held
+    ("(x+1)^9*(x+1)^-1", "(1 + x)^8"),
+    ("(x+1)^8*(x+1)^-8", "1"),
+])
+def test_held_sum_expands_wherever_its_exponent_lands(text, collected):
+    assert to_text(trigpoly.collect_terms(parse_expr(text))) == collected
