@@ -171,10 +171,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _write_approx(approx, args, head: dict) -> int:
-    """A series value to --digits, with its tail bound and term count in JSON."""
+    """A series value to --digits, with its tail bound and term count in JSON.
+
+    The value's error is absolute, so a value within its tail bound of zero
+    prints as 0.0: its significant digits would be noise."""
     import mpmath as mp
     with mp.workdps(args.digits + 10):
-        value_txt = mp.nstr(approx.value, args.digits)
+        zero = abs(approx.value) <= approx.tail_bound
+        value_txt = mp.nstr(mp.mpf(0) if zero else approx.value, args.digits)
         bound_txt = mp.nstr(approx.tail_bound, 3)
     if args.format == "json":
         print(json.dumps({**head, "value": value_txt, "tail_bound": bound_txt,

@@ -2,14 +2,15 @@
 
 Two independent layers live here.
 
-The *oracle* layer sums series brute force: a direct partial sum plus an
-Euler-Maclaurin tail for monotone integrands ((n+a)^(-s) blocks), with the
-(+ + - -)-signed odd-denominator series split into residue classes mod 8
-(equivalently, summed in blocks of four) so every block is monotone.  The
-E-M remainder is bounded by the first omitted correction term, valid
-because (x+a)^(-s) is completely monotone; the local Bernoulli numbers come
-from the classical binomial recurrence, independent of everything else in
-the package.
+The *oracle* layer sums series brute force, all as one weighted sum
+sum_i w_i sum_{k>=0} (k + a_i)^(-s): a periodic pattern is its residues
+r/P as offsets with weights w_r, a Hurwitz sum is one part.  The first N
+terms of every part are summed directly and one Euler-Maclaurin tail covers
+the weighted rest; its remainder is within sum |w| times each part's first
+omitted correction, valid because (x+a)^(-s) is completely monotone.  The
+sum converges for s >= 2, and at s = 1 when the weights sum to zero; any
+other s is refused.  The local Bernoulli numbers come from the classical
+binomial recurrence, independent of everything else in the package.
 
 The *series-representation* layer evaluates the fast-converging expansions
 of zeta at odd integers, Thm 15 (about pi/2) and Thm 17 (about pi/3):
@@ -165,74 +166,7 @@ _B_CLASSICAL = _BernoulliTable()
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin tails
-
-def _em_tail_power(s: int, a: mp.mpf, N: int, target: mp.mpf) -> Tuple[mp.mpf, mp.mpf]:
-    """(tail, bound) for sum_{n=N}^inf (n+a)^(-s), s >= 2.
-
-    tail = integral + half-term + Bernoulli corrections; the remainder is
-    bounded by the first omitted correction since x^(-s) is completely
-    monotone.  Correction j is B_{2j} g_j with
-    g_j = s(s+1)...(s+2j-2) base^(1-s-2j) / (2j)!, each g from the one
-    before; g_0 = base^(1-s) / (s-1) is the integral.
-    """
-    base = N + a
-    inv_sq = 1 / (base * base)
-    g = base ** (1 - s) / (s - 1)
-    total = g + base ** (-s) / 2
-    prev = mp.inf
-    j = 1
-    while True:
-        b2j = _B_CLASSICAL[j]
-        g = g * ((s + 2 * j - 3) * (s + 2 * j - 2)) / ((2 * j - 1) * 2 * j) * inv_sq
-        term = g * b2j.numerator / b2j.denominator
-        if abs(term) > abs(prev):
-            return total, abs(term)  # corrections started growing: stop before
-        if abs(term) <= target / 8:
-            return total + term, abs(term)
-        total += term
-        prev = term
-        j += 1
-
-
-def _em_tail_log_pair(a: mp.mpf, b: mp.mpf, N: int,
-                      target: mp.mpf) -> Tuple[mp.mpf, mp.mpf]:
-    """(tail, bound) for sum_{n=N}^inf [(n+a)^(-1) - (n+b)^(-1)]."""
-    xa, xb = N + a, N + b
-    total = mp.log(xb / xa) + (1 / xa - 1 / xb) / 2
-    inv_a, inv_b = 1 / (xa * xa), 1 / (xb * xb)
-    pa, pb = mp.mpf(1), mp.mpf(1)       # xa^(-2j), xb^(-2j)
-    prev = mp.inf
-    j = 1
-    while True:
-        b2j = _B_CLASSICAL[j]
-        coeff = mp.mpf(b2j.numerator) / b2j.denominator / (2 * j)
-        pa, pb = pa * inv_a, pb * inv_b
-        term = coeff * (pa - pb)
-        cap = abs(coeff) * (pa + pb)
-        if cap > prev:
-            return total, cap
-        if cap <= target / 8:
-            return total + term, cap
-        total += term
-        prev = cap
-        j += 1
-
-
-def _hurwitz_sum(s: int, a: Fraction | mp.mpf, ctx: PrecisionContext) -> Tuple[mp.mpf, mp.mpf, int]:
-    """sum_{k=0}^inf (k+a)^(-s) via direct sum plus E-M tail."""
-    if s < 2:
-        raise PrecisionError("power tail requires s >= 2")
-    am = _to_mpf(a)
-    target = mp.mpf(ctx.target)
-    N = max(16, ctx.digits // 2)
-    while True:
-        direct = mp.fsum((k + am) ** (-s) for k in range(N))
-        tail, bound = _em_tail_power(s, am, N, target)
-        if bound <= target / 4 or N > 64 * ctx.digits:
-            return direct + tail, bound, N
-        N *= 2
-
+# the oracle: one weighted Euler-Maclaurin sum
 
 def _to_mpf(a) -> mp.mpf:
     if isinstance(a, Fraction):
@@ -240,8 +174,81 @@ def _to_mpf(a) -> mp.mpf:
     return mp.mpf(a)
 
 
-# ---------------------------------------------------------------------------
-# the oracle: periodic-coefficient Dirichlet series
+def _em_tail(ws: List[mp.mpf], bases: List[mp.mpf], s: int,
+             target: mp.mpf) -> Tuple[mp.mpf, mp.mpf]:
+    """(tail, bound) for sum_i w_i sum_{n>=0} (n + b_i)^(-s), b_i > 0.
+
+    tail = integral + half-term + Bernoulli corrections, each the weighted
+    sum over the parts.  The integral is sum w b^(1-s) / (s-1), or
+    -sum w ln b at s = 1 (where the weights sum to zero).  Correction j is
+    B_{2j} sum w g_j(b) with g_j = s(s+1)...(s+2j-2) b^(1-s-2j) / (2j)!,
+    each g from the one before, g_1 = s b^(-s-1) / 2.  Each (x + b)^(-s)
+    is completely monotone, so its tail lies between the sums through
+    corrections j - 1 and j: with or without correction j the error is
+    within that correction's size, and the combination's within sum |w|
+    times those (the correction's own size when the weights share a sign).
+    """
+    powers = [b ** (-s) for b in bases]
+    if s == 1:
+        total = -mp.fdot(ws, [mp.log(b) for b in bases])
+    else:
+        total = mp.fdot(ws, [p * b for p, b in zip(powers, bases)]) / (s - 1)
+    total += mp.fdot(ws, powers) / 2
+    gs = [w * s * p / (2 * b) for w, p, b in zip(ws, powers, bases)]  # w g_1
+    inv_sq = [1 / (b * b) for b in bases]
+    one_sign = all(w >= 0 for w in ws) or all(w <= 0 for w in ws)
+    stop = target / 8
+    prev = mp.inf
+    j = 1
+    while True:
+        b2j = _B_CLASSICAL[j]
+        term = sum(gs) * b2j.numerator / b2j.denominator
+        if one_sign:   # sum |g| = |sum g|: one pass fewer per correction
+            cap = abs(term)
+        else:
+            cap = sum(abs(g) for g in gs) * abs(b2j.numerator) / b2j.denominator
+        if cap > prev:
+            return total, cap   # corrections started growing: stop before
+        if cap <= stop:
+            return total + term, cap
+        total += term
+        prev = cap
+        j += 1
+        num, den = (s + 2 * j - 3) * (s + 2 * j - 2), (2 * j - 1) * 2 * j
+        gs = [g * num / den * q for g, q in zip(gs, inv_sq)]
+
+
+def _weighted_sum(name: str, parts: List[Tuple[Fraction, Fraction]],
+                  s: int, scale: mp.mpf, ctx: PrecisionContext) -> SeriesApprox:
+    """scale * sum_i w_i sum_{k>=0} (k + a_i)^(-s) over (w_i, a_i > 0).
+
+    The sum converges for s >= 2, and at s = 1 when the weights sum to
+    zero; anything else is a PrecisionError naming s.  The first N terms of
+    every part are summed directly, at a = p/q as q^s sum (kq + p)^(-s) over
+    integers, and one Euler-Maclaurin tail covers the weighted rest, N
+    doubling until the tail's bound is within target / 4.  terms_used
+    counts every direct term.
+    """
+    if not (s >= 2 or (s == 1 and sum(w for w, _ in parts) == 0)):
+        raise PrecisionError(f"{name} does not converge at s = {s}")
+    ws = [scale * _to_mpf(w) for w, _ in parts]
+    offsets = [a for _, a in parts]
+    target = ctx.target
+    N = max(16, ctx.digits // 2)
+    while True:
+        tail, bound = _em_tail(ws, [N + _to_mpf(a) for a in offsets], s, target)
+        if bound <= target / 4:
+            break
+        if N > 64 * ctx.digits:
+            raise PrecisionError(f"{name} at s = {s}: tail bound {bound} "
+                                 f"above target {target}")
+        N *= 2
+    one = mp.mpf(1)
+    direct = mp.fdot(ws, [a.denominator ** s * mp.fsum(
+        one / (k * a.denominator + a.numerator) ** s for k in range(N))
+        for a in offsets])
+    return SeriesApprox(+(direct + tail), +bound, N * len(parts))
+
 
 @dataclass(frozen=True)
 class PeriodicPattern:
@@ -289,44 +296,6 @@ ORACLE_SERIES: Dict[str, PeriodicPattern] = {
 }
 
 
-def _pattern_value(pattern: PeriodicPattern, s: int,
-                   ctx: PrecisionContext) -> SeriesApprox:
-    P = pattern.period
-    scale = pattern.scale_value()
-    if s >= 2:
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
-        terms = 0
-        for residue, w in pattern.weights:
-            val, b, n = _hurwitz_sum(s, Fraction(residue, P), ctx)
-            wm = mp.mpf(w.numerator) / w.denominator
-            total += wm * val
-            bound += abs(wm) * b
-            terms += n
-        factor = mp.mpf(P) ** (-s)
-        return SeriesApprox(+(scale * factor * total),
-                            +(abs(scale) * factor * bound), terms)
-    if s == 1:
-        if sum(w for _, w in pattern.weights) != 0:
-            raise PrecisionError("series diverges at s = 1")
-        pos = [r for r, w in pattern.weights for _ in range(int(w)) if w > 0]
-        neg = [r for r, w in pattern.weights for _ in range(int(-w)) if w < 0]
-        if len(pos) != len(neg) or any(w.denominator != 1 for _, w in pattern.weights):
-            raise PrecisionError("cannot pair signs for s = 1")
-        target = mp.mpf(ctx.target)
-        N = max(32, ctx.digits)
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
-        for rp, rn in zip(sorted(pos), sorted(neg)):
-            ap, an = mp.mpf(rp) / P, mp.mpf(rn) / P
-            direct = mp.fsum(1 / (k + ap) - 1 / (k + an) for k in range(N))
-            tail, b = _em_tail_log_pair(ap, an, N, target)
-            total += direct + tail
-            bound += b
-        return SeriesApprox(+(scale * total / P), +(abs(scale) * bound / P), N)
-    raise PrecisionError(f"series not convergent for s = {s}")
-
-
 def dirichlet_oracle(series: str | PeriodicPattern, s: int,
                      ctx: PrecisionContext | None = None,
                      a: Fraction | None = None) -> SeriesApprox:
@@ -334,36 +303,38 @@ def dirichlet_oracle(series: str | PeriodicPattern, s: int,
 
     series is one of zeta|eta|lambda|beta|frakD|calD|hurwitz (with offset
     ``a``), one of the cosine/sine coefficient patterns, or a custom
-    PeriodicPattern.  Monotone blocks are summed directly with an
-    Euler-Maclaurin tail; alternating patterns are paired first.  This path
-    shares nothing with the exact recurrences or the closed-form series
-    representations.
+    PeriodicPattern.  A pattern of period P is its residues r / P as
+    Hurwitz offsets, weighted by w_r, times P^(-s) and its scale, and summed
+    as one weighted Euler-Maclaurin sum; it converges for s >= 2, and at
+    s = 1 when its weights sum to zero.  This path shares nothing with the
+    exact recurrences or the closed-form series representations.
     """
     ctx = ctx or PrecisionContext.for_digits(30)
-    with mp.workdps(ctx.digits):
-        if isinstance(series, PeriodicPattern):
-            return _pattern_value(series, s, ctx)
-        if series == "hurwitz":
-            return hurwitz_zeta(s, a, ctx)
-        pattern = ORACLE_SERIES.get(series)
+    if series == "hurwitz":
+        return hurwitz_zeta(s, a, ctx)
+    if isinstance(series, PeriodicPattern):
+        name, pattern = "pattern", series
+    else:
+        name, pattern = series, ORACLE_SERIES.get(series)
         if pattern is None:
             names = ", ".join(sorted({*ORACLE_SERIES, "hurwitz"}))
             raise ValueError(f"unknown series {series!r}; expected one of {names}")
-        if series in ("zeta", "lambda") and s < 2:
-            raise PrecisionError(f"{series} diverges at s = {s}")
-        return _pattern_value(pattern, s, ctx)
+    P = pattern.period
+    with mp.workdps(ctx.digits):
+        return _weighted_sum(name, [(w, Fraction(r, P)) for r, w in pattern.weights],
+                             s, pattern.scale_value() * mp.mpf(P) ** (-s), ctx)
 
 
 def hurwitz_zeta(s: int, a: Fraction | None,
                  ctx: PrecisionContext | None = None) -> SeriesApprox:
-    """Hurwitz zeta sum_{n>=0} (n+a)^(-s) for integer s >= 2, a > 0; an s
-    below 2 is a PrecisionError from the power tail."""
+    """Hurwitz zeta sum_{n>=0} (n+a)^(-s) for integer s >= 2, a > 0: the
+    weighted sum with one part, so an s below 2 is a PrecisionError."""
     if a is None or a <= 0:
         raise ValueError("hurwitz requires a positive offset a")
     ctx = ctx or PrecisionContext.for_digits(30)
     with mp.workdps(ctx.digits):
-        val, bound, n = _hurwitz_sum(s, a, ctx)
-        return SeriesApprox(+val, +bound, n)
+        return _weighted_sum("hurwitz", [(Fraction(1), Fraction(a))], s,
+                             mp.mpf(1), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class PiPolynomial:
     def monomial(cls, coeff: Fraction | int, power: int) -> "PiPolynomial":
         return cls({power: Fraction(coeff)})
 
-    @classmethod
-    def const(cls, coeff: Fraction | int) -> "PiPolynomial":
-        return cls({0: Fraction(coeff)})
-
     def __add__(self, other: "PiPolynomial") -> "PiPolynomial":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():

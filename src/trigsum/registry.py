@@ -331,39 +331,47 @@ class TermSpec:
         table = dict(self.pattern.weights)
         return tuple(table.get(j or P, Fraction(0)) for j in range(P))
 
-    def amplitude(self, n: int | range, r: int, scale: mp.mpf | None = None):
-        """Amplitude of term n: one int n gives an mpf (exact partial sums,
-        computed at the working precision), where a caller that sums many
-        terms passes the pattern's ``scale_value()`` as ``scale``; a range
-        of n gives a float64 array over it (grid partial sums, computed in
-        float64), whose sign weights tile the first period, since m mod P
+    def amplitude(self, n: range, r: int):
+        """The float64 amplitudes of the terms n in a range (grid partial
+        sums), whose sign weights tile the first period, since m mod P
         repeats with period P in n."""
+        import numpy as np
         P = self.pattern.period
-        if isinstance(n, int):
-            cos, pi, num = mp.cos, mp.pi, _to_mpf
-            w = self._weights[self.frequency(n) % P]
-            m = mp.mpf(self.frequency(n))
-            if scale is None:
-                scale = self.pattern.scale_value()
+        m = self.frequency(np.arange(n.start, n.stop, dtype=np.float64))
+        with mp.workprec(53):  # round each step as float64 does
+            scale = float(self.pattern.scale_value())
+        period = scale * np.array([float(self._weights[self.frequency(j) % P])
+                                   for j in range(n.start, n.start + P)])
+        coef = np.tile(period, -(-len(n) // P))[:len(n)]
+        return self._decay(coef, m, r, np.cos, np.pi,
+                           [float(x0) for x0 in self.shifts])
+
+    def mp_amplitudes(self, n: range, r: int):
+        """(m, amplitude) of each term n in a range at the working precision
+        (exact partial sums); the scale and the shifts are converted once,
+        each frequency once per term."""
+        P = self.pattern.period
+        scale, x0s = self.pattern.scale_value(), [_to_mpf(x0) for x0 in self.shifts]
+        for j in n:
+            freq = self.frequency(j)
+            w = self._weights[freq % P]
             coef = scale * w.numerator
             if w.denominator != 1:
                 coef /= w.denominator
-        else:
-            import numpy as np
-            cos, pi, num = np.cos, np.pi, float
-            m = self.frequency(np.arange(n.start, n.stop, dtype=np.float64))
-            with mp.workprec(53):  # round each step as float64 does
-                scale = float(self.pattern.scale_value())
-            period = scale * np.array([float(self._weights[self.frequency(j) % P])
-                                       for j in range(n.start, n.start + P)])
-            coef = np.tile(period, -(-len(n) // P))[:len(n)]
+            m = mp.mpf(freq)
+            yield m, self._decay(coef, m, r, mp.cos, mp.pi, x0s)
+
+    def _decay(self, coef, m, r: int, cos, pi, x0s):
+        """coef m^(-s), or coef (m^2 - p^2)^(-s/2) with a pole, times
+        cos(m pi x0) for each shift: the amplitude from its weight, in
+        float64 or at the working precision."""
         s = self.exponent(r)
         if self.pole:
             amp = coef * (1 / (m * m - self.pole ** 2) ** (s // 2))
         else:
             amp = coef * m ** -s
-        for x0 in self.shifts:
-            amp = amp * cos(m * pi * num(x0))
+        for x0 in x0s:
+            amp = amp * cos(m * pi * x0)
         return amp
 
 
@@ -382,7 +390,6 @@ class IdentityRecord:
     label: str
     kind: str                                   # fourier | cospow | value
     trig: Optional[str]                         # cos | sin | None
-    r_min: int
     r_fixed: Optional[int]
     interval: Optional[Tuple[Fraction, Fraction]]
     closed: bool                                # both endpoints closed
@@ -403,8 +410,8 @@ class IdentityRecord:
             return self.r_fixed
         if r is None:
             raise RegistryError(f"record {self.id} needs a parameter r")
-        if r < self.r_min:
-            raise RegistryError(f"record {self.id} needs r >= {self.r_min}")
+        if r < 1:
+            raise RegistryError(f"record {self.id} needs r >= 1")
         return r
 
 
@@ -586,107 +593,107 @@ def _make_records() -> Dict[str, IdentityRecord]:
     thm21_residual = partial(ResidualRule, alternating=True)
     cor6 = IdentityRecord(
         id="cor6-lambda", label="odd-denominator cosine series over [0, c]",
-        kind="fourier", trig="cos", r_min=1, r_fixed=None,
+        kind="fourier", trig="cos", r_fixed=None,
         interval=(f(0), f(1)), closed=True,
         period=f(2), n_start=1, term=TermSpec(2, -1, lam, even))
     records = [
         IdentityRecord(
             id="thm11-cos", label="cosine series of n^(-2r) over [0, 2c]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, even)),
         IdentityRecord(
             id="thm11-sin", label="sine series of n^(-2r-1) over [0, 2c]",
-            kind="fourier", trig="sin", r_min=1, r_fixed=None,
+            kind="fourier", trig="sin", r_fixed=None,
             interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
             id="thm16-zeta-odd-cos",
             label="cosine series of n^(-2r-1) with log and residual terms",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
             residual=thm16_residual),
         IdentityRecord(
             id="thm18-cos", label="alternating cosine series of n^(-2r) over [-c, c]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, even)),
         IdentityRecord(
             id="thm18-sin", label="alternating sine series of n^(-2r-1) over [-c, c]",
-            kind="fourier", trig="sin", r_min=1, r_fixed=None,
+            kind="fourier", trig="sin", r_fixed=None,
             interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
             id="thm21-eta-odd",
             label="alternating cosine series of n^(-2r-1) with Bernoulli residual",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
             residual=thm21_residual),
         IdentityRecord(
             id="cor5-beta", label="beta-family cosine series over [-c/2, c/2]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(-1, 2), f(1, 2)), closed=True,
             period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
         cor6,
         IdentityRecord(
             id="cor7-frakd", label="signed odd-denominator cosine series over [0, c/4]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even)),
         IdentityRecord(
             id="cor8-cald", label="signed odd-denominator odd-power cosine series over [0, c/4]",
-            kind="fourier", trig="cos", r_min=1, r_fixed=None,
+            kind="fourier", trig="cos", r_fixed=None,
             interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=0, term=TermSpec(2, 1, calD, odd)),
         IdentityRecord(
             id="eq56-frakd-value", label="signed odd-denominator Dirichlet value",
-            kind="value", trig=None, r_min=1, r_fixed=None,
+            kind="value", trig=None, r_fixed=None,
             interval=None, closed=False,
             period=f(2), n_start=1,
             term=TermSpec(2, -1, PeriodicPattern(frakD.period, frakD.weights), even),
             poly=_poly_eq56),
         IdentityRecord(
             id="eq69-frakd-poly", label="cubic closed form on [c/4, 3c/4]",
-            kind="fourier", trig="cos", r_min=2, r_fixed=2,
+            kind="fourier", trig="cos", r_fixed=2,
             interval=(f(1, 4), f(3, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
             poly=_poly_eq69),
         IdentityRecord(
             id="eq70-frakd-poly", label="quadratic closed form on [0, c/4]",
-            kind="fourier", trig="cos", r_min=2, r_fixed=2,
+            kind="fourier", trig="cos", r_fixed=2,
             interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
             poly=_poly_eq70),
         IdentityRecord(
             id="example1-cospow", label="sin(nx) cos^n x / n over (0, pi)",
-            kind="cospow", trig="sin", r_min=1, r_fixed=1,
+            kind="cospow", trig="sin", r_fixed=1,
             interval=(f(0), f(1)), closed=False,
             period=f(1), n_start=1, term=TermSpec(1, 0, zeta, (0, 1)),
             poly=_poly_example1),
         IdentityRecord(
             id="example2-fourier",
             label="alternating cos(3 n x) over (-pi/3, pi/3), c = pi",
-            kind="fourier", trig="cos", r_min=1, r_fixed=1,
+            kind="fourier", trig="cos", r_fixed=1,
             interval=(f(-1, 3), f(1, 3)), closed=False,
             period=f(2, 3), n_start=1, term=TermSpec(3, 0, eta, even, pole=1),
             poly=_poly_example2,
             cos_coeff=lambda r: Coeff({("sqrt3pi", 1): Fraction(1, 9)})),
         IdentityRecord(
             id="lemma4-sin-log", label="sine series of 1/n over (0, 2c)",
-            kind="fourier", trig="sin", r_min=0, r_fixed=0,
+            kind="fourier", trig="sin", r_fixed=0,
             interval=(f(0), f(2)), closed=False,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
             id="lemma4-sin-alt", label="alternating sine series of 1/n over (-c, c)",
-            kind="fourier", trig="sin", r_min=0, r_fixed=0,
+            kind="fourier", trig="sin", r_fixed=0,
             interval=(f(-1), f(1)), closed=False,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
             id="lemma4-cos-arctan",
             label="alternating odd cosine series of 1/(2n+1) over (-c/2, c/2)",
-            kind="fourier", trig="cos", r_min=0, r_fixed=0,
+            kind="fourier", trig="cos", r_fixed=0,
             interval=(f(-1, 2), f(1, 2)), closed=False,
             period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
     ]
@@ -786,21 +793,19 @@ def partial_sum_eval(identity_id: str | IdentityRecord, r: Optional[int],
     r_eff = rec.effective_r(r)
     term = rec.term
     with mp.workdps(digits):
-        # what no term changes is computed once: the pattern's scale, pi,
-        # pi x/c and, for cospow, cos(pi x/c)
-        scale, pi = term.pattern.scale_value(), +mp.pi
+        # what no term changes is computed once: pi, pi x/c and, for
+        # cospow, cos(pi x/c)
+        pi = +mp.pi
         xc = mp.mpf(x) / mp.mpf(c)
         x_pi = pi * xc
         cos_x = mp.cos(x_pi)
         trig = mp.cos if rec.trig == "cos" else mp.sin
         total = mp.mpf(0)
-        for n in range(rec.n_start, rec.n_start + N):
-            amp = term.amplitude(n, r_eff, scale)
+        ns = range(rec.n_start, rec.n_start + N)
+        for n, (m, amp) in zip(ns, term.mp_amplitudes(ns, r_eff)):
             if rec.kind == "value":
                 total += amp
-                continue
-            m = mp.mpf(term.frequency(n))
-            if rec.kind == "cospow":
+            elif rec.kind == "cospow":
                 total += amp * mp.sin(m * x_pi) * cos_x ** n
             else:
                 total += amp * trig(m * pi * xc)

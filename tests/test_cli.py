@@ -88,6 +88,19 @@ class TestNumericCommands:
         assert code == 0
         assert out.strip().startswith("4.9348022005446793")
 
+    @pytest.mark.parametrize("digits", ["20", "50"])
+    def test_oracle_zero_value_prints_zero(self, capsys, digits):
+        # sum cos(n pi/3)/n = -ln(2 sin(pi/6)) = 0: the digits past the
+        # absolute target are not printed as significant
+        code, out, _ = run(capsys, "oracle", "--series", "cos_pi3", "--s", "1",
+                           "--digits", digits, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == "0.0"
+        # sum cos(2n pi/3)/n = -ln(2 sin(pi/3)) = -ln sqrt3
+        code, out, _ = run(capsys, "oracle", "--series", "cos_2pi3", "--s", "1",
+                           "--digits", "20")
+        assert code == 0 and out.strip() == "-0.5493061443340548457"
+
     def test_zeta_odd_terms_at_most_quadratic(self, capsys):
         # each level's residual sum is counted once
         code, out, _ = run(capsys, "zeta-odd", "--r", "1", "--digits", "100",

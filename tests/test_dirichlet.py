@@ -7,7 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from trigsum.dirichlet import (PrecisionContext, PrecisionError,
+from trigsum.dirichlet import (ORACLE_SERIES, PeriodicPattern,
+                               PrecisionContext, PrecisionError,
                                ZETA_ODD_METHODS, _B_CLASSICAL,
                                dirichlet_oracle, eta_odd, hurwitz_zeta,
                                identity_checks, zeta_odd)
@@ -436,3 +437,75 @@ class TestCustomPattern:
             direct = mp.fsum((1 if n % 4 == 1 else -1) / mp.mpf(n) ** 3
                              for n in range(1, 20001) if n % 4 in (1, 2))
             assert abs(a.value - direct) < 1e-10
+
+
+def _mpf(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / q.denominator
+
+
+class TestOneWeightedSum:
+    """Every series the oracle evaluates is one weighted sum, convergent at
+    s >= 2 and at s = 1 when the weights sum to zero; the references here
+    are mpmath's digamma and Hurwitz zeta."""
+
+    S1_NAMES = [name for name, p in ORACLE_SERIES.items()
+                if sum(w for _, w in p.weights) == 0]
+
+    @pytest.mark.parametrize("digits", [30, 100, 300])
+    def test_s1_patterns_against_digamma(self, digits):
+        # sum_r w_r sum_k 1/(k + r/P) = -sum_r w_r psi(r/P) when sum w = 0
+        assert {"cos_pi3", "cos_2pi3"} <= set(self.S1_NAMES)
+        ctx = PrecisionContext.for_digits(digits)
+        for name in self.S1_NAMES:
+            pattern = ORACLE_SERIES[name]
+            got = dirichlet_oracle(name, 1, ctx)
+            assert got.tail_bound <= ctx.target, name
+            with mp.workdps(digits + 20):
+                P = pattern.period
+                ref = -(pattern.scale_value() / P * mp.fsum(
+                    _mpf(w) * mp.digamma(mp.mpf(r) / P)
+                    for r, w in pattern.weights))
+                assert abs(got.value - ref) <= got.tail_bound, name
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("s", [2, 3, 7])
+    def test_patterns_against_hurwitz_zeta(self, digits, s):
+        ctx = PrecisionContext.for_digits(digits)
+        for name, pattern in ORACLE_SERIES.items():
+            got = dirichlet_oracle(name, s, ctx)
+            assert got.tail_bound <= ctx.target, name
+            with mp.workdps(digits + 20):
+                P = pattern.period
+                ref = pattern.scale_value() * mp.mpf(P) ** (-s) * mp.fsum(
+                    _mpf(w) * mp.zeta(s, mp.mpf(r) / P)
+                    for r, w in pattern.weights)
+                assert abs(got.value - ref) <= got.tail_bound, name
+        for a in (F(1, 3), F(7, 4)):
+            got = hurwitz_zeta(s, a, ctx)
+            with mp.workdps(digits + 20):
+                assert abs(got.value - mp.zeta(s, _mpf(a))) <= got.tail_bound
+
+    def test_terms_count_every_direct_term(self):
+        ctx = PrecisionContext.for_digits(40)
+        one = dirichlet_oracle("zeta", 3, ctx).terms_used
+        assert dirichlet_oracle("calD", 3, ctx).terms_used == 4 * one
+        assert dirichlet_oracle("eta", 1, ctx).terms_used == 2 * one
+
+    def test_nonzero_weight_sum_refused_at_s1(self):
+        # a custom pattern, the named series and a Hurwitz sum alike
+        pattern = PeriodicPattern(3, ((1, F(1)), (2, F(-1, 2))))
+        with pytest.raises(PrecisionError, match="s = 1"):
+            dirichlet_oracle(pattern, 1, CTX40)
+        for name in ("zeta", "lambda"):
+            with pytest.raises(PrecisionError, match="s = 1"):
+                dirichlet_oracle(name, 1, CTX40)
+        with pytest.raises(PrecisionError, match="s = 1"):
+            dirichlet_oracle("hurwitz", 1, CTX40, a=F(1, 3))
+
+    @pytest.mark.parametrize("s", [0, -1, -4])
+    def test_s_at_most_zero_refused(self, s):
+        for name in ORACLE_SERIES:
+            with pytest.raises(PrecisionError, match=f"s = {s}"):
+                dirichlet_oracle(name, s, CTX40)
+        with pytest.raises(PrecisionError, match=f"s = {s}"):
+            hurwitz_zeta(s, F(1, 2), CTX40)

@@ -295,7 +295,7 @@ class TestStructural:
         rec = get_record("eq56-frakd-value")
         with pytest.raises(RegistryError):
             IdentityRecord(id="x", label="x", kind="fourier", trig="cos",
-                           r_min=1, r_fixed=None, interval=(F(0), F(1)),
+                           r_fixed=None, interval=(F(0), F(1)),
                            closed=True, period=F(2),
                            n_start=1, term=rec.term)
 
