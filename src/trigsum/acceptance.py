@@ -23,9 +23,10 @@ from .evaluate import eval_complex_batch, eval_real_batch
 from .expr import PI, func, parse_expr, symbol
 from .mapping import detect_singularities, map_cospow, map_fourier
 from .operators import apply_operator, verify_inverse_system
-from .registry import (closed_form_eval, corollary2_integrate, get_record,
-                       integration_successor, partial_sum_eval, poly_derivative,
-                       suite_reports, theorem23_shift, verify)
+from .registry import (ONE, Coeff, closed_form_eval, corollary2_integrate,
+                       get_record, integration_successor, partial_sum_eval,
+                       poly_at, poly_derivative, suite_reports, theorem23_shift,
+                       verify)
 
 F = Fraction
 
@@ -201,13 +202,6 @@ def criterion_6_registry_sweep() -> Outcome:
             + (f"; failures: {failures}" if failures else ""))
 
 
-def _eval_poly_at(poly, ratio):
-    total = exact.PiPolynomial()
-    for p, coeff in poly.items():
-        total = total + coeff.as_pipoly().shift_pi(p).scale(ratio ** p)
-    return total
-
-
 def criterion_7_structural_checks() -> Outcome:
     ok = True
     for src in ("thm11-cos", "thm18-cos"):
@@ -217,18 +211,16 @@ def criterion_7_structural_checks() -> Outcome:
     sh = theorem23_shift("cor6-lambda", F(1, 4))
     ok &= sh.poly(1) == get_record("eq59-lambda-shift").poly(1)
     ok &= sh.poly(2) == get_record("eq69-frakd-poly").poly(2)
-    zero = exact.PiPolynomial()
     for r in range(1, 13):
-        ok &= _eval_poly_at(get_record("thm11-sin").poly(r), F(1)) == zero
-        ok &= _eval_poly_at(get_record("thm11-sin").poly(r), F(2)) == zero
-        ok &= _eval_poly_at(get_record("thm18-sin").poly(r), F(1)) == zero
-        ok &= _eval_poly_at(get_record("cor5-beta").poly(r), F(1, 2)) == zero
-        ok &= _eval_poly_at(get_record("cor6-lambda").poly(r), F(1, 2)) == zero
-        ok &= (_eval_poly_at(get_record("cor7-frakd").poly(r), F(1, 4))
-               == exact.lambda_even(r).scale(F(1, 2)))
-        ok &= (_eval_poly_at(poly_derivative(get_record("cor8-cald").poly(r)),
-                             F(1, 4))
-               == exact.lambda_even(r).scale(F(-1, 2)))
+        ok &= poly_at(get_record("thm11-sin").poly(r), F(1)).is_zero()
+        ok &= poly_at(get_record("thm11-sin").poly(r), F(2)).is_zero()
+        ok &= poly_at(get_record("thm18-sin").poly(r), F(1)).is_zero()
+        ok &= poly_at(get_record("cor5-beta").poly(r), F(1, 2)).is_zero()
+        ok &= poly_at(get_record("cor6-lambda").poly(r), F(1, 2)).is_zero()
+        ok &= (poly_at(get_record("cor7-frakd").poly(r), F(1, 4))
+               == Coeff({ONE: exact.lambda_even(r).scale(F(1, 2))}))
+        ok &= (poly_at(poly_derivative(get_record("cor8-cald").poly(r)), F(1, 4))
+               == Coeff({ONE: exact.lambda_even(r).scale(F(-1, 2))}))
     return ("structural-exact-checks", ok,
             "termwise integration, quarter-shift polynomials, and "
             "special-value extraction exact for r <= 12")

@@ -278,6 +278,7 @@ def _cmd_verify(args) -> int:
         return 0 if all(ok for _, ok, _ in outcomes) else 1
     if not args.id:
         raise ValueError("verify needs one of --id, --all and --suite")
+    grid_given = args.grid is not None
     for name, default in _VERIFY_ID_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -285,6 +286,9 @@ def _cmd_verify(args) -> int:
     x0 = _fraction_flag("--x0", args.x0) if args.x0 else None
     from .registry import get_record, theorem23_shift, verify
     record = get_record(args.id)
+    if record.kind == "value" and grid_given:
+        raise ValueError(f"--grid does not apply to {args.id}, a value record "
+                         "checked at x = 0 only")
     if x0 is not None:
         record = theorem23_shift(record, x0)
     report = verify(record, args.r, grid=args.grid, N=args.terms, tol=args.tol)

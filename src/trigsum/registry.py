@@ -1,11 +1,13 @@
 """Catalog of the closed-form trigonometric-series identities.
 
 Each record pairs a series term rule with an exact closed form: a
-polynomial in u = pi x / c whose coefficients live in the exact basis
-{ rational * pi^K,  rational * zeta(odd),  rational * ln 2,
-  rational * sqrt2 * pi^K,  rational * sqrt3 * pi^K },
-plus, where needed, a u^p * ln(u) term and a residual series with exact
-rational coefficients (see ResidualRule).  A Fourier record over a named
+polynomial in u = pi x / c whose coefficients are Coeffs, maps from an
+irrational unit (1, sqrt2, sqrt3, ln 2 or zeta(m) for odd m >= 3) to a
+PiPolynomial, so that a coefficient is a sum of rational * unit * pi^K and
+exact.PiPolynomial does all its Q[pi] arithmetic; poly_at gives such a
+polynomial's exact value at u = ratio * pi.  Where needed, a closed form
+adds a u^p * ln(u) term and a residual series with exact rational
+coefficients (see ResidualRule).  A Fourier record over a named
 Dirichlet series states only its TermSpec (and residual rule): its
 polynomial and log term follow from the spec by one Taylor rule
 (_taylor_poly), u^(2k+p) carrying (-1)^k D(s-2k-p) / (2k+p)!, plus the
@@ -28,7 +30,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import count
 from math import comb, factorial, isqrt
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -46,6 +48,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Coeff",
+    "poly_at",
     "IdentityRecord",
     "ResidualRule",
     "VerificationReport",
@@ -70,90 +73,63 @@ class RegistryError(Exception):
 # ---------------------------------------------------------------------------
 # exact coefficients
 
-_BasisKey = Tuple[str, int]  # ("pi", K) | ("zeta", m) | ("ln2", 0) | ("sqrt2pi", K) | ("sqrt3pi", K)
+# An irrational unit of the coefficient basis: (name, m), with m the odd
+# argument >= 3 of zeta(m) and 0 for the other units.
+Unit = Tuple[str, int]
+ONE, SQRT2, SQRT3, LN2 = ("1", 0), ("sqrt2", 0), ("sqrt3", 0), ("ln2", 0)
 
-_zeta_odd_cache: Dict[Tuple[int, int], mp.mpf] = {}
+# (m, digits) pairs whose zeta(m) is kept
+_ZETA_ODD_CACHE_SIZE = 64
 
 
+@lru_cache(maxsize=_ZETA_ODD_CACHE_SIZE)
 def _zeta_odd_value(m: int, digits: int) -> mp.mpf:
-    key = (m, digits)
-    if key not in _zeta_odd_cache:
-        ctx = PrecisionContext.for_digits(digits + 10)
-        _zeta_odd_cache[key] = dirichlet_oracle("zeta", m, ctx).value
-    return _zeta_odd_cache[key]
+    ctx = PrecisionContext.for_digits(digits + 10)
+    return dirichlet_oracle("zeta", m, ctx).value
+
+
+# each unit's value at the given digits, from its argument m
+_UNIT_VALUES: Dict[str, Callable[[int, int], mp.mpf]] = {
+    "1": lambda m, digits: mp.mpf(1),
+    "sqrt2": lambda m, digits: mp.sqrt(2),
+    "sqrt3": lambda m, digits: mp.sqrt(3),
+    "ln2": lambda m, digits: mp.log(2),
+    "zeta": _zeta_odd_value,
+}
 
 
 class Coeff:
-    """Exact linear combination over the coefficient basis."""
+    """An exact value sum_unit unit * P_unit(pi): each irrational unit maps
+    to a PiPolynomial, which does the Q[pi] arithmetic."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Dict[_BasisKey, Fraction] | None = None):
-        clean: Dict[_BasisKey, Fraction] = {}
-        for k, v in (parts or {}).items():
-            v = Fraction(v)
-            if v != 0:
-                clean[k] = v
-        self.parts = clean
+    def __init__(self, parts: Dict[Unit, PiPolynomial] | None = None):
+        self.parts = {unit: p for unit, p in (parts or {}).items() if not p.is_zero()}
 
     @classmethod
-    def rational(cls, q) -> "Coeff":
-        return cls({("pi", 0): Fraction(q)})
-
-    @classmethod
-    def pi_monomial(cls, q, power: int) -> "Coeff":
-        return cls({("pi", power): Fraction(q)})
-
-    @classmethod
-    def from_pipoly(cls, p: PiPolynomial) -> "Coeff":
-        return cls({("pi", k): v for k, v in p.coeffs.items()})
-
-    @classmethod
-    def zeta_odd(cls, q, m: int) -> "Coeff":
-        if m < 3 or m % 2 == 0:
-            raise ValueError("zeta basis keys are odd integers >= 3")
-        return cls({("zeta", m): Fraction(q)})
-
-    @classmethod
-    def ln2(cls, q) -> "Coeff":
-        return cls({("ln2", 0): Fraction(q)})
+    def of(cls, q, power: int = 0, unit: Unit = ONE) -> "Coeff":
+        """q * unit * pi^power."""
+        name, m = unit
+        known = m >= 3 and m % 2 == 1 if name == "zeta" else name in _UNIT_VALUES and m == 0
+        if not known:
+            raise ValueError(f"unknown unit {unit!r}")
+        return cls({unit: PiPolynomial.monomial(q, power)})
 
     def __add__(self, other: "Coeff") -> "Coeff":
         out = dict(self.parts)
-        for k, v in other.parts.items():
-            out[k] = out.get(k, Fraction(0)) + v
+        for unit, p in other.parts.items():
+            out[unit] = out[unit] + p if unit in out else p
         return Coeff(out)
-
-    def __neg__(self) -> "Coeff":
-        return Coeff({k: -v for k, v in self.parts.items()})
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
 
     def scale(self, q) -> "Coeff":
-        q = Fraction(q)
-        return Coeff({k: v * q for k, v in self.parts.items()})
+        return Coeff({unit: p.scale(q) for unit, p in self.parts.items()})
 
     def mul_pi_power(self, j: int) -> "Coeff":
-        out = {}
-        for (kind, m), v in self.parts.items():
-            if kind in ("pi", "sqrt2pi", "sqrt3pi"):
-                out[(kind, m + j)] = v
-            else:
-                raise RegistryError(
-                    f"cannot multiply a {kind} coefficient by a pi power exactly")
-        return Coeff(out)
+        return Coeff({unit: p.shift_pi(j) for unit, p in self.parts.items()})
 
     def is_zero(self) -> bool:
         return not self.parts
-
-    def is_pure_pi(self) -> bool:
-        return all(kind == "pi" for kind, _ in self.parts)
-
-    def as_pipoly(self) -> PiPolynomial:
-        if not self.is_pure_pi():
-            raise RegistryError("not a pure pi-polynomial coefficient")
-        return PiPolynomial({m: v for (_, m), v in self.parts.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Coeff) and self.parts == other.parts
@@ -163,34 +139,22 @@ class Coeff:
 
     def eval(self, digits: int = 30) -> mp.mpf:
         with mp.workdps(digits):
-            pi = +mp.pi
             total = mp.mpf(0)
-            for (kind, m), v in sorted(self.parts.items()):
-                vq = mp.mpf(v.numerator) / v.denominator
-                if kind == "pi":
-                    total += vq * pi ** m
-                elif kind == "zeta":
-                    total += vq * _zeta_odd_value(m, digits)
-                elif kind == "ln2":
-                    total += vq * mp.log(2)
-                elif kind == "sqrt2pi":
-                    total += vq * mp.sqrt(2) * pi ** m
-                elif kind == "sqrt3pi":
-                    total += vq * mp.sqrt(3) * pi ** m
-                else:
-                    raise RegistryError(f"unknown basis kind {kind!r}")
+            for (name, m), p in sorted(self.parts.items()):
+                total += _UNIT_VALUES[name](m, digits) * p.eval(digits)
             return +total
 
     def __repr__(self):
         return f"Coeff({self.parts})"
 
 
-def _eta_odd_coeff(m: int, q: Fraction) -> Coeff:
-    """eta(m) for odd m as an exact Coeff: (1 - 2^(1-m)) zeta(m) for m >= 3,
-    ln 2 for m = 1."""
-    if m == 1:
-        return Coeff.ln2(q)
-    return Coeff.zeta_odd(q * (Fraction(2) ** (m - 1) - 1) / Fraction(2) ** (m - 1), m)
+def poly_at(poly: Dict[int, Coeff], ratio: Fraction) -> Coeff:
+    """The exact value of a closed-form polynomial sum_p c_p u^p at
+    u = ratio * pi."""
+    total = Coeff()
+    for p, coeff in poly.items():
+        total = total + coeff.mul_pi_power(p).scale(ratio ** p)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +371,9 @@ class IdentityRecord:
 
     def effective_r(self, r: Optional[int]) -> int:
         if self.r_fixed is not None:
+            if r is not None and r != self.r_fixed:
+                raise RegistryError(
+                    f"record {self.id} has the fixed r = {self.r_fixed}, got r = {r}")
             return self.r_fixed
         if r is None:
             raise RegistryError(f"record {self.id} needs a parameter r")
@@ -458,20 +425,18 @@ def _series_value(name: str, t: int) -> Optional[Coeff]:
     reaches)."""
     if t == 0:
         q = _VALUES_AT_0.get(name)
-        return None if q is None else Coeff.rational(q)
+        return None if q is None else Coeff.of(q)
     if t % 2 == 0 and name in _EVEN_VALUES:
-        return Coeff.from_pipoly(_EVEN_VALUES[name](t // 2))
+        return Coeff({ONE: _EVEN_VALUES[name](t // 2)})
     if t % 2 == 1 and name in _ODD_VALUES:
-        return Coeff.from_pipoly(_ODD_VALUES[name](t // 2))
-    if name == "eta" and t % 2 == 1:
-        return _eta_odd_coeff(t, Fraction(1))
+        return Coeff({ONE: _ODD_VALUES[name](t // 2)})
+    if name == "eta" and t == 1:
+        return Coeff.of(1, unit=LN2)
+    if name == "eta" and t % 2 == 1:   # eta(t) = (1 - 2^(1-t)) zeta(t)
+        return Coeff.of(1 - Fraction(1, 2 ** (t - 1)), unit=("zeta", t))
     if name == "zeta" and t % 2 == 1 and t > 1:
-        return Coeff.zeta_odd(1, t)
+        return Coeff.of(1, unit=("zeta", t))
     return None
-
-
-def _coeff_add(a: Optional[Coeff], b: Coeff) -> Coeff:
-    return b if a is None else a + b
 
 
 def _taylor_poly(name: str, term: TermSpec, p: int, r: int) -> Dict[int, Coeff]:
@@ -489,11 +454,11 @@ def _taylor_poly(name: str, term: TermSpec, p: int, r: int) -> Dict[int, Coeff]:
     rho = _POLE_RESIDUES.get(name)
     if rho is not None:
         if (s - p) % 2 == 0:
-            pole = Coeff.pi_monomial(rho * (-1) ** (s // 2) / (2 * factorial(s - 1)), 1)
+            pole = Coeff.of(rho * (-1) ** (s // 2) / (2 * factorial(s - 1)), 1)
         else:
-            pole = Coeff.rational(rho * (-1) ** ((s - 1) // 2) * harmonic(s - 1)
-                                  / factorial(s - 1))
-        out[s - 1] = _coeff_add(out.get(s - 1), pole)
+            pole = Coeff.of(rho * (-1) ** ((s - 1) // 2) * harmonic(s - 1)
+                            / factorial(s - 1))
+        out[s - 1] = out.get(s - 1, Coeff()) + pole
     return dict(sorted(out.items()))
 
 
@@ -501,7 +466,7 @@ def _taylor_log(name: str, term: TermSpec, r: int) -> Tuple[Coeff, int]:
     """The u^(s-1) ln(u) term of the log case: rho (-1)^((s+1)/2) / (s-1)!."""
     s = term.exponent(r)
     rho = _POLE_RESIDUES[name]
-    return Coeff.rational(rho * (-1) ** ((s + 1) // 2) / factorial(s - 1)), s - 1
+    return Coeff.of(rho * (-1) ** ((s + 1) // 2) / factorial(s - 1)), s - 1
 
 
 def _taylor_closed_form(term: TermSpec, trig: Optional[str]):
@@ -524,40 +489,39 @@ def _poly_eq56(r: int) -> Dict[int, Coeff]:
         lam = exact.lambda_even(r - k).coeffs[2 * (r - k)]
         total += Fraction((-1) ** k, factorial(2 * k)) * Fraction(1, 4 ** (2 * k)) * lam
     total += Fraction((-1) ** r, factorial(2 * r - 1)) * Fraction(1, 4 ** (2 * r))
-    return {0: Coeff({("sqrt2pi", 2 * r): total})}
+    return {0: Coeff.of(total, 2 * r, SQRT2)}
 
 
 def _shifted_poly(poly: Dict[int, Coeff], x0: Fraction) -> Dict[int, Coeff]:
-    """Average of the polynomial at u - theta0 and u + theta0, theta0 = x0 pi;
-    exact on pure pi-monomial coefficients."""
+    """Average of the polynomial at u - theta0 and u + theta0, theta0 = x0 pi."""
     out: Dict[int, Coeff] = {}
     for p, coeff in poly.items():
         for j in range(p + 1):
             if (p - j) % 2 != 0:
                 continue  # odd shift powers cancel in the average
             shifted = coeff.scale(comb(p, j) * x0 ** (p - j)).mul_pi_power(p - j)
-            out[j] = _coeff_add(out.get(j), shifted)
+            out[j] = out.get(j, Coeff()) + shifted
     return {p: c for p, c in out.items() if not c.is_zero()}
 
 
 def _poly_eq69(_r: int) -> Dict[int, Coeff]:
-    return {0: Coeff.pi_monomial(Fraction(5, 768), 4),
-            1: Coeff.pi_monomial(Fraction(1, 128), 3),
-            2: Coeff.pi_monomial(Fraction(-1, 16), 2),
-            3: Coeff.pi_monomial(Fraction(1, 24), 1)}
+    return {0: Coeff.of(Fraction(5, 768), 4),
+            1: Coeff.of(Fraction(1, 128), 3),
+            2: Coeff.of(Fraction(-1, 16), 2),
+            3: Coeff.of(Fraction(1, 24), 1)}
 
 
 def _poly_eq70(_r: int) -> Dict[int, Coeff]:
-    return {0: Coeff.pi_monomial(Fraction(11, 1536), 4),
-            2: Coeff.pi_monomial(Fraction(-1, 32), 2)}
+    return {0: Coeff.of(Fraction(11, 1536), 4),
+            2: Coeff.of(Fraction(-1, 32), 2)}
 
 
 def _poly_example1(_r: int) -> Dict[int, Coeff]:
-    return {0: Coeff.pi_monomial(Fraction(1, 2), 1), 1: Coeff.rational(-1)}
+    return {0: Coeff.of(Fraction(1, 2), 1), 1: Coeff.of(-1)}
 
 
 def _poly_example2(_r: int) -> Dict[int, Coeff]:
-    return {0: Coeff.rational(Fraction(-1, 2))}
+    return {0: Coeff.of(Fraction(-1, 2))}
 
 
 def theorem23_shift(identity_id: str | IdentityRecord,
@@ -679,7 +643,7 @@ def _make_records() -> Dict[str, IdentityRecord]:
             interval=(f(-1, 3), f(1, 3)), closed=False,
             period=f(2, 3), n_start=1, term=TermSpec(3, 0, eta, even, pole=1),
             poly=_poly_example2,
-            cos_coeff=lambda r: Coeff({("sqrt3pi", 1): Fraction(1, 9)})),
+            cos_coeff=lambda r: Coeff.of(Fraction(1, 9), 1, SQRT3)),
         IdentityRecord(
             id="lemma4-sin-log", label="sine series of 1/n over (0, 2c)",
             kind="fourier", trig="sin", r_fixed=0,

@@ -225,6 +225,7 @@ class TestVerifyFlags:
         (("--suite", "--terms", "10"), "--terms"),
         (("--tol", "1e-3"), "--tol"),
         ((), "--suite"),
+        (("--id", "eq56-frakd-value", "--grid", "7"), "--grid"),
     ])
     def test_refused(self, capsys, argv, flag):
         code, out, err = run(capsys, "verify", *argv)
@@ -237,6 +238,19 @@ class TestVerifyFlags:
         code, out, _ = run(capsys, "verify", "--id", "thm11-sin", "--r", "1")
         assert code == 0
         assert out.startswith("PASS thm11-sin r=1 N=2000 tol=1e-06 ")
+
+    def test_other_r_of_a_fixed_r_record_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--id", "eq69-frakd-poly", "--r", "5")
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "eq69-frakd-poly" in lines[0] and "r = 2" in lines[0]
+
+    def test_fixed_r_and_value_record_defaults_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "eq69-frakd-poly", "--r", "2")
+        assert code == 0 and out.startswith("PASS eq69-frakd-poly r=2 ")
+        code, out, _ = run(capsys, "verify", "--id", "eq56-frakd-value", "--r", "1")
+        assert code == 0 and out.startswith("PASS eq56-frakd-value r=1 ")
 
 
 class TestVerifyLimits:

@@ -10,24 +10,18 @@ import pytest
 
 from trigsum import exact
 from trigsum.dirichlet import PrecisionContext, dirichlet_oracle
-from trigsum.registry import (Coeff, RegistryError, ResidualRule,
-                              _blocks, _closed_form_evaluator, _grid_points,
-                              _series_partial_float,
-                              closed_form_eval, corollary2_integrate, default_suite,
+from trigsum.registry import (LN2, ONE, SQRT2, SQRT3, Coeff, RegistryError,
+                              ResidualRule, _blocks, _closed_form_evaluator,
+                              _grid_points, _series_partial_float,
+                              _zeta_odd_value, closed_form_eval,
+                              corollary2_integrate, default_suite,
                               endpoint_suite, get_record, integration_successor,
-                              list_identities, partial_sum_eval, poly_derivative,
-                              theorem23_shift, verify, verify_endpoint)
+                              list_identities, partial_sum_eval, poly_at,
+                              poly_derivative, theorem23_shift, verify,
+                              verify_endpoint)
 
 F = Fraction
 CTX = PrecisionContext.for_digits(30)
-
-
-def eval_poly_at(poly, ratio):
-    """Exact value of a pure pi-polynomial closed form at u = ratio * pi."""
-    total = exact.PiPolynomial()
-    for p, coeff in poly.items():
-        total = total + coeff.as_pipoly().shift_pi(p).scale(ratio ** p)
-    return total
 
 
 class TestCatalog:
@@ -67,6 +61,14 @@ class TestCatalog:
         with pytest.raises(RegistryError):
             get_record("nope")
 
+    def test_fixed_r_refuses_another_r(self):
+        rec = get_record("eq69-frakd-poly")
+        assert rec.effective_r(None) == rec.effective_r(2) == 2
+        with pytest.raises(RegistryError, match="eq69-frakd-poly has the fixed r = 2"):
+            rec.effective_r(5)
+        with pytest.raises(RegistryError, match="lemma4-sin-log"):
+            verify("lemma4-sin-log", 1)
+
 
 class TestEvaluation:
     def test_thm11_sin_vanishes_at_c(self):
@@ -79,8 +81,7 @@ class TestEvaluation:
             assert abs(v - mp.pi ** 2 / 12) < 1e-25
 
     def test_eq59_at_half_c_vanishes(self):
-        assert eval_poly_at(get_record("eq59-lambda-shift").poly(1),
-                            F(1, 2)) == exact.PiPolynomial()
+        assert poly_at(get_record("eq59-lambda-shift").poly(1), F(1, 2)).is_zero()
 
     def test_outside_interval_rejected(self):
         with pytest.raises(RegistryError):
@@ -269,24 +270,22 @@ class TestStructural:
         assert rep.passed
 
     def test_special_values(self):
-        zero = exact.PiPolynomial()
         for r in range(1, 13):
-            assert eval_poly_at(get_record("thm11-sin").poly(r), F(1)) == zero
-            assert eval_poly_at(get_record("thm11-sin").poly(r), F(2)) == zero
-            assert eval_poly_at(get_record("thm18-sin").poly(r), F(1)) == zero
-            assert eval_poly_at(get_record("cor5-beta").poly(r), F(1, 2)) == zero
-            assert eval_poly_at(get_record("cor6-lambda").poly(r), F(1, 2)) == zero
-            assert (eval_poly_at(get_record("cor7-frakd").poly(r), F(1, 4))
-                    == exact.lambda_even(r).scale(F(1, 2)))
-            assert (eval_poly_at(get_record("cor8-cald").poly(r), F(1, 4))
-                    == exact.beta_odd(r).scale(F(1, 2)))
-            assert (eval_poly_at(poly_derivative(get_record("cor8-cald").poly(r)),
-                                 F(1, 4))
-                    == exact.lambda_even(r).scale(F(-1, 2)))
+            assert poly_at(get_record("thm11-sin").poly(r), F(1)).is_zero()
+            assert poly_at(get_record("thm11-sin").poly(r), F(2)).is_zero()
+            assert poly_at(get_record("thm18-sin").poly(r), F(1)).is_zero()
+            assert poly_at(get_record("cor5-beta").poly(r), F(1, 2)).is_zero()
+            assert poly_at(get_record("cor6-lambda").poly(r), F(1, 2)).is_zero()
+            assert (poly_at(get_record("cor7-frakd").poly(r), F(1, 4))
+                    == Coeff({ONE: exact.lambda_even(r).scale(F(1, 2))}))
+            assert (poly_at(get_record("cor8-cald").poly(r), F(1, 4))
+                    == Coeff({ONE: exact.beta_odd(r).scale(F(1, 2))}))
+            assert (poly_at(poly_derivative(get_record("cor8-cald").poly(r)), F(1, 4))
+                    == Coeff({ONE: exact.lambda_even(r).scale(F(-1, 2))}))
 
     def test_eq56_specializes_to_frakD(self):
         for r in (1, 2, 3):
-            want = Coeff({("sqrt2pi", 2 * r): exact.frakD(r).coeffs[2 * r]})
+            want = Coeff({SQRT2: exact.frakD(r)})
             assert get_record("eq56-frakd-value").poly(r)[0] == want
 
     def test_rule_needs_a_named_series(self):
@@ -301,6 +300,88 @@ class TestStructural:
 
     def test_eq70_equals_cor7(self):
         assert get_record("eq70-frakd-poly").poly(2) == get_record("cor7-frakd").poly(2)
+
+
+class TestCoeff:
+    """Coeff maps each irrational unit to a PiPolynomial."""
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("coeff,want", [
+        (Coeff.of(F(3, 7), 4, SQRT2), lambda: F(3, 7) * mp.sqrt(2) * mp.pi ** 4),
+        (Coeff.of(F(-1, 9), 1, SQRT3), lambda: -mp.sqrt(3) * mp.pi / 9),
+        (Coeff.of(F(5, 2), unit=LN2), lambda: 5 * mp.log(2) / 2),
+        (Coeff.of(1, unit=("zeta", 3)), lambda: mp.zeta(3)),
+        (Coeff.of(F(-2, 3), unit=("zeta", 5)), lambda: -2 * mp.zeta(5) / 3),
+    ], ids=["sqrt2pi4", "sqrt3pi", "ln2", "zeta3", "zeta5"])
+    def test_unit_eval_matches_mpmath(self, coeff, want, digits):
+        with mp.workdps(digits + 10):
+            ref = want()
+        got = coeff.eval(digits)
+        with mp.workdps(digits + 10):
+            assert abs(got - ref) <= abs(ref) * mp.mpf(10) ** (1 - digits)
+
+    def test_zeta_times_pi_power(self):
+        c = Coeff.of(1, unit=("zeta", 3)).mul_pi_power(2)
+        assert c == Coeff({("zeta", 3): exact.PiPolynomial.monomial(1, 2)})
+        with mp.workdps(40):
+            assert abs(c.eval(30) - mp.zeta(3) * mp.pi ** 2) < mp.mpf(10) ** -28
+
+    def test_equal_and_hash_in_either_order(self):
+        terms = [Coeff.of(F(1, 3), 2), Coeff.of(2, unit=LN2),
+                 Coeff.of(F(-5, 4), unit=("zeta", 5)), Coeff.of(7, 1, SQRT2),
+                 Coeff.of(F(1, 6))]
+        a = b = Coeff()
+        for t in terms:
+            a = a + t
+        for t in reversed(terms):
+            b = b + t
+        assert list(a.parts) != list(b.parts)
+        assert a == b and hash(a) == hash(b)
+
+    def test_cancelled_sum_holds_no_parts(self):
+        c = Coeff.of(F(1, 3), 2) + Coeff.of(1, unit=("zeta", 3)) + Coeff.of(2, 4, SQRT3)
+        zero = c + c.scale(-1)
+        assert zero.parts == {} and zero.is_zero() and zero == Coeff()
+        partly = c + Coeff.of(-1, unit=("zeta", 3))
+        assert set(partly.parts) == {ONE, SQRT3}
+
+    @pytest.mark.parametrize("unit", [("zeta", 4), ("zeta", 1), ("sqrt5", 0),
+                                      ("ln2", 1), ("1", 2)], ids=str)
+    def test_unknown_unit_refused(self, unit):
+        with pytest.raises(ValueError):
+            Coeff.of(1, unit=unit)
+
+    def test_zeta_odd_cache_bounded(self):
+        size = _zeta_odd_value.cache_info().maxsize
+        for digits in range(15, 15 + size + 5):
+            _zeta_odd_value(3, digits)
+        assert _zeta_odd_value.cache_info().currsize == size
+
+    # the rows of acceptance criterion 7, (record, u / pi, exact value)
+    _CRITERION_7_ROWS = [
+        ("thm11-sin", F(1), lambda r: exact.PiPolynomial()),
+        ("thm11-sin", F(2), lambda r: exact.PiPolynomial()),
+        ("thm18-sin", F(1), lambda r: exact.PiPolynomial()),
+        ("cor5-beta", F(1, 2), lambda r: exact.PiPolynomial()),
+        ("cor6-lambda", F(1, 2), lambda r: exact.PiPolynomial()),
+        ("cor7-frakd", F(1, 4), lambda r: exact.lambda_even(r).scale(F(1, 2))),
+    ]
+
+    @pytest.mark.parametrize("rid,ratio,want", _CRITERION_7_ROWS,
+                             ids=[f"{rid}@{ratio}" for rid, ratio, _ in _CRITERION_7_ROWS])
+    def test_poly_at_reproduces_criterion_7(self, rid, ratio, want):
+        # exactly, and against the closed form summed in floating point
+        for r in (1, 2, 3, 12):
+            got = poly_at(get_record(rid).poly(r), ratio)
+            assert got == Coeff({ONE: want(r)})
+            with mp.workdps(30):
+                closed = closed_form_eval(rid, r, x=float(ratio), ctx=CTX)
+                assert abs(got.eval(30) - closed) < mp.mpf(10) ** -25 * max(1, abs(closed))
+
+    def test_poly_at_over_irrational_units(self):
+        # thm16 at u = pi: zeta(3) - 3 pi^2 / 4
+        got = poly_at(get_record("thm16-zeta-odd-cos").poly(1), F(1))
+        assert got == Coeff.of(1, unit=("zeta", 3)) + Coeff.of(F(-3, 4), 2)
 
 
 class TestEndpointLaw:
@@ -352,7 +433,7 @@ def test_partial_sum_paths_agree(name):
     same term spec and agree at an interior point."""
     base, _, x0 = name.partition("@")
     rec = theorem23_shift(base, F(x0)) if x0 else get_record(base)
-    r = rec.effective_r(1)
+    r = rec.effective_r(1 if rec.r_fixed is None else None)
     if rec.kind == "value":
         c, x = 1.0, 0.0
     else:
@@ -530,10 +611,23 @@ _PINNED_LOGS = {
 }
 
 
+def _render_parts(c):
+    """(kind, index, rational) of each term of a Coeff: pi[K], sqrt2pi[K] and
+    sqrt3pi[K] for 1, sqrt2 and sqrt3 times pi^K, zeta[m] and ln2[0] for the
+    units zeta(m) and ln 2, which carry no pi power in the catalog."""
+    for (name, m), p in c.parts.items():
+        for k, v in p.terms():
+            if name in ("zeta", "ln2"):
+                assert k == 0
+                yield name, m, v
+            else:
+                yield ("pi" if name == "1" else name + "pi"), k, v
+
+
 def _render(poly):
     return "; ".join(
         f"u^{p}: " + " + ".join(f"{v}*{kind}[{m}]"
-                               for (kind, m), v in sorted(c.parts.items()))
+                               for kind, m, v in sorted(_render_parts(c)))
         for p, c in poly.items())
 
 
