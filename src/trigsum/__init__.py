@@ -16,10 +16,9 @@ _EXPORTS = {
     "expr": ("Expr", "ComplexVal", "parse_expr", "to_text", "eval_real",
              "eval_complex", "substitute", "fold"),
     "operators": ("OperatorPair", "apply_operator", "complex_shift_oracle",
-                  "verify_inverse_system", "simplify_guarded",
-                  "simplify_collect"),
+                  "verify_inverse_system", "simplify_collect"),
     "mapping": ("TrigSeriesResult", "map_fourier", "map_cospow",
-                "integral_step", "detect_singularities"),
+                "detect_singularities"),
     "dirichlet": ("PrecisionContext", "SeriesApprox", "zeta_odd", "eta_odd",
                   "hurwitz_zeta", "dirichlet_oracle", "identity_checks"),
     "registry": ("IdentityRecord", "VerificationReport", "list_identities",

@@ -7,9 +7,12 @@ output.  Exit codes: 0 success / all checks pass, 1 verification failure,
 
 This module imports only the standard library when it loads, and the
 parser is built from names alone.  Each command imports the modules it
-runs, after its flag checks, so that a fresh call loads no more than that
-(`exact`, `operator` and `map` load no mpmath).  An unknown `--method` or
-`--series` is refused by the library, which lists the accepted names.
+runs, after its flag checks, so that a fresh call loads no more than that:
+`identities` loads only `trigsum.catalog`; `exact`, `operator` and `map`
+load no mpmath; `zeta-odd` and `oracle` load `dirichlet` and mpmath, and
+`oracle` never loads `exact`; only `verify` loads the registry.  An
+unknown `--method` or `--series` is refused by the library, which lists
+the accepted names.
 """
 
 from __future__ import annotations
@@ -218,8 +221,9 @@ MAX_R = 100
 
 
 # verify's per-identity flags and the defaults the --id path applies; the
-# parser leaves them None, so that a flag given without --id is seen
-_VERIFY_ID_DEFAULTS = {"r": None, "x0": None, "grid": 50, "terms": 2000,
+# parser leaves them None, so that a flag given without --id is seen, and
+# a --grid not given stays None: registry.verify's own default
+_VERIFY_ID_DEFAULTS = {"r": None, "x0": None, "grid": None, "terms": 2000,
                        "tol": 1e-6}
 
 
@@ -243,6 +247,8 @@ def _check_verify_values(args) -> None:
     work starts."""
     for flag, value, limit in (("--grid", args.grid, MAX_GRID),
                                ("--terms", args.terms, MAX_TERMS)):
+        if value is None:
+            continue
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
         _check_at_most(flag, value, limit)
@@ -278,7 +284,6 @@ def _cmd_verify(args) -> int:
         return 0 if all(ok for _, ok, _ in outcomes) else 1
     if not args.id:
         raise ValueError("verify needs one of --id, --all and --suite")
-    grid_given = args.grid is not None
     for name, default in _VERIFY_ID_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -286,7 +291,7 @@ def _cmd_verify(args) -> int:
     x0 = _fraction_flag("--x0", args.x0) if args.x0 else None
     from .registry import get_record, theorem23_shift, verify
     record = get_record(args.id)
-    if record.kind == "value" and grid_given:
+    if record.kind == "value" and args.grid is not None:
         raise ValueError(f"--grid does not apply to {args.id}, a value record "
                          "checked at x = 0 only")
     if x0 is not None:
@@ -305,14 +310,14 @@ def _cmd_verify_suite_rows(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    from .registry import list_identities
-    rows = [{"id": rec.id, "label": rec.label, "kind": rec.kind}
-            for rec in list_identities()]
+    from .catalog import IDENTITIES
     if args.format == "json":
-        print(json.dumps(rows, separators=(",", ":")))
+        print(json.dumps([{"id": rid, "label": label, "kind": kind}
+                          for rid, kind, label in IDENTITIES],
+                         separators=(",", ":")))
     else:
-        for row in rows:
-            print(f"{row['id']:24s} {row['kind']:8s} {row['label']}")
+        for rid, kind, label in IDENTITIES:
+            print(f"{rid:24s} {kind:8s} {label}")
     return 0
 
 

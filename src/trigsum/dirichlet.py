@@ -19,21 +19,20 @@ truncated when the verified geometric term ratio pushes the tail below the
 requested target.  The paper writes each residual with B_k* and again with
 zeta(2k); the two forms are equal term by term, so one Bernoulli-form
 series serves both, and a method name selects only m = 2 or m = 3.
+This layer imports ``trigsum.exact`` (B_k*, harmonic numbers) when it
+runs, so the oracle alone never loads the exact recurrences.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 from math import factorial, gcd
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import mpmath as mp
-
-from .exact import bernoulli_star, harmonic, zeta_even
 
 __all__ = [
     "PrecisionContext",
@@ -55,7 +54,6 @@ class PrecisionError(ValueError):
     """The working precision cannot support the requested target error."""
 
 
-@dataclass(frozen=True)
 class PrecisionContext:
     """Explicit working precision: decimal digits and target absolute error.
 
@@ -67,21 +65,33 @@ class PrecisionContext:
     round-trip form), exactly and whatever the ambient mpmath precision:
     10.0**-60 lies just below 1e-60 but needs 60 digits.  The target is
     then held as a 53-bit mpf, equal to the float where one was given.
+    Two contexts are equal, and hash alike, when digits and target are.
     """
-    digits: int
-    target: mp.mpf
+    __slots__ = ("digits", "target")
 
-    def __post_init__(self):
-        decimal = Decimal(str(self.target))
+    def __init__(self, digits: int, target):
+        decimal = Decimal(str(target))
         if not (decimal.is_finite() and decimal > 0):
             raise PrecisionError(
-                f"target {self.target} is not a positive finite error")
+                f"target {target} is not a positive finite error")
         needed = _target_decimals(decimal) + GUARD_DIGITS
-        if self.digits < needed:
+        if digits < needed:
             raise PrecisionError(
-                f"{self.digits} digits cannot support target {self.target}"
+                f"{digits} digits cannot support target {target}"
                 f" (need >= {needed})")
-        object.__setattr__(self, "target", mp.mpf(str(decimal), prec=53))
+        self.digits = digits
+        self.target = mp.mpf(str(decimal), prec=53)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.digits, self.target) == (other.digits, other.target)
+
+    def __hash__(self):
+        return hash((self.digits, self.target))
+
+    def __repr__(self):
+        return f"PrecisionContext(digits={self.digits!r}, target={self.target!r})"
 
     @classmethod
     def for_target(cls, target: float) -> "PrecisionContext":
@@ -100,8 +110,7 @@ def _target_decimals(target) -> int:
     return -Decimal(str(target)).adjusted()
 
 
-@dataclass(frozen=True)
-class SeriesApprox:
+class SeriesApprox(NamedTuple):
     """A numeric value with a rigorous truncation majorant."""
     value: mp.mpf
     tail_bound: mp.mpf
@@ -250,8 +259,7 @@ def _weighted_sum(name: str, parts: List[Tuple[Fraction, Fraction]],
     return SeriesApprox(+(direct + tail), +bound, N * len(parts))
 
 
-@dataclass(frozen=True)
-class PeriodicPattern:
+class PeriodicPattern(NamedTuple):
     """sum over n >= 1 of w(n) n^(-s) with w of period P, plus a constant
     prefactor that may be irrational (1/sqrt2 for the signed odd series)."""
     period: int
@@ -345,10 +353,13 @@ ZETA_ODD_METHODS = ("thm15", "thm15-zeta", "thm17", "thm17-zeta")
 # the largest term ratio _residual_sum accepts (see there)
 _RATIO_CAP = 0.25
 
-# zeta(3), zeta(5), ..., zeta(2q+1) as one tuple per (m, digits, target).
-# A tuple is only replaced by a longer one, so no caller sees a partial one
-# and readers need no lock; two sweeps racing on one key compute the same
-# levels, so whichever store lands last is right.
+# zeta(3), zeta(5), ..., zeta(2q+1) as one tuple per (m, digits, target),
+# for at most _ZETA_ODD_LEVELS_SIZE keys: a new key past that evicts the
+# oldest.  A tuple is only replaced by a longer one, so no caller sees a
+# partial one and readers need no lock; stores take the lock, so that two
+# new keys cannot both pass the size check.
+_ZETA_ODD_LEVELS_SIZE = 64
+_ZETA_ODD_LEVELS_LOCK = threading.Lock()
 _ZETA_ODD_LEVELS: Dict[Tuple[int, int, mp.mpf], Tuple[SeriesApprox, ...]] = {}
 
 
@@ -404,6 +415,7 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
     levels = _ZETA_ODD_LEVELS.get(key, ())
     if len(levels) >= r:
         return levels[r - 1]
+    from .exact import bernoulli_star, harmonic
     out = list(levels)
     with mp.workdps(ctx.digits):
         target = mp.mpf(ctx.target)
@@ -448,8 +460,12 @@ def zeta_odd(r: int, method: str = "thm15-zeta",
             terms_below = out[-1].terms_used if out else 0
             out.append(SeriesApprox(+value, +(head_bound + res_bound),
                                     terms_below + res_terms))
-    if len(out) > len(_ZETA_ODD_LEVELS.get(key, ())):
-        _ZETA_ODD_LEVELS[key] = tuple(out)
+    with _ZETA_ODD_LEVELS_LOCK:
+        if len(out) > len(_ZETA_ODD_LEVELS.get(key, ())):
+            if (key not in _ZETA_ODD_LEVELS
+                    and len(_ZETA_ODD_LEVELS) >= _ZETA_ODD_LEVELS_SIZE):
+                del _ZETA_ODD_LEVELS[next(iter(_ZETA_ODD_LEVELS))]
+            _ZETA_ODD_LEVELS[key] = tuple(out)
     return out[r - 1]
 
 
@@ -533,6 +549,7 @@ def identity_checks(group: str, ctx: PrecisionContext | None = None
                 out.append((f"cos-pi2-s{s}", float(abs(lhs - rhs))))
             return out
         if group == "corollary3":
+            from .exact import zeta_even
             for r in (1, 2, 3):
                 s = 2 * r + 1
                 lhs = mp.sqrt(3) * (_hz(s, Fraction(1, 3), ctx)

@@ -9,38 +9,30 @@ the pair directly at argument cos^2 x with shift sin x cos x.  The non-
 analytical points come out of the rewrite guards (0/0 loci of the collapsed
 quotients) plus any denominator zeros surviving in the closed form; the
 validity interval is the singularity-free component around the origin.
-Every point is placed exactly by ``trigpoly.AngleLocus``, the one placer
-that ``operators.simplify_guarded`` also uses, as a rational multiple of
-the unit c or pi.
+Every point is placed exactly by ``trigpoly.AngleLocus``, as a rational
+multiple of the unit c or pi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
-    Expr, ExprError, EvalError, PI, ZERO,
-    add, mul, div, func, rational, symbol, substitute, fold, walk_once,
+    Expr, ExprError, PI,
+    mul, div, func, rational, symbol, substitute, fold, walk_once,
 )
 from .operators import apply_operator, simplify_collect
-from .trigpoly import collect_terms
 from .trigpoly import (
-    AngleLocus, UnsolvableLocusError, split_rational, find_trig_base,
-    tpoly_from_expr, polynomial_in, _common_zero_loci,
+    AngleLocus, UnsolvableLocusError, collect_terms, split_rational,
+    find_trig_base, tpoly_from_expr, _common_zero_loci,
 )
-
-if TYPE_CHECKING:  # the functions that compute numbers import it themselves
-    import mpmath as mp
 
 __all__ = [
     "TrigSeriesResult",
-    "IntegralStepForm",
     "MappingError",
     "map_fourier",
     "map_cospow",
-    "integral_step",
     "detect_singularities",
 ]
 
@@ -49,8 +41,7 @@ class MappingError(ExprError):
     pass
 
 
-@dataclass
-class TrigSeriesResult:
+class TrigSeriesResult(NamedTuple):
     """Closed form of a trigonometric series with its analytic bookkeeping.
 
     Singular ratios are exact rational multiples of the period unit (c for
@@ -63,7 +54,7 @@ class TrigSeriesResult:
     period_ratio: Fraction          # period in units of `unit`
     singular_ratios: List[Fraction]  # within the closure of the validity interval
     validity_ratio: Optional[Tuple[Fraction, Fraction]]
-    loci: List[Tuple[AngleLocus, Fraction]] = field(default_factory=list)
+    loci: List[Tuple[AngleLocus, Fraction]]
 
     @property
     def singular_points(self) -> List[Expr]:
@@ -211,140 +202,3 @@ def detect_singularities(result: TrigSeriesResult,
     lo, hi = window if window is not None else (Fraction(0), result.period_ratio)
     return [fold(mul(rational(r), result.unit))
             for r in _ratio_points(result.loci, lo, hi)]
-
-
-# ---------------------------------------------------------------------------
-# the integral-step mapping
-
-@dataclass
-class IntegralStepForm:
-    """One side of the integral-step mapping.
-
-    cosine side: value(x) = constant - (pi/c) int_0^x inner_image dx'.
-    sine side:   value(x) = (pi/c) int_0^x inner_image dx'.
-    The scaled integral is exact (integral_symbolic) when the image is
-    polynomial in x, adaptive quadrature otherwise.
-    """
-    kind: str                   # "cosine" | "sine"
-    inner_image: Expr           # simplified operator image of S(e^z) e^z at z=0
-    c_value: Fraction
-    constant: Optional[mp.mpf]  # integral_0^1 S (cosine side); None for sine
-    integral_symbolic: Optional[Expr]  # exact (pi/c) * antiderivative, if polynomial
-
-    def eval(self, x, digits: int = 25) -> mp.mpf:
-        import mpmath as mp
-        from .evaluate import eval_real
-        with mp.workdps(digits):
-            xm = mp.mpf(x)
-            cval = mp.mpf(self.c_value.numerator) / self.c_value.denominator
-            if self.integral_symbolic is not None:
-                part = eval_real(self.integral_symbolic, {"x": xm, "c": cval}, digits)
-            else:
-                part = mp.pi / cval * mp.quad(
-                    _safe_integrand(self.inner_image, "x", digits, {"c": cval}),
-                    [0, xm])
-            if self.kind == "cosine":
-                return +((self.constant if self.constant is not None else mp.mpf(0)) - part)
-            return +part
-
-
-def _safe_integrand(e: Expr, var: str, digits: int, extra=None):
-    """Integrand wrapper tolerating integrable endpoint singularities: nodes
-    that land exactly on a log singularity contribute 0."""
-    import mpmath as mp
-    from .evaluate import eval_real
-    extra = extra or {}
-
-    def f(t):
-        try:
-            return eval_real(e, {**extra, var: t}, digits + 10)
-        except EvalError:
-            return mp.mpf(0)
-
-    return f
-
-
-def _poly_antiderivative(coeffs: List[Expr], var: str) -> Expr:
-    x = symbol(var)
-    out: Expr = ZERO
-    power: Expr = x
-    for i, a in enumerate(coeffs):
-        out = add(out, mul(div(a, rational(i + 1)), power))
-        power = mul(power, x)
-    return out
-
-
-def _check_integrable(S: Expr, digits: int) -> None:
-    """Reject sum functions with pole-type growth on [0, 1].
-
-    Heuristic: sample towards both endpoints; power-law growth (ratio
-    explosion between 1e-3 and 1e-6 distances) or an interior pole is a
-    precondition failure.  Integrable log-type endpoint singularities pass.
-    """
-    import mpmath as mp
-    from .evaluate import eval_real
-    with mp.workdps(digits):
-        def sample(t):
-            return eval_real(S, {"t": mp.mpf(t)}, digits)
-
-        for t in [k / 23 for k in range(1, 23)]:
-            try:
-                sample(t)
-            except EvalError as exc:
-                raise MappingError(f"S not integrable on [0,1]: {exc}") from exc
-        for edge in (0.0, 1.0):
-            try:
-                near = abs(sample(edge + (1e-3 if edge == 0.0 else -1e-3)))
-                nearer = abs(sample(edge + (1e-6 if edge == 0.0 else -1e-6)))
-            except EvalError as exc:
-                raise MappingError(
-                    f"S not integrable on [0,1] near t={edge}: {exc}") from exc
-            if nearer > 100 * max(near, 1):
-                raise MappingError(
-                    f"S has pole-type growth near t={edge}: not integrable")
-
-
-def integral_step(S: Expr, c: Expr | Fraction | int = Fraction(1),
-                  digits: int = 25) -> Tuple[IntegralStepForm, IntegralStepForm]:
-    """The integral-step mapping for sum functions given through S with
-    int_0^t S = sum_{n>=1} a_n t^n:
-
-        cosine(x) = int_0^1 S - (pi/c) int_0^x  S_img(x') dx'
-        sine(x)   =            (pi/c) int_0^x  C_img(x') dx'
-
-    where (C_img, S_img) is the operator image of S(e^z) e^z at z = 0 with
-    shift pi x/c.  Polynomial images integrate symbolically; everything
-    else uses adaptive quadrature at the requested precision.  c must be a
-    positive rational (an int, a Fraction or a rational Expr); anything
-    else is a ValueError.
-    """
-    import mpmath as mp
-    c_frac = c.value if isinstance(c, Expr) and c.kind == "rat" else c
-    if not isinstance(c_frac, (int, Fraction)) or c_frac <= 0:
-        raise ValueError(f"c must be a positive rational, not {str(c)!r}")
-    c_frac = Fraction(c_frac)
-    _check_integrable(S, digits)
-    c_expr = rational(c_frac)
-    theta = fold(div(mul(PI, symbol("x")), c_expr))
-    inner = mul(substitute(S, {"t": func("exp", symbol("z"))}),
-                func("exp", symbol("z")))
-    pair = apply_operator(inner, rational(0), theta, var="z")
-    cos_img = simplify_collect(pair.cos_part).expr
-    sin_img = simplify_collect(pair.sin_part).expr
-
-    with mp.workdps(digits):
-        s_integral = +mp.quad(_safe_integrand(S, "t", digits), [0, 1])
-
-    def build(kind: str, image: Expr, constant) -> IntegralStepForm:
-        coeffs = polynomial_in(image, "x")
-        integral_symbolic = None
-        if coeffs is not None:
-            anti = _poly_antiderivative(coeffs, "x")
-            integral_symbolic = fold(mul(div(PI, c_expr), anti))
-        return IntegralStepForm(kind=kind, inner_image=image,
-                                c_value=c_frac, constant=constant,
-                                integral_symbolic=integral_symbolic)
-
-    cosine = build("cosine", sin_img, s_integral)
-    sine = build("sine", cos_img, None)
-    return cosine, sine

@@ -24,19 +24,16 @@ every rule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .expr import (
-    Expr, ExprError, EvalError, PI, ZERO, ONE,
-    add, sub, mul, div, neg, ipow, func, rational, symbol,
+    Expr, ExprError, EvalError, ZERO, ONE,
+    add, sub, mul, div, neg, ipow, func, rational,
     free_symbols, fold, is_zero, rebuild, walk_once,
 )
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError,
-    collapse_inverse_trig, collect_terms, fold_const_denominator, split_rational,
+    collapse_inverse_trig, collect_terms, fold_const_denominator,
 )
 
 if TYPE_CHECKING:  # the functions that compute numbers import it themselves
@@ -48,7 +45,6 @@ __all__ = [
     "apply_operator",
     "complex_shift_oracle",
     "verify_inverse_system",
-    "simplify_guarded",
     "simplify_collect",
     "SUPPORTED_HEADS",
 ]
@@ -58,8 +54,7 @@ class UnsupportedHeadError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class OperatorPair:
+class OperatorPair(NamedTuple):
     """Images (cos_part, sin_part) of an expression under the operator pair.
 
     At any sample point off singularities, cos_part and sin_part equal the
@@ -280,25 +275,16 @@ def verify_inverse_system(g: Expr, pair: OperatorPair,
 # ---------------------------------------------------------------------------
 # guarded simplification
 
-@dataclass
-class SimplifyOutcome:
+class SimplifyOutcome(NamedTuple):
     expr: Expr
     guards: List[Tuple[AngleLocus, Expr]]  # locus + the base-angle expression
     branch_rewrites: int
 
 
-def _simplify_walk(e: Expr, accept) -> SimplifyOutcome:
-    """Bottom-up rewrite pass; ``accept(guards, base)`` may veto a collapse.
-
-    Each distinct node is rewritten once, and a repeated subterm adds its
-    subtree's guards and branch count at each of its occurrences."""
-    out, guards, branches = walk_once(_simplify_node, accept)(fold(e))
-    return SimplifyOutcome(collect_terms(out), list(guards), branches)
-
-
-def _simplify_node(x: Expr, walk, accept) -> Tuple[Expr, Tuple, int]:
-    """One node of ``_simplify_walk``: the rewritten node with the guards
-    and the branch count of its subtree, its children through ``walk``."""
+def _simplify_node(x: Expr, walk) -> Tuple[Expr, Tuple, int]:
+    """One node of ``simplify_collect``'s walk: the rewritten node with the
+    guards and the branch count of its subtree, its children through
+    ``walk``."""
     if x.kind in ("rat", "pi", "sym"):
         return x, (), 0
     children = [walk(a) for a in x.args]
@@ -314,7 +300,7 @@ def _simplify_node(x: Expr, walk, accept) -> Tuple[Expr, Tuple, int]:
             hit = collapse_inverse_trig(out.value, out.args[0])
         except UnsolvableLocusError:
             hit = None
-        if hit is not None and (accept is None or accept(hit.guards, hit.base)):
+        if hit is not None:
             guards += tuple((locus, hit.base) for locus in hit.guards)
             branches += hit.branch
             out = hit.expr
@@ -331,55 +317,9 @@ def simplify_collect(e: Expr) -> SimplifyOutcome:
     tan/cot collapses), the degenerate-denominator arctan value, and exact
     recombination of like terms.  Rewrites that pull a sign out of arccot
     use the odd convention (branch bookkeeping); everything else is
-    pointwise exact.
+    pointwise exact.  Each distinct node is rewritten once, and a repeated
+    subterm adds its subtree's guards and branch count at each of its
+    occurrences.
     """
-    return _simplify_walk(e, None)
-
-
-def simplify_guarded(e: Expr, interval: Tuple[float, float],
-                     var: str = "x") -> Expr:
-    """Apply the guarded rewrites, keeping each collapse only when its
-    guards hold strictly inside the open interval.
-
-    A guard holds when its zero locus meets (lo, hi) at most at the
-    endpoints (those are the singular points bounding the interval).
-    A violated guard skips that rewrite; it is not an error.  The zeros are
-    placed exactly by ``AngleLocus``: a base angle rho*pi*var gives
-    rational points, compared exactly with the interval's floats, and a
-    base rho*var gives points t*pi/rho, of which only the product with pi
-    is a float.  An interval wider than the spacing of a locus's zeros
-    holds one, so it vetoes without listing them; for the float points it
-    takes twice the spacing, which leaves a zero far from both ends.  A
-    base of any other shape skips its rewrite.  Free symbols other than
-    ``var`` are taken at 1, which is sound for the homogeneous-in-x/c
-    closed forms this pipeline produces.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("empty interval")
-    lo_q, hi_q = Fraction(lo), Fraction(hi)
-    # the window, in units of pi, that holds (lo, hi) for a base rho*var
-    lo_pi = Fraction(math.floor(lo / math.pi) - 1)
-    hi_pi = Fraction(math.ceil(hi / math.pi) + 1)
-
-    x = symbol(var)
-
-    def meets(locus: AngleLocus, base: Expr) -> bool:
-        if var not in free_symbols(base):
-            return False
-        rho, key = split_rational(base)
-        shape = {atom: exp for atom, exp in key if atom is x or atom.kind != "sym"}
-        zeros = locus.scaled(rho)
-        if shape == {PI: 1, x: 1}:
-            return (hi_q - lo_q > zeros.modulus
-                    or any(lo_q < t < hi_q for t in zeros.points_in(lo_q, hi_q)))
-        if shape == {x: 1}:
-            return (hi - lo > 2 * float(zeros.modulus) * math.pi
-                    or any(lo < float(t) * math.pi < hi
-                           for t in zeros.points_in(lo_pi, hi_pi)))
-        return True
-
-    def accept(loci: List[AngleLocus], base: Expr) -> bool:
-        return not any(meets(locus, base) for locus in loci)
-
-    return _simplify_walk(e, accept).expr
+    out, guards, branches = walk_once(_simplify_node)(fold(e))
+    return SimplifyOutcome(collect_terms(out), list(guards), branches)

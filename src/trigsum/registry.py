@@ -28,16 +28,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import count
 from math import comb, factorial, isqrt
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import mpmath as mp
 
 from . import exact
+from .catalog import IDENTITIES
 from .dirichlet import (GUARD_DIGITS, ORACLE_SERIES, PeriodicPattern,
                         PrecisionContext, _residual_sum, _to_mpf,
                         dirichlet_oracle)
@@ -168,8 +168,7 @@ def _fact_ratio_inv(a: int, b: int) -> mp.mpf:
     return out
 
 
-@dataclass(frozen=True)
-class ResidualRule:
+class ResidualRule(NamedTuple):
     """sign * sum_{k>=1} coeff(k) u^(power(k)), the residual series of the
     Thm 16 (alternating=False) and Thm 21 (alternating=True) closed forms,
     with coeff(k) = weight(k) B*_k / (2k (2r+2k)!) > 0, weight(k) = 1 for
@@ -264,8 +263,15 @@ class ResidualRule:
 # ---------------------------------------------------------------------------
 # identity records
 
-@dataclass(frozen=True)
-class TermSpec:
+@lru_cache(maxsize=32)
+def _sign_weights(pattern: PeriodicPattern) -> Tuple[Fraction, ...]:
+    """The sign weights w(m) of a pattern, indexed by m mod its period."""
+    P = pattern.period
+    table = dict(pattern.weights)
+    return tuple(table.get(j or P, Fraction(0)) for j in range(P))
+
+
+class TermSpec(NamedTuple):
     """The n-th series term as one fact: amplitude w(m) m^(-s(r)) times
     cos(m pi x0) for each Theorem 23 shift x0, at frequency m = a n + b.
 
@@ -288,23 +294,17 @@ class TermSpec:
     def exponent(self, r: int) -> int:
         return self.s[0] * r + self.s[1]
 
-    @cached_property
-    def _weights(self) -> Tuple[Fraction, ...]:
-        """The sign weights w(m), indexed by m mod the pattern period."""
-        P = self.pattern.period
-        table = dict(self.pattern.weights)
-        return tuple(table.get(j or P, Fraction(0)) for j in range(P))
-
     def amplitude(self, n: range, r: int):
         """The float64 amplitudes of the terms n in a range (grid partial
         sums), whose sign weights tile the first period, since m mod P
         repeats with period P in n."""
         import numpy as np
         P = self.pattern.period
+        weights = _sign_weights(self.pattern)
         m = self.frequency(np.arange(n.start, n.stop, dtype=np.float64))
         with mp.workprec(53):  # round each step as float64 does
             scale = float(self.pattern.scale_value())
-        period = scale * np.array([float(self._weights[self.frequency(j) % P])
+        period = scale * np.array([float(weights[self.frequency(j) % P])
                                    for j in range(n.start, n.start + P)])
         coef = np.tile(period, -(-len(n) // P))[:len(n)]
         return self._decay(coef, m, r, np.cos, np.pi,
@@ -315,10 +315,11 @@ class TermSpec:
         (exact partial sums); the scale and the shifts are converted once,
         each frequency once per term."""
         P = self.pattern.period
+        weights = _sign_weights(self.pattern)
         scale, x0s = self.pattern.scale_value(), [_to_mpf(x0) for x0 in self.shifts]
         for j in n:
             freq = self.frequency(j)
-            w = self._weights[freq % P]
+            w = weights[freq % P]
             coef = scale * w.numerator
             if w.denominator != 1:
                 coef /= w.denominator
@@ -339,35 +340,55 @@ class TermSpec:
         return amp
 
 
-@dataclass
 class IdentityRecord:
     """One catalogued identity: series term spec plus exact closed form.
 
+    ``kind`` is fourier, cospow or value, and ``trig`` cos, sin or None.
     Intervals are in units of c (Fourier records, including the pinned
-    c = pi examples), closed at both endpoints or at neither; ``term``
-    gives the frequency multiplier of pi x/c and the exact amplitude of the
-    n-th term for n >= n_start.  kind "value" records have no x-dependence.  Without
-    ``poly`` the closed form (poly and log_term) is derived from ``term``
-    and ``trig``.
+    c = pi examples), closed at both endpoints (``closed``) or at neither;
+    ``term`` gives the frequency multiplier of pi x/c and the exact
+    amplitude of the n-th term for n >= n_start.  kind "value" records have
+    no x-dependence.  Without ``poly`` the closed form (poly and log_term)
+    is derived from ``term`` and ``trig``.  Records are equal when all
+    their fields are; ``replace`` gives a copy with some fields changed.
     """
-    id: str
-    label: str
-    kind: str                                   # fourier | cospow | value
-    trig: Optional[str]                         # cos | sin | None
-    r_fixed: Optional[int]
-    interval: Optional[Tuple[Fraction, Fraction]]
-    closed: bool                                # both endpoints closed
-    period: Fraction
-    n_start: int
-    term: TermSpec
-    poly: Optional[Callable[[int], Dict[int, Coeff]]] = None
-    log_term: Optional[Callable[[int], Tuple[Coeff, int]]] = None
-    residual: Optional[Callable[[int], ResidualRule]] = None
-    cos_coeff: Optional[Callable[[int], Coeff]] = None
+    __slots__ = ("id", "label", "kind", "trig", "r_fixed", "interval",
+                 "closed", "period", "n_start", "term", "poly", "log_term",
+                 "residual", "cos_coeff")
 
-    def __post_init__(self):
-        if self.poly is None:
-            self.poly, self.log_term = _taylor_closed_form(self.term, self.trig)
+    def __init__(self, id: str, label: str, kind: str, trig: Optional[str],
+                 r_fixed: Optional[int],
+                 interval: Optional[Tuple[Fraction, Fraction]], closed: bool,
+                 period: Fraction, n_start: int, term: TermSpec,
+                 poly: Optional[Callable[[int], Dict[int, Coeff]]] = None,
+                 log_term: Optional[Callable[[int], Tuple[Coeff, int]]] = None,
+                 residual: Optional[Callable[[int], ResidualRule]] = None,
+                 cos_coeff: Optional[Callable[[int], Coeff]] = None):
+        if poly is None:
+            poly, log_term = _taylor_closed_form(term, trig)
+        self.id, self.label, self.kind, self.trig = id, label, kind, trig
+        self.r_fixed, self.interval, self.closed = r_fixed, interval, closed
+        self.period, self.n_start, self.term = period, n_start, term
+        self.poly, self.log_term = poly, log_term
+        self.residual, self.cos_coeff = residual, cos_coeff
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None   # compared by value, and mutable: never hashed
+
+    def __repr__(self):
+        return "IdentityRecord(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def replace(self, **changes) -> "IdentityRecord":
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return IdentityRecord(**{**fields, **changes})
 
     def effective_r(self, r: Optional[int]) -> int:
         if self.r_fixed is not None:
@@ -382,21 +403,37 @@ class IdentityRecord:
         return r
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    id: str
-    r: int
-    c: float
-    grid: int
-    N: int
-    tol: float
-    max_error: float
-    passed: bool
-    # where and why: the grid point of max_error, and the seconds spent on
-    # the partial sums and on the closed forms (kept out of the output)
-    worst_x: Optional[float] = None
-    partial_s: float = field(default=0.0, compare=False)
-    closed_s: float = field(default=0.0, compare=False)
+    """One grid or endpoint comparison.  worst_x is the grid point of
+    max_error, and partial_s and closed_s the seconds spent on the partial
+    sums and on the closed forms: where and why, kept out of the output and
+    out of equality and hashing."""
+    __slots__ = ("id", "r", "c", "grid", "N", "tol", "max_error", "passed",
+                 "worst_x", "partial_s", "closed_s")
+
+    def __init__(self, id: str, r: int, c: float, grid: int, N: int,
+                 tol: float, max_error: float, passed: bool,
+                 worst_x: Optional[float] = None, partial_s: float = 0.0,
+                 closed_s: float = 0.0):
+        self.id, self.r, self.c, self.grid, self.N = id, r, c, grid, N
+        self.tol, self.max_error, self.passed = tol, max_error, passed
+        self.worst_x, self.partial_s, self.closed_s = worst_x, partial_s, closed_s
+
+    def _key(self) -> tuple:
+        return (self.id, self.r, self.c, self.grid, self.N, self.tol,
+                self.max_error, self.passed, self.worst_x)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "VerificationReport(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     def to_json(self) -> str:
         return json.dumps({"id": self.id, "r": self.r, "c": self.c,
@@ -541,129 +578,109 @@ def theorem23_shift(identity_id: str | IdentityRecord,
     if x0 == 0:
         return rec
     base_poly = rec.poly
-    return replace(
-        rec, id=f"{rec.id}@{x0}", label=f"{rec.label} shifted by {x0} c",
+    return rec.replace(
+        id=f"{rec.id}@{x0}", label=f"{rec.label} shifted by {x0} c",
         interval=(a + x0, b - x0),
-        term=replace(rec.term, shifts=rec.term.shifts + (x0,)),
+        term=rec.term._replace(shifts=rec.term.shifts + (x0,)),
         poly=lambda rr: _shifted_poly(base_poly(rr), x0))
 
 
 def _make_records() -> Dict[str, IdentityRecord]:
+    """The records, each with the id, kind and label of its catalog row."""
     f = Fraction
+    rows = {rid: {"id": rid, "kind": kind, "label": label}
+            for rid, kind, label in IDENTITIES}
     zeta, eta, lam, beta, frakD, calD = (ORACLE_SERIES[k] for k in (
         "zeta", "eta", "lambda", "beta", "frakD", "calD"))
     even, odd = (2, 0), (2, 1)   # s(r) = 2r, 2r + 1
     thm16_residual = partial(ResidualRule, alternating=False)
     thm21_residual = partial(ResidualRule, alternating=True)
     cor6 = IdentityRecord(
-        id="cor6-lambda", label="odd-denominator cosine series over [0, c]",
-        kind="fourier", trig="cos", r_fixed=None,
+        **rows["cor6-lambda"], trig="cos", r_fixed=None,
         interval=(f(0), f(1)), closed=True,
         period=f(2), n_start=1, term=TermSpec(2, -1, lam, even))
     records = [
         IdentityRecord(
-            id="thm11-cos", label="cosine series of n^(-2r) over [0, 2c]",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["thm11-cos"], trig="cos", r_fixed=None,
             interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, even)),
         IdentityRecord(
-            id="thm11-sin", label="sine series of n^(-2r-1) over [0, 2c]",
-            kind="fourier", trig="sin", r_fixed=None,
+            **rows["thm11-sin"], trig="sin", r_fixed=None,
             interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
-            id="thm16-zeta-odd-cos",
-            label="cosine series of n^(-2r-1) with log and residual terms",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["thm16-zeta-odd-cos"], trig="cos", r_fixed=None,
             interval=(f(0), f(2)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd),
             residual=thm16_residual),
         IdentityRecord(
-            id="thm18-cos", label="alternating cosine series of n^(-2r) over [-c, c]",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["thm18-cos"], trig="cos", r_fixed=None,
             interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, even)),
         IdentityRecord(
-            id="thm18-sin", label="alternating sine series of n^(-2r-1) over [-c, c]",
-            kind="fourier", trig="sin", r_fixed=None,
+            **rows["thm18-sin"], trig="sin", r_fixed=None,
             interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
-            id="thm21-eta-odd",
-            label="alternating cosine series of n^(-2r-1) with Bernoulli residual",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["thm21-eta-odd"], trig="cos", r_fixed=None,
             interval=(f(-1), f(1)), closed=True,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd),
             residual=thm21_residual),
         IdentityRecord(
-            id="cor5-beta", label="beta-family cosine series over [-c/2, c/2]",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["cor5-beta"], trig="cos", r_fixed=None,
             interval=(f(-1, 2), f(1, 2)), closed=True,
             period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
         cor6,
         IdentityRecord(
-            id="cor7-frakd", label="signed odd-denominator cosine series over [0, c/4]",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["cor7-frakd"], trig="cos", r_fixed=None,
             interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even)),
         IdentityRecord(
-            id="cor8-cald", label="signed odd-denominator odd-power cosine series over [0, c/4]",
-            kind="fourier", trig="cos", r_fixed=None,
+            **rows["cor8-cald"], trig="cos", r_fixed=None,
             interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=0, term=TermSpec(2, 1, calD, odd)),
         IdentityRecord(
-            id="eq56-frakd-value", label="signed odd-denominator Dirichlet value",
-            kind="value", trig=None, r_fixed=None,
+            **rows["eq56-frakd-value"], trig=None, r_fixed=None,
             interval=None, closed=False,
             period=f(2), n_start=1,
             term=TermSpec(2, -1, PeriodicPattern(frakD.period, frakD.weights), even),
             poly=_poly_eq56),
         IdentityRecord(
-            id="eq69-frakd-poly", label="cubic closed form on [c/4, 3c/4]",
-            kind="fourier", trig="cos", r_fixed=2,
+            **rows["eq69-frakd-poly"], trig="cos", r_fixed=2,
             interval=(f(1, 4), f(3, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
             poly=_poly_eq69),
         IdentityRecord(
-            id="eq70-frakd-poly", label="quadratic closed form on [0, c/4]",
-            kind="fourier", trig="cos", r_fixed=2,
+            **rows["eq70-frakd-poly"], trig="cos", r_fixed=2,
             interval=(f(0), f(1, 4)), closed=True,
             period=f(2), n_start=1, term=TermSpec(2, -1, frakD, even),
             poly=_poly_eq70),
         IdentityRecord(
-            id="example1-cospow", label="sin(nx) cos^n x / n over (0, pi)",
-            kind="cospow", trig="sin", r_fixed=1,
+            **rows["example1-cospow"], trig="sin", r_fixed=1,
             interval=(f(0), f(1)), closed=False,
             period=f(1), n_start=1, term=TermSpec(1, 0, zeta, (0, 1)),
             poly=_poly_example1),
         IdentityRecord(
-            id="example2-fourier",
-            label="alternating cos(3 n x) over (-pi/3, pi/3), c = pi",
-            kind="fourier", trig="cos", r_fixed=1,
+            **rows["example2-fourier"], trig="cos", r_fixed=1,
             interval=(f(-1, 3), f(1, 3)), closed=False,
             period=f(2, 3), n_start=1, term=TermSpec(3, 0, eta, even, pole=1),
             poly=_poly_example2,
             cos_coeff=lambda r: Coeff.of(Fraction(1, 9), 1, SQRT3)),
         IdentityRecord(
-            id="lemma4-sin-log", label="sine series of 1/n over (0, 2c)",
-            kind="fourier", trig="sin", r_fixed=0,
+            **rows["lemma4-sin-log"], trig="sin", r_fixed=0,
             interval=(f(0), f(2)), closed=False,
             period=f(2), n_start=1, term=TermSpec(1, 0, zeta, odd)),
         IdentityRecord(
-            id="lemma4-sin-alt", label="alternating sine series of 1/n over (-c, c)",
-            kind="fourier", trig="sin", r_fixed=0,
+            **rows["lemma4-sin-alt"], trig="sin", r_fixed=0,
             interval=(f(-1), f(1)), closed=False,
             period=f(2), n_start=1, term=TermSpec(1, 0, eta, odd)),
         IdentityRecord(
-            id="lemma4-cos-arctan",
-            label="alternating odd cosine series of 1/(2n+1) over (-c/2, c/2)",
-            kind="fourier", trig="cos", r_fixed=0,
+            **rows["lemma4-cos-arctan"], trig="cos", r_fixed=0,
             interval=(f(-1, 2), f(1, 2)), closed=False,
             period=f(2), n_start=0, term=TermSpec(2, 1, beta, odd)),
     ]
-    records.append(replace(
-        theorem23_shift(cor6, f(1, 4)), id="eq59-lambda-shift",
-        label="quarter-shifted odd-denominator cosine series over [c/4, 3c/4]"))
+    records.append(theorem23_shift(cor6, f(1, 4)).replace(
+        **rows["eq59-lambda-shift"]))
     return {rec.id: rec for rec in records}
 
 
@@ -695,8 +712,12 @@ def closed_form_eval(identity_id: str | IdentityRecord, r: Optional[int],
 
     series_eps loosens the residual-series budget below the context target;
     verify passes it as an mpf, since a float tol / 20 underflows to 0.0
-    below about 1e-322."""
+    below about 1e-322.  A value record has its value at x = 0 only; any
+    other x is a RegistryError."""
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
+    if rec.kind == "value" and x != 0:
+        raise RegistryError(f"{rec.id} is a value record, defined at x = 0 "
+                            f"only, got x = {x}")
     return _closed_form_evaluator(rec, r, c, ctx, series_eps)(x)
 
 
@@ -779,8 +800,10 @@ def partial_sum_eval(identity_id: str | IdentityRecord, r: Optional[int],
 # ---------------------------------------------------------------------------
 # grid verification
 
-# the share of a period that verify's default grid leaves out at each end
-# of the interval, and the digits at which it evaluates the closed form
+# verify's default number of grid points, the share of a period that its
+# default grid leaves out at each end of the interval, and the digits at
+# which it evaluates the closed form
+DEFAULT_GRID = 50
 GRID_MARGIN = 0.05
 COMPARE_DIGITS = 30
 
@@ -855,18 +878,24 @@ def _grid_points(rec: IdentityRecord, c: float, grid: int,
 
 
 def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
-           c: float = 1.0, grid: int = 50, N: int = 2000, tol: float = 1e-6,
-           interval: Optional[Tuple[float, float]] = None) -> VerificationReport:
+           c: float = 1.0, grid: Optional[int] = None, N: int = 2000,
+           tol: float = 1e-6, interval: Optional[Tuple[float, float]] = None
+           ) -> VerificationReport:
     """Compare closed form against the N-term partial sum on an interior
     grid; deterministic given inputs.  Failures are reported, not raised.
 
-    The grid excludes GRID_MARGIN periods around the interval endpoints,
-    where partial-sum convergence degrades; the closed form is evaluated at
-    COMPARE_DIGITS digits.
+    The grid holds DEFAULT_GRID points unless ``grid`` says otherwise, and
+    excludes GRID_MARGIN periods around the interval endpoints, where
+    partial-sum convergence degrades; the closed form is evaluated at
+    COMPARE_DIGITS digits.  A value record is checked at x = 0 alone, so a
+    grid or an interval given for it is a RegistryError.
     """
     rec = identity_id if isinstance(identity_id, IdentityRecord) else get_record(identity_id)
+    if rec.kind == "value" and (grid is not None or interval is not None):
+        raise RegistryError(f"{rec.id} is a value record checked at x = 0 "
+                            "only; grid and interval do not apply")
     r_eff = rec.effective_r(r)
-    xs = _grid_points(rec, c, grid, interval)
+    xs = _grid_points(rec, c, DEFAULT_GRID if grid is None else grid, interval)
     return _compare(rec, r_eff, c, xs, N, tol, rec.id)
 
 
@@ -923,8 +952,7 @@ def poly_derivative(poly: Dict[int, Coeff]) -> Dict[int, Coeff]:
 # ---------------------------------------------------------------------------
 # documented verification suite
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     id: str
     r: Optional[int]
     N: int

@@ -42,21 +42,20 @@ key of output order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
     Expr, PI, ZERO, ONE,
-    add, sub, mul, div, neg, ipow, func, rational, symbol, is_rat, rat_value,
-    free_symbols, to_text, walk_once,
+    add, sub, mul, div, neg, ipow, func, rational, is_rat, rat_value,
+    to_text, walk_once,
 )
 
 __all__ = [
     "TPoly", "AngleLocus", "CollapseResult",
     "split_rational", "find_trig_base", "tpoly_from_expr",
-    "collapse_inverse_trig", "collect_terms", "polynomial_in",
+    "collapse_inverse_trig", "collect_terms",
 ]
 
 
@@ -461,8 +460,7 @@ def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[T
 _ACOS_TABLE = {Fraction(1, 2): Fraction(1, 3), Fraction(-1, 2): Fraction(2, 3)}
 
 
-@dataclass(frozen=True)
-class AngleLocus:
+class AngleLocus(NamedTuple):
     """Base-angle solutions B = (offset + k*modulus) * pi, k in Z."""
     offset: Fraction
     modulus: Fraction
@@ -543,8 +541,7 @@ def _common_zero_loci(N: TPoly, D: TPoly) -> List[AngleLocus]:
 # ---------------------------------------------------------------------------
 # inverse-trig collapse
 
-@dataclass
-class CollapseResult:
+class CollapseResult(NamedTuple):
     expr: Expr
     guards: List[AngleLocus]
     branch: bool  # True when an odd-convention arccot sign pull was used
@@ -844,35 +841,3 @@ def collect_terms(e: Expr) -> Expr:
             piece = _rebuild_from_key(coeff, key)
         out = piece if out is None else add(out, piece)
     return out if out is not None else ZERO
-
-
-def polynomial_in(e: Expr, var: str) -> Optional[List[Expr]]:
-    """Coefficients [a0, a1, ...] if ``e`` is polynomial in ``var`` with
-    var-free coefficients, else None.
-
-    Each collected term is flattened through ``split_rational``, so that a
-    factor collected from a denominator, such as (2*c)^-1, cancels against
-    the term's other factors."""
-    x = symbol(var)
-    coeffs: Dict[int, Expr] = {}
-    for key, coeff in _collected(e):
-        factors: Dict[Expr, int] = {}
-        for atom, exp in key:
-            rho, sub_key = split_rational(ipow(atom, exp))
-            coeff *= rho
-            for a, k in sub_key:
-                factors[a] = factors.get(a, 0) + k
-        power = 0
-        rest: Expr = rational(coeff)
-        for atom, exp in _ordered(factors):
-            if atom is x:
-                if exp < 0:
-                    return None
-                power = exp
-            elif var in free_symbols(atom):
-                return None
-            else:
-                rest = mul(rest, ipow(atom, exp))
-        coeffs[power] = add(coeffs.get(power, ZERO), rest)
-    top = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, ZERO) for i in range(top + 1)]

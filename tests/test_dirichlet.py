@@ -355,6 +355,22 @@ class TestZetaOdd:
         with mp.workdps(60):
             assert abs(b.value - mp.zeta(3)) <= b.tail_bound
 
+    def test_levels_table_is_bounded(self, monkeypatch):
+        # a sweep over more (m, digits, target) keys than the bound keeps
+        # the bound, the oldest keys dropped; a repeated key within the
+        # bound answers with the level it kept
+        from trigsum import dirichlet
+        monkeypatch.setattr(dirichlet, "_ZETA_ODD_LEVELS", {})
+        size = dirichlet._ZETA_ODD_LEVELS_SIZE
+        ctxs = [PrecisionContext.for_digits(d) for d in range(20, 20 + size + 3)]
+        first = [zeta_odd(1, "thm15", ctx) for ctx in ctxs]
+        table = dirichlet._ZETA_ODD_LEVELS
+        assert len(table) == size
+        assert [digits for _, digits, _ in table] == list(range(23, 23 + size))
+        assert all(zeta_odd(1, "thm15", ctx) is a
+                   for ctx, a in zip(ctxs[3:], first[3:]))
+        assert len(table) == size and (2, 20, ctxs[0].target) not in table
+
     def test_stepped_harmonic_leaves_levels_unchanged(self, monkeypatch):
         # the sweep steps H_2q from level to level.  One sweep to r = 60
         # and sixty one-level extensions (each restarting from

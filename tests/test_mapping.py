@@ -1,5 +1,5 @@
-"""Summation engine: closed forms, singular points, validity intervals,
-and the integral-step mapping."""
+"""Summation engine: closed forms, singular points and validity
+intervals."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ import pytest
 from trigsum.acceptance import EXAMPLE2_SUM
 from trigsum.expr import PI, eval_real, parse_expr, rational, symbol, to_text
 from trigsum.mapping import (MappingError, detect_singularities,
-                             integral_step, map_cospow, map_fourier)
+                             map_cospow, map_fourier)
 
 F = Fraction
 
@@ -152,67 +152,3 @@ class TestDetectSingularities:
         with pytest.raises(MappingError) as refused:
             map_cospow(parse_expr("arctan(t)"), kind="sin")
         assert str(refused.value) == "common factor with no rational cos root"
-
-
-class TestIntegralStep:
-    def test_pole_rejected(self):
-        with pytest.raises(MappingError):
-            integral_step(parse_expr("1/(1-t)"))
-
-    def test_dilog_pipeline(self):
-        # S = -ln(1-t)/t: S(e^z) e^z = -ln(1-e^z), so this integral-step
-        # route rests on the same operator image as the log-series mapping
-        cosine, sine = integral_step(parse_expr("-ln(1-t)/t"), digits=25)
-        assert cosine.integral_symbolic is not None  # polynomial sine image
-        assert sine.integral_symbolic is None        # log-kernel cosine image
-        with mp.workdps(35):
-            assert abs(cosine.constant - mp.pi ** 2 / 6) < 1e-22
-            for xv in ("0.3", "0.9", "1.5"):
-                x = mp.mpf(xv)
-                th = mp.pi * x
-                want_cos = mp.pi ** 2 / 6 - mp.pi * th / 2 + th ** 2 / 4
-                assert abs(cosine.eval(x, 25) - want_cos) < 1e-20
-                want_sin = mp.fsum(mp.sin(n * th) / mp.mpf(n) ** 2
-                                   for n in range(1, 4000))
-                assert abs(sine.eval(x, 25) - want_sin) < 1e-6
-
-    def test_theorem_coherence_both_paths(self):
-        # the inner sine image of the integral step equals the direct
-        # mapping of the log series (theorem-2 path vs theorem-4 path)
-        cosine, _ = integral_step(parse_expr("-ln(1-t)/t"), digits=20)
-        direct = map_fourier(parse_expr("-ln(1-t)"), c=rational(1), kind="sine")
-        with mp.workdps(25):
-            for ratio in (0.1, 0.5, 1.2, 1.9):
-                a = eval_real(cosine.inner_image, {"x": ratio, "c": 1}, 25)
-                b = eval_real(direct.closed_form, {"x": ratio, "c": 1}, 25)
-                assert abs(a - b) < 1e-20
-
-    @pytest.mark.parametrize("c", [PI, symbol("c"), rational(-1), 0,
-                                   Fraction(-1, 2), 0.5])
-    def test_c_not_a_positive_rational_refused(self, c):
-        # a c that is not a positive rational used to be taken as 1: with
-        # c = pi the cosine side gave -0.2056 at x = 1/2, where
-        # sum cos(n/2)/n^2 is about 0.922
-        with pytest.raises(ValueError, match="c must be a positive rational"):
-            integral_step(parse_expr("-ln(1-t)/t"), c=c)
-
-    def test_rational_c_scales_the_angle(self):
-        # c = 2: the cosine side is sum cos(n pi x/2)/n^2
-        for c in (2, Fraction(2), rational(2)):
-            cosine, _ = integral_step(parse_expr("-ln(1-t)/t"), c=c, digits=20)
-            assert cosine.c_value == 2
-            with mp.workdps(25):
-                th = mp.pi / 4
-                want = mp.pi ** 2 / 6 - mp.pi * th / 2 + th ** 2 / 4
-                assert abs(cosine.eval("0.5", 20) - want) < 1e-15
-
-    def test_alternating_dilog_pipeline(self):
-        # S = ln(1+t)/t gives the alternating series sum_n (-1)^(n-1) t^n/n^2
-        cosine, sine = integral_step(parse_expr("ln(1+t)/t"), digits=20)
-        with mp.workdps(30):
-            assert abs(cosine.constant - mp.pi ** 2 / 12) < 1e-17
-            x = mp.mpf("0.6")
-            th = mp.pi * x
-            want = mp.fsum((-1) ** (n - 1) * mp.cos(n * th) / mp.mpf(n) ** 2
-                           for n in range(1, 5000))
-            assert abs(cosine.eval(x, 20) - want) < 1e-6

@@ -1,13 +1,8 @@
 """Operator-pair rules against the complex-shift oracle, the structural
-algorithms, inverse-function systems, and the guarded simplifier."""
+algorithms, inverse-function systems, and the guarded rewrites."""
 
-import os
 import random
-import subprocess
-import sys
-import time
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -16,8 +11,7 @@ from trigsum.expr import (Expr, eval_real, fold, func, parse_expr, rational,
                           symbol, to_text)
 from trigsum.operators import (UnsupportedHeadError,
                                apply_operator, complex_shift_oracle,
-                               simplify_collect, simplify_guarded,
-                               verify_inverse_system)
+                               simplify_collect, verify_inverse_system)
 from trigsum.trigpoly import AngleLocus
 
 X, H = symbol("x"), symbol("h")
@@ -188,91 +182,31 @@ class TestInverseSystems:
 
 
 class TestSimplifyGuarded:
+    """The guarded rewrites of ``simplify_collect``: each collapse, its value
+    and the branch extension (the placement of its guards' zeros is tested
+    on ``trigpoly.AngleLocus``)."""
+
     def test_half_angle_collapse(self):
         theta = parse_expr("pi*x/c")
         img = apply_operator(parse_expr("ln(1+exp(z))"), rational(0), theta,
                              var="z").sin_part
-        out = simplify_guarded(img, (0.05, 0.95))
+        out = simplify_collect(img).expr
         assert to_text(out) == "1/2*c^-1*pi*x"
 
     def test_cot_collapse(self):
         e = parse_expr("arccot(cos(pi*x/(2*c))/sin(pi*x/(2*c)))")
-        out = simplify_guarded(e, (0.1, 1.9))
+        out = simplify_collect(e).expr
         assert to_text(out) == "1/2*c^-1*pi*x"
 
     def test_cancellation_with_sign(self):
         e = parse_expr("arccot((1-cos(pi*x/c)^2)/(sin(pi*x/c)*cos(pi*x/c)))")
-        out = simplify_guarded(e, (0.05, 0.95))
+        out = simplify_collect(e).expr
         assert to_text(out) == "-(c^-1*pi*x) + 1/2*pi"
 
     def test_arctan_degenerate_denominator(self):
         e = parse_expr("arctan(2*cos(pi*x/c)/(1 - cos(pi*x/c)^2 - sin(pi*x/c)^2))")
-        out = simplify_guarded(e, (-0.45, 0.45))
+        out = simplify_collect(e).expr
         assert to_text(out) == "1/2*pi"
-
-    def test_guard_violated_rewrite_skipped(self):
-        # cancelled factor 2cos(u)-1 vanishes inside a wide interval: no rewrite
-        e = parse_expr("arccot((2*cos(pi*x/c)-1)*cos(pi*x/c)"
-                       "/((2*cos(pi*x/c)-1)*sin(pi*x/c)))")
-        wide = simplify_guarded(e, (0.05, 0.95))
-        assert wide.kind == "call" and wide.value == "arccot"
-        narrow = simplify_guarded(e, (0.02, 0.30))
-        assert to_text(narrow) == "c^-1*pi*x"
-
-    def test_guard_just_inside_the_interval(self):
-        # the guard x = c/3 (c taken at 1) lies 1e-13 inside the interval;
-        # it is placed exactly, so the rewrite is skipped
-        e = parse_expr("arccot((2*cos(pi*x/c)-1)*cos(pi*x/c)"
-                       "/((2*cos(pi*x/c)-1)*sin(pi*x/c)))")
-        kept = simplify_guarded(e, (0.02, 1 / 3 + 1e-13))
-        assert kept.kind == "call" and kept.value == "arccot"
-        assert to_text(simplify_guarded(e, (0.02, 0.30))) == "c^-1*pi*x"
-
-    def test_base_without_pi(self):
-        # base x: the guard x = pi is placed as t*pi with t rational
-        e = parse_expr("arccot((1+cos(x))/sin(x))")
-        assert to_text(simplify_guarded(e, (0.1, 3.1))) == "1/2*x"
-        assert simplify_guarded(e, (0.1, 3.2)).value == "arccot"
-        assert simplify_guarded(e, (-3.2, -0.1)).value == "arccot"
-
-    @pytest.mark.parametrize("text", ["arccot((1+cos(pi*x))/sin(pi*x))",
-                                      "arccot((1+cos(x))/sin(x))"])
-    def test_wide_interval_vetoes_without_listing_zeros(self, text):
-        # the guard zeros lie one spacing apart (2 and 2*pi); an interval
-        # wider than that holds one, so the veto does not list the 1e9
-        # zeros in (0.1, 1e9)
-        e = parse_expr(text)
-        start = time.perf_counter()
-        out = simplify_guarded(e, (0.1, 1e9))
-        assert time.perf_counter() - start < 1.0
-        assert out is simplify_guarded(e, (0.1, 1e3)) is e
-        assert to_text(out) == to_text(e)
-
-    def test_base_of_other_shape_skips_the_rewrite(self):
-        # base x^2 has its guard zero at x = sqrt(pi), inside the interval;
-        # a base that is not rho*pi*x or rho*x is not placed, so the
-        # rewrite is skipped
-        e = parse_expr("arccot((1+cos(x^2))/sin(x^2))")
-        assert simplify_guarded(e, (0.1, 2.0)).value == "arccot"
-
-    def test_placement_loads_no_mpmath(self):
-        code = ("import sys\n"
-                "from trigsum.expr import parse_expr, to_text\n"
-                "from trigsum.operators import simplify_guarded\n"
-                "e = parse_expr('arccot((1+cos(pi*x))/sin(pi*x))')\n"
-                "print(to_text(simplify_guarded(e, (0.05, 0.95))))\n"
-                "print('mpmath' in sys.modules, 'trigsum.evaluate' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=120,
-                             env={**os.environ, "PYTHONPATH": path})
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["1/2*pi*x", "False False"]
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            simplify_guarded(parse_expr("arccot(x)"), (1.0, 1.0))
 
     def test_value_preserved_exact_rewrites(self):
         # principal-branch-exact rewrites agree pointwise with the input
@@ -282,7 +216,7 @@ class TestSimplifyGuarded:
         ]
         for text, (lo, hi) in cases:
             e = parse_expr(text)
-            out = simplify_guarded(e, (lo, hi))
+            out = simplify_collect(e).expr
             with mp.workdps(25):
                 for i in range(200):
                     x = lo + (hi - lo) * (i + 0.5) / 200
@@ -333,7 +267,7 @@ class TestGuardedFirstForm:
         # the sign-handled collapse: the quotient under arccot rewrites to
         # the negated half-angle line, so its negation is the log-series sum
         e = parse_expr("arccot((1-cos(pi*x/c))/(-sin(pi*x/c)))")
-        out = simplify_guarded(e, (0.05, 1.95))
+        out = simplify_collect(e).expr
         want = parse_expr("-(pi/2 - pi*x/(2*c))")
         with mp.workdps(25):
             for ratio in (0.2, 0.9, 1.5):

@@ -70,6 +70,41 @@ def test_exact_operator_and_map_commands_load_no_numeric_modules():
                          "trigsum.evaluate", "numpy"}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_identities_loads_only_the_catalog(fmt):
+    _, loaded = modules_after(_run_main(["identities", "--format", fmt]))
+    assert "trigsum.catalog" in loaded
+    assert not loaded & {"mpmath", "trigsum.registry", "trigsum.dirichlet",
+                         "trigsum.exact", "numpy"}
+
+
+def test_catalog_rows_are_the_registry_records():
+    from trigsum.catalog import IDENTITIES
+    from trigsum.registry import list_identities
+    assert list(IDENTITIES) == [(r.id, r.kind, r.label) for r in list_identities()]
+
+
+def test_oracle_loads_no_exact():
+    # the oracle shares no code with the exact recurrences
+    stdout, loaded = modules_after(
+        "from trigsum.cli import main\n"
+        "main(['oracle', '--series', 'zeta', '--s', '3'])")
+    assert stdout.splitlines()[0] == "1.20205690315959428539973816151"
+    assert "trigsum.dirichlet" in loaded and "trigsum.exact" not in loaded
+
+
+def test_no_module_loads_dataclasses():
+    # dataclasses brings in inspect, ast and dis, which a fresh CLI call
+    # would pay for on every command
+    package = Path(trigsum.__file__).parent
+    modules = sorted(f"trigsum.{p.stem}" for p in package.glob("*.py")
+                     if p.stem != "__init__")
+    assert {"trigsum.catalog", "trigsum.registry", "trigsum.cli"} <= set(modules)
+    _, loaded = modules_after("\n".join(f"import {m}" for m in modules))
+    assert set(modules) <= loaded
+    assert "dataclasses" not in loaded
+
+
 def test_zeta_odd_loads_what_it_runs():
     stdout, loaded = modules_after(
         "from trigsum.cli import main\nmain(['zeta-odd', '--r', '1'])")

@@ -32,6 +32,15 @@ class TestCatalog:
         ids = [rec.id for rec in list_identities()]
         assert len(ids) == len(set(ids))
 
+    def test_records_compare_by_value(self):
+        rec = get_record("cor6-lambda")
+        assert rec.replace() == rec and rec.replace() is not rec
+        relabelled = rec.replace(label="other")
+        assert relabelled != rec and relabelled.label == "other"
+        assert (relabelled.term, relabelled.poly) == (rec.term, rec.poly)
+        with pytest.raises(TypeError):
+            hash(rec)
+
     def test_contains_expected(self):
         ids = {rec.id for rec in list_identities()}
         assert {"thm11-cos", "thm11-sin", "thm21-eta-odd", "example1-cospow",
@@ -207,6 +216,22 @@ class TestVerify:
         a = verify("cor6-lambda", 1, N=800, tol=1e-4)
         b = verify("cor6-lambda", 1, N=800, tol=1e-4)
         assert a == b
+
+    def test_value_record_refuses_grid_and_interval(self):
+        # the value record is checked at x = 0 alone: a grid or an interval
+        # would be ignored, so either is refused, as the CLI refuses --grid
+        for extra in ({"grid": 7}, {"grid": 50}, {"interval": (0.1, 0.2)}):
+            with pytest.raises(RegistryError, match="eq56-frakd-value is a value record"):
+                verify("eq56-frakd-value", 1, N=10_000, tol=1e-4, **extra)
+        rep = verify("eq56-frakd-value", 1, N=10_000, tol=1e-4)
+        assert rep.passed and rep.grid == 1 and rep.worst_x == 0.0
+
+    def test_value_record_closed_form_only_at_zero(self):
+        with pytest.raises(RegistryError, match="only, got x = 0.5"):
+            closed_form_eval("eq56-frakd-value", 1, x=0.5)
+        with mp.workdps(40):
+            want = mp.sqrt(2) * exact.frakD(1).eval(40)
+            assert abs(closed_form_eval("eq56-frakd-value", 1, x=0.0) - want) < 1e-25
 
     def test_worst_point_and_stage_times(self):
         rep = verify("thm16-zeta-odd-cos", 1, grid=20, N=2000, tol=1e-5)

@@ -271,6 +271,52 @@ class TestCollapse:
         assert to_text(collapse_inverse_trig("arccot", parse_expr("0")).expr) == "1/2*pi"
 
 
+class TestAngleLocus:
+    """A guard's zeros, placed exactly: ``scaled`` moves a locus of the base
+    angle B = g*y*pi to the unit y, and ``points_in`` lists its zeros in a
+    closed window as Fractions, which mapping compares with no rounding."""
+
+    def test_cancelled_factor_placed_exactly(self):
+        # the cancelled factor 2cos(u) - 1 vanishes at u = +-pi/3; with the
+        # base pi*x/c, x = c/3 (c taken at 1) is a Fraction, so an end 1e-13
+        # past it holds it and the interior window below it does not
+        hit = collapse_inverse_trig("arccot", parse_expr(
+            "(2*cos(pi*x/c)-1)*cos(pi*x/c)/((2*cos(pi*x/c)-1)*sin(pi*x/c))"))
+        assert to_text(hit.expr) == "c^-1*pi*x"
+        assert hit.guards == [AngleLocus(F(1, 3), F(2)), AngleLocus(F(-1, 3), F(2))]
+        rho, _ = split_rational(hit.base)
+        zeros = [locus.scaled(rho) for locus in hit.guards]
+        assert [z.points_in(F(0.05), F(0.95)) for z in zeros] == [[F(1, 3)], []]
+        assert [z.points_in(F(0.02), F(1 / 3 + 1e-13)) for z in zeros] == [[F(1, 3)], []]
+        assert [z.points_in(F(0.02), F(0.30)) for z in zeros] == [[], []]
+
+    def test_base_without_pi(self):
+        # base x: the guard x = pi is the point t = 1 in units of pi, and
+        # only its product with pi is a float
+        hit = collapse_inverse_trig("arccot", parse_expr("(1+cos(x))/sin(x)"))
+        assert (to_text(hit.expr), hit.guards) == ("1/2*x", [LOC2_1])
+        rho, _ = split_rational(hit.base)
+        zeros = hit.guards[0].scaled(rho)
+        assert zeros.points_in(F(-2), F(2)) == [F(-1), F(1)]
+        (t,) = zeros.points_in(F(0), F(2))
+        assert 3.1 < float(t) * math.pi < 3.2   # outside (0.1, 3.1), inside (0.1, 3.2)
+
+    @pytest.mark.parametrize("g,offset,modulus", [
+        (F(1), F(1), F(2)), (F(1, 2), F(2), F(4)), (F(-1, 2), F(-2), F(4)),
+        (F(3), F(1, 3), F(2, 3)),
+    ])
+    def test_scaled(self, g, offset, modulus):
+        # y = (offset + k*modulus)/g, the spacing of the zeros kept positive
+        assert LOC2_1.scaled(g) == AngleLocus(offset, modulus)
+
+    def test_points_in_closed_window(self):
+        # both ends count, and a window far from the offset is reached directly
+        assert LOC2_0.points_in(F(-2), F(2)) == [F(-2), F(0), F(2)]
+        assert LOC2_1.points_in(F(0), F(1)) == [F(1)]
+        assert LOC2_1.points_in(F(10 ** 9), F(10 ** 9 + 2)) == [F(10 ** 9 + 1)]
+        assert AngleLocus(F(1, 3), F(2)).points_in(F(1, 3), F(1, 3)) == [F(1, 3)]
+
+
 class TestWalksOncePerNode:
     """A distinct node is expanded at most once while it lives, and worked on
     at most once per call by a walk that depends on the call's arguments."""
@@ -348,14 +394,14 @@ def test_split_coefficients_stay_exact():
     # a sign under a negative power is the Fraction -1, not the float
     # (-1) ** -1, which then reached rational() and raised a TypeError
     assert split_rational(parse_expr("(-(y))^-1")) == (F(-1), ((symbol("y"), -1),))
-    coeffs = trigpoly.polynomial_in(parse_expr("(x/3)/((-y-y)+y)"), "x")
-    assert [to_text(a) for a in coeffs] == ["0", "(-1/3)*y^-1"]
+    # collected, the quotient is the one term x times (-1/3)*y^-1
+    term = trigpoly.collect_terms(parse_expr("(x/3)/((-y-y)+y)"))
+    assert split_rational(term) == (F(-1, 3), ((symbol("x"), 1), (symbol("y"), -1)))
 
 
 def test_cancelled_high_power_is_expanded():
     e = parse_expr("2*(x+1)^8/(x+1)^7")
     assert to_text(trigpoly.collect_terms(e)) == "2 + 2*x"
-    assert [to_text(a) for a in trigpoly.polynomial_in(e, "x")] == ["2", "2"]
 
 
 @pytest.mark.parametrize("text,collected", [
