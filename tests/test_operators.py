@@ -1,8 +1,13 @@
 """Operator-pair rules against the complex-shift oracle, the structural
 algorithms, inverse-function systems, and the guarded rewrites."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -12,7 +17,7 @@ from trigsum.expr import (Expr, eval_real, fold, func, parse_expr, rational,
 from trigsum.operators import (UnsupportedHeadError,
                                apply_operator, complex_shift_oracle,
                                simplify_collect, verify_inverse_system)
-from trigsum.trigpoly import AngleLocus
+from trigsum.trigpoly import AngleLocus, split_rational
 
 X, H = symbol("x"), symbol("h")
 
@@ -181,10 +186,24 @@ class TestInverseSystems:
                                          [(0.5, 0.3)])
 
 
+# the cancelled factor 2cos(u) - 1 vanishes at u = +-pi/3
+CANCELLED = ("arccot((2*cos(pi*x/c)-1)*cos(pi*x/c)"
+             "/((2*cos(pi*x/c)-1)*sin(pi*x/c)))")
+
+
+def guard_zeros(outcome, lo, hi):
+    """The zeros of each guard of a ``simplify_collect`` outcome with
+    lo <= y <= hi, where the guard's base angle is rho*y and y its unit."""
+    out = []
+    for locus, base in outcome.guards:
+        rho, _ = split_rational(base)
+        out.append(locus.scaled(rho).points_in(Fraction(lo), Fraction(hi)))
+    return out
+
+
 class TestSimplifyGuarded:
-    """The guarded rewrites of ``simplify_collect``: each collapse, its value
-    and the branch extension (the placement of its guards' zeros is tested
-    on ``trigpoly.AngleLocus``)."""
+    """The guarded rewrites of ``simplify_collect``: each collapse, the exact
+    placement of its guards' zeros, its value and the branch extension."""
 
     def test_half_angle_collapse(self):
         theta = parse_expr("pi*x/c")
@@ -207,6 +226,54 @@ class TestSimplifyGuarded:
         e = parse_expr("arctan(2*cos(pi*x/c)/(1 - cos(pi*x/c)^2 - sin(pi*x/c)^2))")
         out = simplify_collect(e).expr
         assert to_text(out) == "1/2*pi"
+
+    def test_guard_violated_rewrite_skipped(self):
+        # the cancelled factor's zero x = c/3 (c taken at 1) lies inside a
+        # wide window and outside a narrow one
+        out = simplify_collect(parse_expr(CANCELLED))
+        assert to_text(out.expr) == "c^-1*pi*x"
+        assert [locus for locus, _ in out.guards] == [
+            AngleLocus(Fraction(1, 3), Fraction(2)),
+            AngleLocus(Fraction(-1, 3), Fraction(2))]
+        assert guard_zeros(out, 0.05, 0.95) == [[Fraction(1, 3)], []]
+        assert guard_zeros(out, 0.02, 0.30) == [[], []]
+
+    def test_guard_just_inside_the_interval(self):
+        # the zero x = c/3 lies 1e-13 inside the window's end; it is placed
+        # exactly, as a Fraction, so the window holds it
+        out = simplify_collect(parse_expr(CANCELLED))
+        assert guard_zeros(out, 0.02, 1 / 3 + 1e-13) == [[Fraction(1, 3)], []]
+        assert guard_zeros(out, 0.02, 1 / 3 - 1e-13) == [[], []]
+
+    def test_base_without_pi(self):
+        # base x: the guard x = pi is the point t = 1 in units of pi, and
+        # only its product with pi is a float
+        out = simplify_collect(parse_expr("arccot((1+cos(x))/sin(x))"))
+        assert to_text(out.expr) == "1/2*x"
+        assert [to_text(base) for _, base in out.guards] == ["x"]
+        assert guard_zeros(out, -2, 2) == [[Fraction(-1), Fraction(1)]]
+        (t,), = guard_zeros(out, 0, 2)
+        assert 3.1 < float(t) * math.pi < 3.2   # outside (0.1, 3.1), inside (0.1, 3.2)
+        (t,), = guard_zeros(out, -2, 0)
+        assert -3.2 < float(t) * math.pi < -3.1
+
+    def test_placement_loads_no_mpmath(self):
+        code = ("import sys\n"
+                "from fractions import Fraction\n"
+                "from trigsum.expr import parse_expr, to_text\n"
+                "from trigsum.operators import simplify_collect\n"
+                "out = simplify_collect(parse_expr('arccot((1+cos(pi*x))/sin(pi*x))'))\n"
+                "(locus, base), = out.guards\n"
+                "print(to_text(out.expr), locus.points_in(Fraction(-2), Fraction(2)))\n"
+                "print('mpmath' in sys.modules, 'trigsum.evaluate' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "1/2*pi*x [Fraction(-1, 1), Fraction(1, 1)]", "False False"]
 
     def test_value_preserved_exact_rewrites(self):
         # principal-branch-exact rewrites agree pointwise with the input

@@ -274,32 +274,8 @@ class TestCollapse:
 class TestAngleLocus:
     """A guard's zeros, placed exactly: ``scaled`` moves a locus of the base
     angle B = g*y*pi to the unit y, and ``points_in`` lists its zeros in a
-    closed window as Fractions, which mapping compares with no rounding."""
-
-    def test_cancelled_factor_placed_exactly(self):
-        # the cancelled factor 2cos(u) - 1 vanishes at u = +-pi/3; with the
-        # base pi*x/c, x = c/3 (c taken at 1) is a Fraction, so an end 1e-13
-        # past it holds it and the interior window below it does not
-        hit = collapse_inverse_trig("arccot", parse_expr(
-            "(2*cos(pi*x/c)-1)*cos(pi*x/c)/((2*cos(pi*x/c)-1)*sin(pi*x/c))"))
-        assert to_text(hit.expr) == "c^-1*pi*x"
-        assert hit.guards == [AngleLocus(F(1, 3), F(2)), AngleLocus(F(-1, 3), F(2))]
-        rho, _ = split_rational(hit.base)
-        zeros = [locus.scaled(rho) for locus in hit.guards]
-        assert [z.points_in(F(0.05), F(0.95)) for z in zeros] == [[F(1, 3)], []]
-        assert [z.points_in(F(0.02), F(1 / 3 + 1e-13)) for z in zeros] == [[F(1, 3)], []]
-        assert [z.points_in(F(0.02), F(0.30)) for z in zeros] == [[], []]
-
-    def test_base_without_pi(self):
-        # base x: the guard x = pi is the point t = 1 in units of pi, and
-        # only its product with pi is a float
-        hit = collapse_inverse_trig("arccot", parse_expr("(1+cos(x))/sin(x)"))
-        assert (to_text(hit.expr), hit.guards) == ("1/2*x", [LOC2_1])
-        rho, _ = split_rational(hit.base)
-        zeros = hit.guards[0].scaled(rho)
-        assert zeros.points_in(F(-2), F(2)) == [F(-1), F(1)]
-        (t,) = zeros.points_in(F(0), F(2))
-        assert 3.1 < float(t) * math.pi < 3.2   # outside (0.1, 3.1), inside (0.1, 3.2)
+    closed window as Fractions, which mapping compares with no rounding
+    (the zeros of the rewrite guards are placed in test_operators)."""
 
     @pytest.mark.parametrize("g,offset,modulus", [
         (F(1), F(1), F(2)), (F(1, 2), F(2), F(4)), (F(-1, 2), F(-2), F(4)),
