@@ -305,6 +305,8 @@ def _strip_sign(e: Expr):
     if e.kind in ("mul", "div"):
         s1, a = _strip_sign(e.args[0])
         s2, b = _strip_sign(e.args[1])
+        if s1 == s2 == 1 and (a, b) == e.args:
+            return 1, e
         rebuilt = mul(a, b) if e.kind == "mul" else div(a, b)
         return s1 * s2, rebuilt
     return 1, e
@@ -467,6 +469,11 @@ def _tokenize(text: str):
 # Deepest nesting of parentheses, calls and unary minus that parse_expr
 # accepts; deeper input is a ParseError instead of a RecursionError.
 MAX_NESTING = 100
+# Largest |n| of a power that the operator pair expands; a larger one is an
+# ExprError before any term is built.  t^48 is the largest power that every
+# map kind answers: the cos-power image of t^52 is a sum deep enough to
+# exhaust the default recursion limit of the walks over it.
+MAX_POWER = 48
 
 
 class _Parser:

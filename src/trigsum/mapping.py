@@ -1,12 +1,15 @@
 """Summation engine: map power-series sum functions to closed forms of the
 matching cosine/sine series, with exact singular-point detection.
 
-Two series shapes are supported.  ``map_fourier`` handles coefficients on
-cos/sin(n pi x / c): substitute t = e^z, apply the operator pair with shift
-pi x / c, take the z -> 0 limit by substitution, and run the guarded
-rewrites.  ``map_cospow`` handles the cos(n x) cos^n x family by applying
-the pair directly at argument cos^2 x with shift sin x cos x.  The non-
-analytical points come out of the rewrite guards (0/0 loci of the collapsed
+Both series shapes are one mapping.  If S(t) = sum a_n t^n, the series is
+Re or Im of S at a point t(theta) on a circle, so the operator pair is
+applied to S with the variable's pair (Re t, Im t) and the real or
+imaginary image is simplified.  ``map_fourier`` handles coefficients on
+cos/sin(n pi x / c) at t = e^{i theta}, theta = pi x / c: the point
+(cos theta, sin theta).  ``map_cospow`` handles the cos(n x) cos^n x family
+at t = cos x e^{ix} = (1 + e^{2ix})/2: the point
+(1/2 + 1/2 cos 2x, 1/2 sin 2x), with the unit angle x.  The non-analytical
+points come out of the rewrite guards (0/0 loci of the collapsed
 quotients) plus any denominator zeros surviving in the closed form; the
 validity interval is the singularity-free component around the origin.
 Every point is placed exactly by ``trigpoly.AngleLocus``, as a rational
@@ -20,7 +23,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
     Expr, ExprError, PI,
-    mul, div, func, rational, symbol, substitute, fold, walk_once,
+    add, mul, div, func, rational, symbol, fold, walk_once,
 )
 from .operators import apply_operator, simplify_collect
 from .trigpoly import (
@@ -134,11 +137,14 @@ def _node_denominator_loci(x: Expr, walk, found: List) -> None:
     found.extend((locus, base_expr) for locus in _common_zero_loci(D, D))
 
 
-def _map_common(part: Expr, theta: Expr, kind: str, unit: Expr,
+def _map_common(S: Expr, point: Tuple[Expr, Expr], cos_kind: bool,
+                theta: Expr, kind: str, unit: Expr,
                 period_ratio: Fraction) -> TrigSeriesResult:
-    """The simplified image with its guard and denominator loci in x; a
-    locus that cannot be solved is a MappingError."""
-    outcome = simplify_collect(part)
+    """Re (``cos_kind``) or Im of S at the circle point (Re t, Im t),
+    simplified, with its guard and denominator loci in x; a locus that
+    cannot be solved is a MappingError."""
+    pair = apply_operator(fold(S), *point, var="t")
+    outcome = simplify_collect(pair.cos_part if cos_kind else pair.sin_part)
     try:
         loci = _loci_in_x([*outcome.guards, *_denominator_loci(outcome.expr)],
                           theta)
@@ -158,35 +164,31 @@ def _map_common(part: Expr, theta: Expr, kind: str, unit: Expr,
 
 def map_fourier(S: Expr, c: Expr | None = None, kind: str = "cosine",
                 var: str = "x") -> TrigSeriesResult:
-    """Closed form of sum a_n cos(n pi x/c) (or sin) when S(t) = sum a_n t^n.
+    """Closed form of sum a_n cos(n pi x/c) (or sin) when S(t) = sum a_n t^n:
+    S at the circle point t = e^{i theta}, theta = pi x/c.
 
-    Substitutes t = e^z, applies the operator pair with shift pi x/c at
-    z = 0, and runs the guarded rewrites.  The result is valid strictly
-    between the singular points bounding the origin (the component of 0+
-    when 0 itself is singular).
+    The result is valid strictly between the singular points bounding the
+    origin (the component of 0+ when 0 itself is singular).
     """
     if kind not in ("cosine", "sine"):
         raise ValueError("kind must be cosine or sine")
     c = c if c is not None else symbol("c")
     theta = collect_terms(fold(div(mul(PI, symbol(var)), c)))
-    Sz = substitute(S, {"t": func("exp", symbol("z"))})
-    pair = apply_operator(Sz, rational(0), theta, var="z")
-    part = pair.cos_part if kind == "cosine" else pair.sin_part
-    return _map_common(part, theta, kind, fold(c), Fraction(2))
+    return _map_common(S, (func("cos", theta), func("sin", theta)),
+                       kind == "cosine", theta, kind, fold(c), Fraction(2))
 
 
 def map_cospow(S: Expr, kind: str = "cos", var: str = "x") -> TrigSeriesResult:
     """Closed form of sum a_n cos(n x) cos^n(x) (or the sin(n x) variant)
-    when S(t) = sum a_n t^n: the operator pair applied at argument
-    cos^2 x with shift sin x cos x."""
+    when S(t) = sum a_n t^n: S at the circle point
+    t = cos x e^{ix} = (1 + e^{2ix})/2."""
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be cos or sin")
     x = symbol(var)
-    arg = mul(func("cos", x), func("cos", x))
-    shift = mul(func("sin", x), func("cos", x))
-    pair = apply_operator(S, arg, shift, var="t")
-    part = pair.cos_part if kind == "cos" else pair.sin_part
-    return _map_common(part, x, f"{kind}-cospow", PI, Fraction(1))
+    half, two_x = rational(1, 2), mul(rational(2), x)
+    point = (add(half, mul(half, func("cos", two_x))), mul(half, func("sin", two_x)))
+    return _map_common(S, point, kind == "cos", x, f"{kind}-cospow", PI,
+                       Fraction(1))
 
 
 def detect_singularities(result: TrigSeriesResult,

@@ -17,6 +17,12 @@ at the variable itself with the pair (arg, shift).  Products use
   C[vu] = C[v]C[u] - S[v]S[u],  S[vu] = C[v]S[u] + S[v]C[u],
 quotients the conjugate form with denominator C[v]^2 + S[v]^2, and
 composition reuses the same table with the argument's pair substituted.
+A power takes the binomial expansion of (u + i w)^m over its base's one
+pair (u, w):
+  C[v^m] = sum_k (-1)^k C(m,2k) u^(m-2k) w^(2k)
+  S[v^m] = sum_k (-1)^k C(m,2k+1) u^(m-2k-1) w^(2k+1)
+and a negative power one quotient more; |m| above ``expr.MAX_POWER`` is
+refused before any term is built.
 
 The complex-shift evaluation Re/Im f(x + ih) is the ground-truth oracle for
 every rule.
@@ -24,10 +30,11 @@ every rule.
 
 from __future__ import annotations
 
+from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .expr import (
-    Expr, ExprError, EvalError, ZERO, ONE,
+    Expr, ExprError, EvalError, MAX_POWER, ZERO, ONE,
     add, sub, mul, div, neg, ipow, func, rational,
     free_symbols, fold, is_zero, rebuild, walk_once,
 )
@@ -187,13 +194,10 @@ def _pair(e: Expr, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:
         return _quotient_pair((cu, su), (cv, sv))
     if e.kind == "pow":
         n = e.value
-        base = _pair(e.args[0], arg, shift, var)
-        out = (ONE, ZERO)
-        for _ in range(abs(n)):
-            out = _product_pair(out, base)
-        if n < 0:
-            out = _quotient_pair((ONE, ZERO), out)
-        return out
+        if abs(n) > MAX_POWER:
+            raise ExprError(f"power exponent {n} exceeds {MAX_POWER} in magnitude")
+        out = _power_pair(_pair(e.args[0], arg, shift, var), abs(n))
+        return _quotient_pair((ONE, ZERO), out) if n < 0 else out
     if e.kind == "call":
         x, y = _pair(e.args[0], arg, shift, var)
         if is_zero(fold(y)):
@@ -210,6 +214,18 @@ def _pair(e: Expr, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:
 def _product_pair(uv: Tuple[Expr, Expr], wv: Tuple[Expr, Expr]) -> Tuple[Expr, Expr]:
     (cu, su), (cv, sv) = uv, wv
     return sub(mul(cu, cv), mul(su, sv)), add(mul(cu, sv), mul(su, cv))
+
+
+def _power_pair(uw: Tuple[Expr, Expr], m: int) -> Tuple[Expr, Expr]:
+    """The pair of the m-th power from one base pair (u, w): the binomial
+    expansion of (u + i w)^m, split into its real and imaginary terms."""
+    u, w = uw
+    parts = [ZERO, ZERO]
+    for j in range(m + 1):
+        term = mul(rational(comb(m, j)), mul(ipow(u, m - j), ipow(w, j)))
+        step = sub if j % 4 > 1 else add  # i^j is -1 or -i
+        parts[j % 2] = step(parts[j % 2], term)
+    return parts[0], parts[1]
 
 
 def _quotient_pair(uv: Tuple[Expr, Expr], wv: Tuple[Expr, Expr]) -> Tuple[Expr, Expr]:

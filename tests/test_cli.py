@@ -435,12 +435,14 @@ class TestFreshProcessErrors:
         ("verify", "--all", "--suite"),
         ("verify", "--all", "--grid", "7"),
         ("verify", "--suite", "--terms", "10"),
+        ("map", "fourier", "--sum=t^1000000000", "--kind", "cos"),
+        ("map", "cospow", "--sum=t^640", "--kind", "sin"),
     ], ids=["parse-error", "unknown-identity", "precision-refusal", "nesting-3000",
             "hurwitz-offset-zero-denominator", "shift-zero-denominator",
             "terms-over-limit", "zeta-odd-r-over-limit", "unknown-method",
             "unknown-series", "verify-suite-and-id", "verify-all-and-id",
             "verify-all-and-suite", "verify-grid-without-id",
-            "verify-terms-without-id"])
+            "verify-terms-without-id", "map-power-1e9", "map-power-640"])
     def test_exit_2(self, argv):
         out = run_fresh(*argv)
         assert out.returncode == 2 and out.stdout == ""

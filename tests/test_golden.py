@@ -29,7 +29,7 @@ MAP_ROWS = [
      '-1/2 + 1/9*cos(x)*pi*sqrt(3)',
      ['(-1/3)*pi', '1/3*pi'], ('(-1/3)*pi', '1/3*pi')),
     ('fourier', EXAMPLE2_SUM, 'sine', None,
-     '1/6*artanh(2*(sqrt(3)*(2*sin(c^-1*pi*x))/sqrt(3)^2)/(1 + ((sqrt(3)*(2*cos(c^-1*pi*x) + -1)/sqrt(3)^2)^2 + (sqrt(3)*(2*sin(c^-1*pi*x))/sqrt(3)^2)^2)))*cos(c^-1*pi*x)*sqrt(3) + (-1/6)*ln((1 + cos(c^-1*pi*x))^2 + sin(c^-1*pi*x)^2)*sin(c^-1*pi*x) + 1/12*ln((cos(c^-1*pi*x)*cos(c^-1*pi*x) - sin(c^-1*pi*x)*sin(c^-1*pi*x) - cos(c^-1*pi*x) + 1)^2 + (cos(c^-1*pi*x)*sin(c^-1*pi*x) + sin(c^-1*pi*x)*cos(c^-1*pi*x) - sin(c^-1*pi*x))^2)*sin(c^-1*pi*x)',
+     '1/6*artanh(2*(sqrt(3)*(2*sin(c^-1*pi*x))/sqrt(3)^2)/(1 + ((sqrt(3)*(2*cos(c^-1*pi*x) + -1)/sqrt(3)^2)^2 + (sqrt(3)*(2*sin(c^-1*pi*x))/sqrt(3)^2)^2)))*cos(c^-1*pi*x)*sqrt(3) + (-1/6)*ln((1 + cos(c^-1*pi*x))^2 + sin(c^-1*pi*x)^2)*sin(c^-1*pi*x) + 1/12*ln((cos(c^-1*pi*x)^2 - sin(c^-1*pi*x)^2 - cos(c^-1*pi*x) + 1)^2 + (2*(cos(c^-1*pi*x)*sin(c^-1*pi*x)) - sin(c^-1*pi*x))^2)*sin(c^-1*pi*x)',
      ['(-1/3)*c', '1/3*c'], ('(-1/3)*c', '1/3*c')),
     ('fourier', '-ln(1-t)', 'sine', None,
      '(-1/2)*c^-1*pi*x + 1/2*pi',
@@ -56,10 +56,11 @@ MAP_ROWS = [
      '1/2*pi - x',
      ['0', 'pi'], ('0', 'pi')),
     ('cospow', 'ln(1+t)', 'cos', None,
-     '1/2*ln((1 + cos(x)*cos(x))^2 + (sin(x)*cos(x))^2)',
+     '1/2*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2)',
      [], None),
     ('cospow', 'arctan(t)', 'sin', None,
-     'error: common factor with no rational cos root', None, None),
+     '1/2*artanh(2*(1/2*sin(2*x))/(1 + ((1/2 + 1/2*cos(2*x))^2 + (1/2*sin(2*x))^2)))',
+     [], None),
     ('fourier', 'ln(1+t) + t^2', 'cosine', None,
      '-1 + 2*cos(c^-1*pi*x)^2 + 1/2*ln((1 + cos(c^-1*pi*x))^2 + sin(c^-1*pi*x)^2)',
      [], None),
@@ -73,8 +74,16 @@ MAP_ROWS = [
      '-((5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x)*sin(c^-1*pi*x)) + 4*(5/4 - cos(c^-1*pi*x))^-1*cos(c^-1*pi*x)^2*sin(c^-1*pi*x) - (5/4 - cos(c^-1*pi*x))^-1*sin(c^-1*pi*x)',
      [], None),
     ('cospow', 't/(1-t)^2 + arctan(t)', 'cos', None,
-     '-((1 + (-2)*cos(x)^2 + cos(x)^4)^-1*cos(x)^2) + (1 + (-2)*cos(x)^2 + cos(x)^4)^-1*cos(x)^4 + 1/2*arctan(2*(cos(x)*cos(x))/(1 - ((cos(x)*cos(x))^2 + (sin(x)*cos(x))^2)))',
+     '(-1/4)*(1/4 + (-1/2)*cos(2*x) + 1/4*cos(2*x)^2)^-1 + 1/4*(1/4 + (-1/2)*cos(2*x) + 1/4*cos(2*x)^2)^-1*cos(2*x)^2 + 1/2*arctan(2*(1/2 + 1/2*cos(2*x))/(1 - ((1/2 + 1/2*cos(2*x))^2 + (1/2*sin(2*x))^2)))',
      ['0', 'pi'], ('0', 'pi')),
+    ('cospow', EXAMPLE2_SUM, 'cos', None,
+     '-1/2 + 3*(18 + 18*cos(2*x))^-1*arccot((1 + (1/2 + 1/2*cos(2*x)))/(1/2*sin(2*x)))*sin(2*x) + 3/2*(18 + 18*cos(2*x))^-1*cos(2*x)*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2) + 3/2*(18 + 18*cos(2*x))^-1*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2) + (-6)*(72 + 72*cos(2*x))^-1*arccot(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)/(2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x)))*sin(2*x) + (-3)*(72 + 72*cos(2*x))^-1*cos(2*x)*ln(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)^2 + (2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))^2) + (-3)*(72 + 72*cos(2*x))^-1*ln(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)^2 + (2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))^2) + 2/3*(8 + 8*cos(2*x))^-1*arctan(3/2*(2*(sqrt(3)*(2*(1/2 + 1/2*cos(2*x)) + -1)/sqrt(3)^2)))*cos(2*x)*sqrt(3) + 2/3*(8 + 8*cos(2*x))^-1*arctan(3/2*(2*(sqrt(3)*(2*(1/2 + 1/2*cos(2*x)) + -1)/sqrt(3)^2)))*sqrt(3) + 2/3*(8 + 8*cos(2*x))^-1*artanh(3/4*(2*(sqrt(3)*(2*(1/2*sin(2*x)))/sqrt(3)^2)))*sin(2*x)*sqrt(3) + 2/9*(8 + 8*cos(2*x))^-1*cos(2*x)*pi*sqrt(3) + 2/9*(8 + 8*cos(2*x))^-1*pi*sqrt(3) + (-1/24)*arccot(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)/(2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x)))*sin(2*x) + 1/12*arccot((1 + (1/2 + 1/2*cos(2*x)))/(1/2*sin(2*x)))*sin(2*x) + 1/24*arctan(3/2*(2*(sqrt(3)*(2*(1/2 + 1/2*cos(2*x)) + -1)/sqrt(3)^2)))*cos(2*x)*sqrt(3) + 1/24*arctan(3/2*(2*(sqrt(3)*(2*(1/2 + 1/2*cos(2*x)) + -1)/sqrt(3)^2)))*sqrt(3) + (-1/24)*artanh(3/4*(2*(sqrt(3)*(2*(1/2*sin(2*x)))/sqrt(3)^2)))*sin(2*x)*sqrt(3) + 1/48*cos(2*x)*ln(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)^2 + (2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))^2) + (-1/24)*cos(2*x)*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2) + 1/72*cos(2*x)*pi*sqrt(3) + 1/48*ln(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)^2 + (2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))^2) + (-1/24)*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2) + 1/72*pi*sqrt(3)',
+     ['0', '1/4*pi'], ('0', '1/4*pi')),
+    ('cospow', EXAMPLE2_SUM, 'sin', None,
+     '3*(18 + 18*cos(2*x))^-1*arccot((1 + (1/2 + 1/2*cos(2*x)))/(1/2*sin(2*x))) + 3*(18 + 18*cos(2*x))^-1*arccot((1 + (1/2 + 1/2*cos(2*x)))/(1/2*sin(2*x)))*cos(2*x) + (-3/2)*(18 + 18*cos(2*x))^-1*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2)*sin(2*x) + (-6)*(72 + 72*cos(2*x))^-1*arccot(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)/(2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))) + (-6)*(72 + 72*cos(2*x))^-1*arccot(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)/(2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x)))*cos(2*x) + 3*(72 + 72*cos(2*x))^-1*ln(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)^2 + (2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))^2)*sin(2*x) + (-2/3)*(8 + 8*cos(2*x))^-1*arctan(3/2*(2*(sqrt(3)*(2*(1/2 + 1/2*cos(2*x)) + -1)/sqrt(3)^2)))*sin(2*x)*sqrt(3) + 2/3*(8 + 8*cos(2*x))^-1*artanh(3/4*(2*(sqrt(3)*(2*(1/2*sin(2*x)))/sqrt(3)^2)))*cos(2*x)*sqrt(3) + 2/3*(8 + 8*cos(2*x))^-1*artanh(3/4*(2*(sqrt(3)*(2*(1/2*sin(2*x)))/sqrt(3)^2)))*sqrt(3) + (-2/9)*(8 + 8*cos(2*x))^-1*pi*sin(2*x)*sqrt(3) + 1/24*arccot(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)/(2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))) + 1/24*arccot(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)/(2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x)))*cos(2*x) + (-1/12)*arccot((1 + (1/2 + 1/2*cos(2*x)))/(1/2*sin(2*x))) + (-1/12)*arccot((1 + (1/2 + 1/2*cos(2*x)))/(1/2*sin(2*x)))*cos(2*x) + 1/24*arctan(3/2*(2*(sqrt(3)*(2*(1/2 + 1/2*cos(2*x)) + -1)/sqrt(3)^2)))*sin(2*x)*sqrt(3) + 1/24*artanh(3/4*(2*(sqrt(3)*(2*(1/2*sin(2*x)))/sqrt(3)^2)))*cos(2*x)*sqrt(3) + 1/24*artanh(3/4*(2*(sqrt(3)*(2*(1/2*sin(2*x)))/sqrt(3)^2)))*sqrt(3) + 1/48*ln(((1/2 + 1/2*cos(2*x))^2 - (1/2*sin(2*x))^2 - (1/2 + 1/2*cos(2*x)) + 1)^2 + (2*((1/2 + 1/2*cos(2*x))*(1/2*sin(2*x))) - 1/2*sin(2*x))^2)*sin(2*x) + (-1/24)*ln((1 + (1/2 + 1/2*cos(2*x)))^2 + (1/2*sin(2*x))^2)*sin(2*x) + 1/72*pi*sin(2*x)*sqrt(3)',
+     ['0', '1/4*pi'], ('0', '1/4*pi')),
+    ('cospow', 'arctan(t^2)', 'sin', None,
+     'error: common factor with no rational cos root', None, None),
 ]
 
 # (expression, argument, shift, cos part, sin part)
@@ -86,8 +95,8 @@ OPERATOR_ROWS = [
      '1/2*arctan(2*x/(1 - (x^2 + h^2)))',
      '1/2*artanh(2*h/(1 + (x^2 + h^2)))'),
     ('1/(x^2+1)', 'x', 'h',
-     '(x*x - h*h + 1)/((x*x - h*h + 1)^2 + (x*h + h*x)^2)',
-     '(-(x*h + h*x))/((x*x - h*h + 1)^2 + (x*h + h*x)^2)'),
+     '(x^2 - h^2 + 1)/((x^2 - h^2 + 1)^2 + (2*(x*h))^2)',
+     '(-(2*(x*h)))/((x^2 - h^2 + 1)^2 + (2*(x*h))^2)'),
 ]
 
 

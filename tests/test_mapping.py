@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from trigsum.acceptance import EXAMPLE2_SUM
-from trigsum.expr import PI, eval_real, parse_expr, rational, symbol, to_text
+from trigsum.evaluate import eval_complex_batch, eval_real_batch
+from trigsum.expr import (PI, EvalError, eval_real, parse_expr, rational,
+                          symbol, to_text)
 from trigsum.mapping import (MappingError, detect_singularities,
                              map_cospow, map_fourier)
 
@@ -108,8 +110,9 @@ class TestMapCospow:
         assert [to_text(p) for p in r.singular_points] == ["0", "pi"]
 
     def test_single_term(self):
-        assert to_text(map_cospow(parse_expr("t"), kind="cos").closed_form) == "cos(x)^2"
-        assert to_text(map_cospow(parse_expr("t"), kind="sin").closed_form) == "cos(x)*sin(x)"
+        # the circle point t = cos(x) e^(ix) = (1 + e^(2ix))/2
+        assert to_text(map_cospow(parse_expr("t"), kind="cos").closed_form) == "1/2 + 1/2*cos(2*x)"
+        assert to_text(map_cospow(parse_expr("t"), kind="sin").closed_form) == "1/2*sin(2*x)"
 
     def test_example1_series_agreement(self):
         r = map_cospow(parse_expr("-ln(1-t)"), kind="sin")
@@ -147,8 +150,89 @@ class TestDetectSingularities:
         assert [to_text(p) for p in detect_singularities(r)] == ["0", "pi"]
 
     def test_unsolvable_locus_is_mapping_error(self):
-        # the cos-power sine image of arctan(t) has a guard factor with no
+        # the cos-power sine image of arctan(t^2) has a guard factor with no
         # rational cos root; the message is the one the golden row pins
         with pytest.raises(MappingError) as refused:
-            map_cospow(parse_expr("arctan(t)"), kind="sin")
+            map_cospow(parse_expr("arctan(t^2)"), kind="sin")
         assert str(refused.value) == "common factor with no rational cos root"
+
+
+# Abel's theorem: inside its validity interval a closed form equals Re or Im
+# of S at the circle point, t = e^(i pi x/c) for the Fourier kinds (c = 1)
+# and t = cos(x) e^(ix) for the cos-power kinds.  Each row maps S and
+# compares at the midpoints of 8 equal cells of the validity interval, or of
+# one period when the result holds on the entire line.
+ABEL_SUMS = [
+    "1/(1-t)", "1/(1+t)", "1/(1+t^2)", "1/(1+t+t^2)", "1/(1-t^3)",
+    "1/(1+t+t^2+t^3+t^4)", "t/(1-t)^2", "-ln(1-t)", "ln(1+t)", "ln(1-t^2)",
+    "ln(1+t+t^2)", "ln(1-t^5)", "arctan(t)", "arctan(t^2)", "ln(1+t^3)",
+    "1/(1-t/2+t^2)", "-ln(1-t/2)", "ln(1-t+t^2/2)", "ln(1+t/2)",
+    "arctan(t^3)", "arctan(t^4)", EXAMPLE2_SUM, "t^12", "exp(t)^3",
+]
+ABEL_POINTS = 8
+ABEL_DIGITS = 30
+ABEL_TOLERANCE = mp.mpf(10) ** -20  # relative to max(1, |Re or Im S|)
+_NO_COS_ROOT = "common factor with no rational cos root"
+# (S, kind) -> the message of a documented refusal
+ABEL_REFUSED = {
+    ("ln(1-t^5)", "sine"): _NO_COS_ROOT,
+    ("arctan(t^2)", "sin"): _NO_COS_ROOT,
+    ("arctan(t^4)", "sin"): _NO_COS_ROOT,
+}
+_LN_BRANCH = "ROADMAP 3(a): the ln rule takes the wrong branch, off by pi"
+_ARCTAN_POWER = ("ROADMAP 3(g): arctan of a power is wrong (a constant off "
+                 "by pi/2, or an identically zero denominator)")
+# (S, kind) -> the open item whose defect the check catches
+ABEL_FAILS = {
+    ("-ln(1-t/2)", "sine"): _LN_BRANCH,
+    ("ln(1-t+t^2/2)", "sine"): _LN_BRANCH,
+    ("ln(1-t^2)", "sin"): _LN_BRANCH,
+    ("ln(1-t^5)", "sin"): _LN_BRANCH,
+    ("-ln(1-t/2)", "sin"): _LN_BRANCH,
+    ("ln(1-t+t^2/2)", "sin"): _LN_BRANCH,
+    ("arctan(t^2)", "cosine"): _ARCTAN_POWER,
+    ("arctan(t^3)", "cosine"): _ARCTAN_POWER,
+    ("arctan(t^4)", "cosine"): _ARCTAN_POWER,
+    ("arctan(t^4)", "sine"): ("ROADMAP 10(b'): artanh(sin(4 pi x/c))/2 diverges "
+                              "at x = c/8 + kc/4, which is not reported"),
+}
+
+
+def _abel_rows():
+    for text in ABEL_SUMS:
+        name = "example2" if text == EXAMPLE2_SUM else text
+        for kind in ("cosine", "sine", "cos", "sin"):
+            reason = ABEL_FAILS.get((text, kind))
+            marks = () if reason is None else pytest.mark.xfail(
+                strict=True, raises=(AssertionError, EvalError), reason=reason)
+            yield pytest.param(text, kind, marks=marks, id=f"{kind}-{name}")
+
+
+@pytest.mark.parametrize("text,kind", _abel_rows())
+def test_abel_check(text, kind):
+    S = parse_expr(text)
+    fourier = kind in ("cosine", "sine")
+    mapper = map_fourier if fourier else map_cospow
+    refusal = ABEL_REFUSED.get((text, kind))
+    if refusal is not None:
+        with pytest.raises(MappingError) as refused:
+            mapper(S, kind=kind)
+        assert str(refused.value) == refusal
+        return
+    r = mapper(S, kind=kind)
+    lo, hi = r.validity_ratio or (F(0), r.period_ratio)
+    cells = [lo + (2 * k + 1) * (hi - lo) / (2 * ABEL_POINTS)
+             for k in range(ABEL_POINTS)]
+    with mp.workdps(ABEL_DIGITS):
+        ratios = [mp.mpf(q.numerator) / q.denominator for q in cells]
+        if fourier:
+            xs, ts = ratios, [mp.expj(mp.pi * q) for q in ratios]
+        else:
+            xs = [mp.pi * q for q in ratios]
+            ts = [mp.cos(x) * mp.expj(x) for x in xs]
+        series = eval_complex_batch([S], [{"t": t} for t in ts], ABEL_DIGITS)
+        closed = eval_real_batch([r.closed_form], [{"x": x, "c": 1} for x in xs],
+                                 ABEL_DIGITS)
+        for x, (value,), (got,) in zip(xs, series, closed):
+            want = value.real if kind in ("cosine", "cos") else value.imag
+            assert abs(got - want) <= ABEL_TOLERANCE * max(1, abs(want)), x

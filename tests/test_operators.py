@@ -12,8 +12,8 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from trigsum.expr import (Expr, eval_real, fold, func, parse_expr, rational,
-                          symbol, to_text)
+from trigsum.expr import (MAX_POWER, Expr, ExprError, eval_real, fold, func,
+                          parse_expr, rational, symbol, to_text)
 from trigsum.operators import (UnsupportedHeadError,
                                apply_operator, complex_shift_oracle,
                                simplify_collect, verify_inverse_system)
@@ -146,6 +146,19 @@ class TestAlgorithms:
                     lhs = eval_real(getattr(routed, part), b, 25)
                     rhs = eval_real(getattr(direct, part), b, 25)
                     assert abs(lhs - rhs) < 1e-20
+
+    @pytest.mark.parametrize("n", [5, -3, MAX_POWER, -MAX_POWER])
+    def test_power_rule_vs_oracle(self, n):
+        # the binomial pair of (u + i w)^n, over the pair of 1/2 + x/3
+        e = parse_expr(f"(1/2 + x/3)^{n}")
+        pair = apply_operator(e, X, H)
+        assert max_rule_error(e, pair, [(0.4, 0.3), (1.1, 0.2)], 40) < 1e-20
+
+    @pytest.mark.parametrize("n", [MAX_POWER + 1, -MAX_POWER - 1, 640, 10 ** 9])
+    def test_power_over_the_cap_refused(self, n):
+        # refused before any term is built: 10^9 would not finish otherwise
+        with pytest.raises(ExprError, match=f"power exponent {n} exceeds {MAX_POWER}"):
+            apply_operator(parse_expr(f"sin(x)^{n}"), X, H)
 
     def test_integer_power_as_repeated_product(self):
         e2, ee = parse_expr("sin(x)^3"), parse_expr("sin(x)*sin(x)*sin(x)")
