@@ -264,15 +264,20 @@ def _cmd_verify(args) -> int:
         return _cmd_verify_suite_rows(args)
     if args.all:
         # the full acceptance suite: the registry sweep is one criterion of
-        # eight; each prints a single pass/fail line, and its time goes to
-        # stderr so that stdout stays the same from run to run
+        # eight; each prints a single pass/fail line, and its time and the
+        # registry memos' hits and misses go to stderr so that stdout stays
+        # the same from run to run
         from .acceptance import ALL_CRITERIA
+        from .registry import memo_counts
         outcomes = []
         for criterion in ALL_CRITERIA:
+            before = memo_counts()
             t0 = time.perf_counter()
             outcomes.append(criterion())
-            print(json.dumps({"criterion": outcomes[-1][0],
-                              "elapsed_s": round(time.perf_counter() - t0, 3)},
+            elapsed = round(time.perf_counter() - t0, 3)
+            after = memo_counts()
+            print(json.dumps({"criterion": outcomes[-1][0], "elapsed_s": elapsed,
+                              **{k: after[k] - before[k] for k in after}},
                              separators=(",", ":")), file=sys.stderr)
         if args.format == "json":
             print(json.dumps([{"criterion": name, "pass": ok, "detail": detail}

@@ -485,54 +485,55 @@ def eta_odd(r: int, ctx: PrecisionContext | None = None,
 # ---------------------------------------------------------------------------
 # auxiliary identity checks
 
-def _zeta_val(s: int, ctx: PrecisionContext) -> mp.mpf:
-    return dirichlet_oracle("zeta", s, ctx).value
-
-
-def _hz(s: int, a: Fraction, ctx: PrecisionContext) -> mp.mpf:
-    return hurwitz_zeta(s, a, ctx).value
-
-
 def identity_checks(group: str, ctx: PrecisionContext | None = None
                     ) -> List[Tuple[str, float]]:
     """Residuals |LHS - RHS| for the multiplication-theorem, shifted-cosine
-    and Hurwitz-combination identities at small arguments."""
+    and Hurwitz-combination identities at small arguments.
+
+    Each distinct Hurwitz value zeta(s, a) is summed once per call, with
+    zeta(s) taken as zeta(s, 1) (the same weighted sum as the zeta oracle);
+    the memo ends with the call, so the oracle itself keeps none."""
     ctx = ctx or PrecisionContext.for_digits(40)
+    memo: Dict[Tuple[int, Fraction], mp.mpf] = {}
+
+    def hz(s: int, a: Fraction | int) -> mp.mpf:
+        key = (s, Fraction(a))
+        if key not in memo:
+            memo[key] = hurwitz_zeta(*key, ctx).value
+        return memo[key]
+
     out: List[Tuple[str, float]] = []
     with mp.workdps(ctx.digits):
         if group == "multiplication":
             for m in (2, 3):
                 for s in (2, 3, 4, 5):
-                    lhs = mp.mpf(m) ** s * _zeta_val(s, ctx)
-                    rhs = mp.fsum(_hz(s, Fraction(k, m), ctx)
+                    lhs = mp.mpf(m) ** s * hz(s, 1)
+                    rhs = mp.fsum(hz(s, Fraction(k, m))
                                   for k in range(1, m + 1))
                     out.append((f"mult-m{m}-s{s}", float(abs(lhs - rhs))))
             for m, a in ((2, Fraction(1, 2)), (3, Fraction(1, 3))):
                 for s in (2, 3, 4, 5):
-                    lhs = mp.fsum(_hz(s, a + Fraction(k, m), ctx)
-                                  for k in range(m))
-                    rhs = mp.mpf(m) ** s * _hz(s, m * a, ctx)
+                    lhs = mp.fsum(hz(s, a + Fraction(k, m)) for k in range(m))
+                    rhs = mp.mpf(m) ** s * hz(s, m * a)
                     out.append((f"mult-shift-m{m}-s{s}", float(abs(lhs - rhs))))
             for s in (2, 3, 4, 5):
-                lhs = _hz(s, Fraction(1, 3), ctx) + _hz(s, Fraction(2, 3), ctx)
-                rhs = (mp.mpf(3) ** s - 1) * _zeta_val(s, ctx)
+                lhs = hz(s, Fraction(1, 3)) + hz(s, Fraction(2, 3))
+                rhs = (mp.mpf(3) ** s - 1) * hz(s, 1)
                 out.append((f"thirds-a-s{s}", float(abs(lhs - rhs))))
-                lhs = _hz(s, Fraction(2, 3), ctx) + _hz(s, Fraction(4, 3), ctx)
-                rhs = (mp.mpf(3) ** s * (_zeta_val(s, ctx) - 1)
-                       - _zeta_val(s, ctx))
+                lhs = hz(s, Fraction(2, 3)) + hz(s, Fraction(4, 3))
+                rhs = mp.mpf(3) ** s * (hz(s, 1) - 1) - hz(s, 1)
                 out.append((f"thirds-b-s{s}", float(abs(lhs - rhs))))
             for s in (2, 3, 4, 5):
                 # alternating Hurwitz combination (Lerch at z = -1)
                 a = Fraction(1, 2)
-                phi = mp.mpf(2) ** (-s) * (_hz(s, a / 2, ctx)
-                                           - _hz(s, (a + 1) / 2, ctx))
-                lhs = _hz(s, a, ctx) + phi
-                rhs = mp.mpf(2) ** (1 - s) * _hz(s, a / 2, ctx)
+                phi = mp.mpf(2) ** (-s) * (hz(s, a / 2) - hz(s, (a + 1) / 2))
+                lhs = hz(s, a) + phi
+                rhs = mp.mpf(2) ** (1 - s) * hz(s, a / 2)
                 out.append((f"lerch-half-s{s}", float(abs(lhs - rhs))))
             return out
         if group == "connon":
             for s in (2, 3, 4, 5):
-                z = _zeta_val(s, ctx)
+                z = hz(s, 1)
                 lhs = dirichlet_oracle("cos_pi3", s, ctx).value
                 rhs = (mp.mpf(6) ** (1 - s) - mp.mpf(3) ** (1 - s)
                        - mp.mpf(2) ** (1 - s) + 1) / 2 * z
@@ -542,7 +543,7 @@ def identity_checks(group: str, ctx: PrecisionContext | None = None
                 out.append((f"cos-2pi3-s{s}", float(abs(lhs - rhs))))
                 lhs = dirichlet_oracle("sin_2pi3", s, ctx).value
                 rhs = mp.sqrt(3) * ((mp.mpf(3) ** (-s) - 1) / 2 * z
-                                    + mp.mpf(3) ** (-s) * _hz(s, Fraction(1, 3), ctx))
+                                    + mp.mpf(3) ** (-s) * hz(s, Fraction(1, 3)))
                 out.append((f"sin-2pi3-s{s}", float(abs(lhs - rhs))))
                 lhs = dirichlet_oracle("cos_pi2", s, ctx).value
                 rhs = mp.mpf(2) ** (-s) * (mp.mpf(2) ** (1 - s) - 1) * z
@@ -552,8 +553,8 @@ def identity_checks(group: str, ctx: PrecisionContext | None = None
             from .exact import zeta_even
             for r in (1, 2, 3):
                 s = 2 * r + 1
-                lhs = mp.sqrt(3) * (_hz(s, Fraction(1, 3), ctx)
-                                    + (1 - mp.mpf(3) ** s) / 2 * _zeta_val(s, ctx))
+                lhs = mp.sqrt(3) * (hz(s, Fraction(1, 3))
+                                    + (1 - mp.mpf(3) ** s) / 2 * hz(s, 1))
                 rhs = mp.mpf(0)
                 for k in range(r):
                     z = zeta_even(r - k).eval(ctx.digits)

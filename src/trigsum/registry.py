@@ -63,6 +63,7 @@ __all__ = [
     "default_suite",
     "endpoint_suite",
     "suite_reports",
+    "memo_counts",
 ]
 
 
@@ -456,10 +457,18 @@ _VALUES_AT_0 = {"zeta": Fraction(-1, 2), "eta": Fraction(1, 2),
 _POLE_RESIDUES = {"zeta": Fraction(1), "lambda": Fraction(1, 2)}
 
 
+# (name, t) pairs whose D(t) is kept: the gate's 84 keys and the ones of a
+# record at r = 100 fit
+_SERIES_VALUE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SERIES_VALUE_CACHE_SIZE)
 def _series_value(name: str, t: int) -> Optional[Coeff]:
     """The exact value D(t), t >= 0, of the named Dirichlet series, or None
     where there is none (the pole of zeta at 1, and the parities no record
-    reaches)."""
+    reaches).  Memoized: every caller shares the returned Coeff, which is
+    safe because nothing writes to a Coeff's parts, or to a PiPolynomial's
+    coeffs, after it is built."""
     if t == 0:
         q = _VALUES_AT_0.get(name)
         return None if q is None else Coeff.of(q)
@@ -474,6 +483,16 @@ def _series_value(name: str, t: int) -> Optional[Coeff]:
     if name == "zeta" and t % 2 == 1 and t > 1:
         return Coeff.of(1, unit=("zeta", t))
     return None
+
+
+def memo_counts() -> Dict[str, int]:
+    """Hits and misses so far of the exact- and odd-zeta-value memos."""
+    out: Dict[str, int] = {}
+    for name, memo in (("series_value", _series_value),
+                       ("zeta_odd_value", _zeta_odd_value)):
+        info = memo.cache_info()
+        out[f"{name}_hits"], out[f"{name}_misses"] = info.hits, info.misses
+    return out
 
 
 def _taylor_poly(name: str, term: TermSpec, p: int, r: int) -> Dict[int, Coeff]:

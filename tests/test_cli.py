@@ -179,6 +179,27 @@ class TestVerify:
         assert set(payload[0]) == {"id", "r", "c", "N", "tol", "max_error", "pass"}
 
 
+    def test_all_reports_memo_counts_on_stderr(self, capsys):
+        # one JSON line per criterion: its time and the hits and misses of
+        # the registry's two value memos while it ran
+        from trigsum.registry import _series_value, _zeta_odd_value
+        memos = {"series_value": _series_value, "zeta_odd_value": _zeta_odd_value}
+        for memo in memos.values():
+            memo.cache_clear()
+        code, _, err = run(capsys, "verify", "--all")
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert code == 0 and len(lines) == 8
+        counts = {f"{name}_{field}" for name in memos for field in ("hits", "misses")}
+        assert all(set(line) == {"criterion", "elapsed_s", *counts} for line in lines)
+        for name, memo in memos.items():
+            info = memo.cache_info()
+            assert sum(line[f"{name}_hits"] for line in lines) == info.hits > 0
+            assert sum(line[f"{name}_misses"] for line in lines) == info.misses > 0
+        structural = next(line for line in lines
+                          if line["criterion"] == "structural-exact-checks")
+        assert structural["series_value_hits"] > structural["series_value_misses"] > 0
+
+
 class TestVerifyValues:
     """A grid or term count below 1 and a tolerance that is not positive and
     finite are refused before any work: exit 2, one `error:` line that

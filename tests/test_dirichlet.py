@@ -442,6 +442,53 @@ class TestIdentityGroups:
         with pytest.raises(ValueError):
             identity_checks("nope")
 
+    def test_zeta_is_hurwitz_at_one(self):
+        # identity_checks takes zeta(s) as zeta(s, 1): the same bits
+        for s in (2, 3, 4, 5, 7):
+            assert hurwitz_zeta(s, F(1), CTX40) == dirichlet_oracle("zeta", s, CTX40)
+
+    def test_multiplication_sums_each_value_once(self, monkeypatch):
+        import trigsum.dirichlet as dirichlet
+        calls = []
+        weighted_sum = dirichlet._weighted_sum
+
+        def counted(name, parts, s, scale, ctx):
+            calls.append((s, parts[0][1]))
+            return weighted_sum(name, parts, s, scale, ctx)
+
+        monkeypatch.setattr(dirichlet, "_weighted_sum", counted)
+        got = identity_checks("multiplication", CTX40)
+        assert len(calls) == len(set(calls)) == 28
+        monkeypatch.undo()
+        # the residuals again, from one hurwitz_zeta call per (s, a)
+        z = {(s, a): hurwitz_zeta(s, a, CTX40).value for s, a in calls}
+        want = []
+        with mp.workdps(40):
+            for m in (2, 3):
+                for s in (2, 3, 4, 5):
+                    lhs = mp.mpf(m) ** s * z[s, 1]
+                    rhs = mp.fsum(z[s, F(k, m)] for k in range(1, m + 1))
+                    want.append((f"mult-m{m}-s{s}", float(abs(lhs - rhs))))
+            for m, a in ((2, F(1, 2)), (3, F(1, 3))):
+                for s in (2, 3, 4, 5):
+                    lhs = mp.fsum(z[s, a + F(k, m)] for k in range(m))
+                    rhs = mp.mpf(m) ** s * z[s, m * a]
+                    want.append((f"mult-shift-m{m}-s{s}", float(abs(lhs - rhs))))
+            for s in (2, 3, 4, 5):
+                lhs = z[s, F(1, 3)] + z[s, F(2, 3)]
+                rhs = (mp.mpf(3) ** s - 1) * z[s, 1]
+                want.append((f"thirds-a-s{s}", float(abs(lhs - rhs))))
+                lhs = z[s, F(2, 3)] + z[s, F(4, 3)]
+                rhs = mp.mpf(3) ** s * (z[s, 1] - 1) - z[s, 1]
+                want.append((f"thirds-b-s{s}", float(abs(lhs - rhs))))
+            for s in (2, 3, 4, 5):
+                a = F(1, 2)
+                phi = mp.mpf(2) ** (-s) * (z[s, a / 2] - z[s, (a + 1) / 2])
+                lhs = z[s, a] + phi
+                rhs = mp.mpf(2) ** (1 - s) * z[s, a / 2]
+                want.append((f"lerch-half-s{s}", float(abs(lhs - rhs))))
+        assert got == want
+
 
 class TestCustomPattern:
     def test_custom_periodic_coefficients(self):

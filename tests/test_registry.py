@@ -12,7 +12,8 @@ from trigsum import exact
 from trigsum.dirichlet import PrecisionContext, dirichlet_oracle
 from trigsum.registry import (LN2, ONE, SQRT2, SQRT3, Coeff, RegistryError,
                               ResidualRule, _blocks, _closed_form_evaluator,
-                              _grid_points, _series_partial_float,
+                              _SERIES_VALUE_CACHE_SIZE, _grid_points,
+                              _series_partial_float, _series_value,
                               _zeta_odd_value, closed_form_eval,
                               corollary2_integrate, default_suite,
                               endpoint_suite, get_record, integration_successor,
@@ -407,6 +408,55 @@ class TestCoeff:
         # thm16 at u = pi: zeta(3) - 3 pi^2 / 4
         got = poly_at(get_record("thm16-zeta-odd-cos").poly(1), F(1))
         assert got == Coeff.of(1, unit=("zeta", 3)) + Coeff.of(F(-3, 4), 2)
+
+
+class TestSeriesValueMemo:
+    """registry._series_value is a bounded lru_cache whose Coeffs every
+    caller shares."""
+
+    @staticmethod
+    def _polys():
+        return {(rec.id, r): rec.poly(r) for rec in list_identities()
+                for r in ([rec.r_fixed] if rec.r_fixed is not None else range(1, 13))}
+
+    @staticmethod
+    def _copy(value):
+        return None if value is None else {
+            unit: dict(p.coeffs) for unit, p in value.parts.items()}
+
+    def test_polys_same_after_cache_clear(self):
+        warm = self._polys()
+        _series_value.cache_clear()
+        assert self._polys() == warm
+
+    def test_cached_parts_unchanged_by_criterion_7(self, monkeypatch):
+        from trigsum import acceptance, registry
+        keys = set()
+
+        def recorded(name, t):
+            keys.add((name, t))
+            return _series_value(name, t)
+
+        _series_value.cache_clear()
+        monkeypatch.setattr(registry, "_series_value", recorded)
+        assert acceptance.criterion_7_structural_checks()[1]
+        monkeypatch.undo()
+        assert keys
+        shared = {key: _series_value(*key) for key in keys}
+        before = {key: self._copy(v) for key, v in shared.items()}
+        assert acceptance.criterion_7_structural_checks()[1]
+        for key, v in shared.items():
+            assert _series_value(*key) is v and self._copy(v) == before[key]
+
+    def test_bounded_at_r_100(self):
+        from trigsum.acceptance import criterion_7_structural_checks
+        _series_value.cache_clear()
+        criterion_7_structural_checks()
+        assert verify("thm11-cos", 100).passed
+        info = _series_value.cache_info()
+        # every key is still held: none was evicted
+        assert info.maxsize == _SERIES_VALUE_CACHE_SIZE
+        assert info.currsize == info.misses <= _SERIES_VALUE_CACHE_SIZE
 
 
 class TestEndpointLaw:

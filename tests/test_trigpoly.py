@@ -380,6 +380,14 @@ def test_cancelled_high_power_is_expanded():
     assert to_text(trigpoly.collect_terms(e)) == "2 + 2*x"
 
 
+@pytest.mark.xfail(strict=True, reason="the denominator (x+1)^2 is expanded, "
+                   "then held as its own atom 1 + 2*x + x^2, so it does not "
+                   "cancel against the held (x+1)^9")
+def test_held_sum_cancels_against_its_expansion():
+    quotient = trigpoly.collect_terms(parse_expr("(x+1)^9/(x+1)^2"))
+    assert to_text(quotient) == to_text(trigpoly.collect_terms(parse_expr("(x+1)^7")))
+
+
 @pytest.mark.parametrize("text,collected", [
     # a product, a power of a one-term quotient, and a product under a power
     ("(x+1)^8*(x+1)^-7*y", "x*y + y"),
