@@ -212,9 +212,10 @@ def _emit_reports(reports, fmt: str) -> None:
 
 # The largest --terms, --grid and --r that verify accepts: ten, twenty and
 # eight times the documented rows (N 200,000, grid 50, r <= 12).  With all
-# three at their limits one row takes about 13 s and 160 MB (2-vCPU x86-64,
-# CPython 3.11); larger values would run for minutes or exhaust memory, so
-# they are refused up front.
+# three at their limits one row takes 3-4 s and 155 MB (thm11-cos,
+# thm11-sin, thm16, thm21 and cor8-cald; 2-vCPU x86-64, CPython 3.11); the
+# time grows with the grid and the memory with the terms, so much larger
+# values would run for minutes or exhaust memory, and are refused up front.
 MAX_TERMS = 2_000_000
 MAX_GRID = 1_000
 MAX_R = 100
@@ -264,19 +265,21 @@ def _cmd_verify(args) -> int:
         return _cmd_verify_suite_rows(args)
     if args.all:
         # the full acceptance suite: the registry sweep is one criterion of
-        # eight; each prints a single pass/fail line, and its time and the
-        # registry memos' hits and misses go to stderr so that stdout stays
-        # the same from run to run
+        # eight; each prints a single pass/fail line, and its time, the
+        # seconds its registry comparisons spent on partial sums and on
+        # closed forms, and the registry memos' hits and misses go to
+        # stderr so that stdout stays the same from run to run
         from .acceptance import ALL_CRITERIA
-        from .registry import memo_counts
+        from .registry import compare_seconds, memo_counts
         outcomes = []
         for criterion in ALL_CRITERIA:
-            before = memo_counts()
+            before, seconds = memo_counts(), compare_seconds()
             t0 = time.perf_counter()
             outcomes.append(criterion())
             elapsed = round(time.perf_counter() - t0, 3)
-            after = memo_counts()
+            after, spent = memo_counts(), compare_seconds()
             print(json.dumps({"criterion": outcomes[-1][0], "elapsed_s": elapsed,
+                              **{k: round(spent[k] - seconds[k], 3) for k in spent},
                               **{k: after[k] - before[k] for k in after}},
                              separators=(",", ":")), file=sys.stderr)
         if args.format == "json":

@@ -351,7 +351,7 @@ def hurwitz_zeta(s: int, a: Fraction | None,
 ZETA_ODD_METHODS = ("thm15", "thm15-zeta", "thm17", "thm17-zeta")
 
 # the largest term ratio _residual_sum accepts (see there)
-_RATIO_CAP = 0.25
+_RATIO_CAP = Fraction(1, 4)
 
 # zeta(3), zeta(5), ..., zeta(2q+1) as one tuple per (m, digits, target),
 # for at most _ZETA_ODD_LEVELS_SIZE keys: a new key past that evicts the
@@ -363,8 +363,8 @@ _ZETA_ODD_LEVELS_LOCK = threading.Lock()
 _ZETA_ODD_LEVELS: Dict[Tuple[int, int, mp.mpf], Tuple[SeriesApprox, ...]] = {}
 
 
-def _residual_sum(terms: Iterable[mp.mpf],
-                  target: mp.mpf) -> Tuple[mp.mpf, mp.mpf, int]:
+def _residual_sum(terms: Iterable[mp.mpf | int],
+                  target: mp.mpf | int) -> Tuple[mp.mpf | int, mp.mpf, int]:
     """Sum a positive series, given as its terms k = 1, 2, ... in order,
     with verified geometric decay.
 
@@ -372,17 +372,20 @@ def _residual_sum(terms: Iterable[mp.mpf],
     odd-zeta representations: the asymptotic ratio is (pi/2)^2/16 or
     (pi/3)^2/36 times a factorial-decay factor; and for the remainder of
     the registry's Thm 16/21 residual series, whose ratio is at most
-    w^2/4 <= 1/4); the tail is then bounded by next_term / (1 - 1/4).
+    w^2/4 <= 1/4); the sum stops at the first term t <= target / 8, and the
+    tail is then bounded by t / (1 - 1/4).  The terms and the target are
+    mpfs, or integers counting units of one fixed-point scale; the ratio
+    and stop tests multiply by integers only, so they are exact either way.
     """
-    total = mp.mpf(0)
-    stop = target / 8
+    cap_num, cap_den = _RATIO_CAP.numerator, _RATIO_CAP.denominator
+    total = 0
     prev = None
     for used, t in enumerate(terms):
-        if prev is not None and t > _RATIO_CAP * prev:
+        if prev is not None and t * cap_den > prev * cap_num:
             raise PrecisionError(
                 f"residual-series ratio {float(t / prev):.3f} exceeded cap")
-        if t <= stop:
-            bound = t / (1 - mp.mpf(_RATIO_CAP))
+        if 8 * t <= target:
+            bound = t * cap_den / mp.mpf(cap_den - cap_num)
             return total, bound, used
         total += t
         prev = t

@@ -17,28 +17,37 @@ endpoint specialization, termwise integration and the cosh-shift act as
 exact rational arithmetic; only log terms, residual tails and the final
 grid comparison are numeric.
 
+A closed form is evaluated in fixed point: its numbers are converted
+once per row into integers scaled by 2^P, P = ceil(digits log2 10) + 32
+for the context's digits, and each point is integer arithmetic plus one
+libmp call each for ln u and cos u.  The rounding is bounded in
+_closed_form_evaluator's docstring: at 30 digits (P = 132) within 2^-120
+on the verify suite, plus the residual series' budget.
+
 Grid verification compares the closed form against brute-force partial
 sums on interior grids (0.05-period margins around singular points), in
-float64 for the documented tolerances (all >= 1e-8) with mpmath behind the
-exact coefficients.  Only that float path imports numpy, so the catalog and
-the exact evaluations load without it.
+float64 for the documented tolerances (all >= 1e-8).  Only that float path
+imports numpy, so the catalog and the exact evaluations load without it.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
-from math import comb, factorial, isqrt
+from math import ceil, comb, factorial, isqrt, log2
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import mpmath as mp
+from mpmath.libmp import (from_man_exp, from_rational, mpf_cos, mpf_log,
+                          mpf_mul, prec_to_dps, to_fixed)
 
 from . import exact
 from .catalog import IDENTITIES
-from .dirichlet import (GUARD_DIGITS, ORACLE_SERIES, PeriodicPattern,
+from .dirichlet import (ORACLE_SERIES, PeriodicPattern,
                         PrecisionContext, _residual_sum, _to_mpf,
                         dirichlet_oracle)
 from .exact import PiPolynomial, bernoulli_star, harmonic
@@ -64,6 +73,7 @@ __all__ = [
     "endpoint_suite",
     "suite_reports",
     "memo_counts",
+    "compare_seconds",
 ]
 
 
@@ -159,15 +169,37 @@ def poly_at(poly: Dict[int, Coeff], ratio: Fraction) -> Coeff:
 
 
 # ---------------------------------------------------------------------------
-# residual series
+# fixed point
 
-def _fact_ratio_inv(a: int, b: int) -> mp.mpf:
-    """a! / b! for a <= b, as 1 / ((a+1) ... b)."""
-    out = mp.mpf(1)
-    for i in range(a + 1, b + 1):
-        out /= i
+# the bits a fixed-point closed form carries beyond its context's digits,
+# and beyond those again where its constants are computed and its residual
+# series is summed
+_GUARD_BITS = 32
+
+
+def _fixed_bits(digits: int) -> int:
+    """P = ceil(digits log2 10) + _GUARD_BITS: the scale 2^P of the integers
+    a closed form at the given digits is evaluated in."""
+    return ceil(digits * log2(10)) + _GUARD_BITS
+
+
+def _fixed(value: mp.mpf, bits: int) -> int:
+    """floor(value 2^bits)."""
+    return to_fixed(value._mpf_, bits)
+
+
+def _fixed_power(w: int, p: int, bits: int) -> int:
+    """w^p by p - 1 truncated products: for |w| <= 2^bits each loses less
+    than one unit, so the result is within p - 1 units of the exact power
+    of w, and within 2p - 1 of v^p when w is within one unit of v."""
+    out = 1 << bits
+    for _ in range(p):
+        out = out * w >> bits
     return out
 
+
+# ---------------------------------------------------------------------------
+# residual series
 
 class ResidualRule(NamedTuple):
     """sign * sum_{k>=1} coeff(k) u^(power(k)), the residual series of the
@@ -176,14 +208,18 @@ class ResidualRule(NamedTuple):
     Thm 16 and 4^k - 1 for Thm 21.
 
     coeff gives the exact rational coefficient (used by the structural
-    tests).  In w = u / scale (scale = 2 pi for Thm 16, pi for Thm 21, so
-    0 <= w <= 1 on the closed interval) the series is
+    tests).  In w = u / scale (scale = pi_multiple pi: 2 pi for Thm 16, pi
+    for Thm 21, so 0 <= w <= 1 on the closed interval) the series is
     sign * scale^(2r) * sum_k c_k f_k w^(2r+2k) with f_k = (2k)! / ((2r+2k)! k)
-    and c_k = zeta(2k) (Thm 16) or lambda(2k) (Thm 21).  eval splits c_k = 1 + (c_k - 1):
-    the "1" part is closed_part(w), elementary in w; the remainder terms
-    (c_k - 1) f_k w^(2r+2k) are positive and their ratio is at most w^2/4,
-    since c_k - 1 sums n^(-2k) over n >= 2 (odd n >= 3 for lambda) and
-    f_(k+1) < f_k.
+    and c_k = zeta(2k) (Thm 16) or lambda(2k) (Thm 21).  The evaluator
+    splits c_k = 1 + (c_k - 1).  The "1" part is elementary in w: with
+    n = 2r, sum_k f_k w^(n+2k) = -w^n/(n-1)! int_0^1 (1-t)^(n-1)
+    ln(1 - w^2 t^2) dt = -(T(w) + T(-w)) / n!, T(v) = (1-v)^n ln(1-v) -
+    sum_(i<=n) (-v)^i (1-v)^(n-i) / i, from the Beta integral after one
+    polynomial division; (1-v)^n ln(1-v) takes its limit 0 at v = 1.  The
+    remainder terms (c_k - 1) f_k w^(n+2k) are positive and their ratio is
+    at most w^2/4, since c_k - 1 sums m^(-2k) over m >= 2 (odd m >= 3 for
+    lambda) and f_(k+1) < f_k.
     """
     r: int
     alternating: bool
@@ -193,8 +229,8 @@ class ResidualRule(NamedTuple):
         return (-1) ** (self.r + self.alternating)
 
     @property
-    def scale(self) -> mp.mpf:
-        return +mp.pi if self.alternating else 2 * mp.pi
+    def pi_multiple(self) -> int:
+        return 1 if self.alternating else 2
 
     def power(self, k: int) -> int:
         return 2 * self.r + 2 * k
@@ -207,57 +243,86 @@ class ResidualRule(NamedTuple):
         value = exact.lambda_even(k) if self.alternating else exact.zeta_even(k)
         return value.eval(digits)
 
-    def _f(self, k: int) -> mp.mpf:
-        return _fact_ratio_inv(2 * k, self.power(k)) / k
-
-    def closed_part(self, w: mp.mpf) -> mp.mpf:
-        """sum_k f_k w^(2r+2k) = -w^(2r)/(2r-1)! int_0^1 (1-t)^(2r-1)
-        ln(1 - w^2 t^2) dt for 0 <= w <= 1, from the Beta integral after one
-        polynomial division; (1-w)^(2r) ln(1-w) takes its limit 0 at w = 1."""
-        n = 2 * self.r
-        total = mp.mpf(0)
-        for v in (w, -w):
-            if v != 1:
-                total += (1 - v) ** n * mp.log(1 - v)
-            total -= mp.fsum((-v) ** i * (1 - v) ** (n - i) / i
-                             for i in range(1, n + 1))
-        return -total / factorial(n)
-
     def eval(self, u: mp.mpf, eps: mp.mpf) -> mp.mpf:
-        """The residual at u to absolute error eps (|u| <= scale): closed_part
-        plus the remainder summed by the geometric-ratio summer, whose tail
-        bound keeps it within eps / 6.  Guard digits cover the cancellation
-        in closed_part, whose terms reach 4^r while the result is scaled by
-        scale^(2r) / (2r)!."""
-        return self.evaluator(eps)(u)
+        """The residual at u (|u| <= scale) to absolute error eps, by the
+        fixed-point evaluator at the working digits."""
+        bits = _fixed_bits(mp.mp.dps)
+        with mp.workprec(bits + _GUARD_BITS):
+            w = abs(mp.mpf(u)) / (self.pi_multiple * mp.pi)
+        at = self.evaluator(eps, mp.mp.dps)
+        return mp.make_mpf(from_man_exp(at(_fixed(w, bits)), -bits))
 
-    def evaluator(self, eps: mp.mpf) -> Callable[[mp.mpf], mp.mpf]:
-        """eval at a fixed eps and the current working precision, for many
-        u: the factors (c_k - 1) f_k of the remainder are computed once, as
-        far as a call first needs them, and kept."""
-        dps = mp.mp.dps
-        digits = max(dps, int(mp.ceil(-mp.log10(eps)))) + GUARD_DIGITS
-        with mp.workdps(digits):
-            scale = self.scale ** (2 * self.r)
-            budget = eps / scale
-        factors: List[mp.mpf] = []
+    def evaluator(self, eps: mp.mpf, digits: int) -> Callable[[int], int]:
+        """The residual R as a map of fixed-point integers at P =
+        _fixed_bits(digits): from W = w 2^P >= 0 to R 2^P, within 2 + D
+        units of 2^-P plus eps / 6 for W within one unit of w 2^P, w <= 1.
 
-        def remainder(w):
+        The work is done at Q = max(P, -log2 eps) + _GUARD_BITS bits, on W
+        shifted up; e below is a unit of 2^-Q.  The guard bits keep each
+        summed term 2^_GUARD_BITS units above the stop, so that the ratio
+        cap, checked on the integers, reads the true ratios, and they cover
+        the cancellation in T(w) + T(-w), whose terms reach 2^n while it
+        is at most 1.  Running powers of 1 - v <= 2 are within 2^j e, of
+        |v| <= 1 within j e, so T(w) + T(-w) is within 2^(n+4) + 2^8 e.
+        Its product with K = scale^n / n! is then within 2^21 e:
+        K (2^(n+4) + 2^8) <= 16 (2 scale)^n / n! + 2^8 e^(2 pi) < 2^20, and K
+        is within min(K, 1) e.  The remainder's factors
+        G_k = (c_k - 1) f_k scale^n < 3 are computed once, as far as a call
+        first needs them, and kept; a term G_k w^(n+2k) is within
+        3 (n + 2k) + 3 e, the at most 10,000 terms within 2^30 e for
+        n <= 10^4, and _residual_sum stops at a term below eps / 8, so the
+        tail is below eps / 6.  All this is below 2^-P / 4, and the shift
+        back to P truncates once.  One unit of 2^-P in W moves R by at most
+        D = R'(1) = scale^n sum_k c_k f_k (n + 2k), largest at r = 2 of
+        Thm 16 (48.6).
+        """
+        bits = _fixed_bits(digits)
+        n = 2 * self.r
+        prec = max(bits, -mp.mag(eps)) + _GUARD_BITS
+        shift = prec - bits
+        one = 1 << prec
+        edge = ((10 ** 5 + 10 ** digits) << bits) // 10 ** digits
+        cdigits = prec_to_dps(prec + _GUARD_BITS)
+        with mp.workprec(prec + _GUARD_BITS):
+            scale_n = (self.pi_multiple * mp.pi) ** n
+            kf = _fixed(scale_n / factorial(n), prec)
+            target = _fixed(mp.mpf(eps), prec)
+        factors: List[int] = []
+
+        def factor(k: int) -> int:
+            if k > len(factors):
+                with mp.workprec(prec + _GUARD_BITS):
+                    fk = scale_n * factorial(2 * k) / (factorial(n + 2 * k) * k)
+                    factors.append(_fixed((self._c(k, cdigits) - 1) * fk, prec))
+            return factors[k - 1]
+
+        def remainder(w: int):
+            w2 = w * w >> prec
+            wp = _fixed_power(w, n, prec)
             for k in count(1):
-                if k > len(factors):
-                    factors.append((self._c(k, digits) - 1) * self._f(k))
-                yield factors[k - 1] * w ** self.power(k)
+                wp = wp * w2 >> prec
+                yield factor(k) * wp >> prec
 
-        def at(u: mp.mpf) -> mp.mpf:
-            with mp.workdps(dps):
-                w = abs(u) / self.scale
-                if w > 1 + mp.mpf(10) ** (5 - dps):
-                    raise RegistryError(
-                        f"residual series needs |u| / scale <= 1, got {mp.nstr(w, 8)}")
-                w = min(w, mp.mpf(1))
-            with mp.workdps(digits):
-                rest, _, _ = _residual_sum(remainder(w), budget)
-                return +(self.sign * scale * (self.closed_part(w) + rest))
+        def at(W: int) -> int:
+            if W > edge:
+                raise RegistryError("residual series needs |u| / scale <= 1, "
+                                    f"got {W / (1 << bits):.8g}")
+            w = min(W, 1 << bits) << shift
+            t = 0
+            for v in (w, -w):
+                a, b = one - v, -v
+                apow = [one]
+                for _ in range(n):
+                    apow.append(apow[-1] * a >> prec)
+                if a:
+                    log_a = mpf_log(from_man_exp(a, -prec), prec + _GUARD_BITS)
+                    t += apow[n] * to_fixed(log_a, prec)
+                bp = one
+                for i in range(1, n + 1):
+                    bp = bp * b >> prec
+                    t -= bp * apow[n - i] // i
+            rest, _, _ = _residual_sum(remainder(w), target)
+            return self.sign * ((-kf * t >> 2 * prec) + rest) >> shift
         return at
 
 
@@ -725,9 +790,10 @@ def closed_form_eval(identity_id: str | IdentityRecord, r: Optional[int],
                      c: float = 1.0, x: float = 0.0,
                      ctx: PrecisionContext | None = None,
                      series_eps: Optional[float | mp.mpf] = None) -> mp.mpf:
-    """Exact-coefficient closed form at x: polynomial part at high precision
-    plus the log term (limit value 0 at u = 0) and the residual series
-    within the precision budget.
+    """Exact-coefficient closed form at x, in fixed point at the context's
+    digits (see _closed_form_evaluator): the polynomial part plus the log
+    term (limit value 0 at u = 0) and the residual series within the
+    precision budget.
 
     series_eps loosens the residual-series budget below the context target;
     verify passes it as an mpf, since a float tol / 20 underflows to 0.0
@@ -744,48 +810,91 @@ def _closed_form_evaluator(rec: IdentityRecord, r: Optional[int], c: float,
                            ctx: PrecisionContext | None,
                            series_eps: Optional[float | mp.mpf]
                            ) -> Callable[[float], mp.mpf]:
-    """closed_form_eval as a function of x alone: the closed form and its
-    coefficients at the context's digits, and the residual's factors, are
-    built once for all the points of a grid."""
+    """closed_form_eval as a function of x alone, in fixed point at P =
+    _fixed_bits(ctx.digits) bits.
+
+    Each number of the row is converted once into an integer scaled by
+    2^P.  With m = max(|a|, |b|) over the interval (a, b) (m = 1 for a
+    value record) and w = x / (c m), so that u = pi x / c = pi m w and
+    |w| <= 1 on the closed interval, those are the polynomial's
+    coefficients as C_p = c_p (pi m)^p, the log term's as C_q = c_q (pi m)^q,
+    the cos coefficient, the interval edges and the residual's factors
+    (ResidualRule.evaluator).  A point then costs integer arithmetic:
+    W = floor(w 2^P), exact from the float x; the powers of W as truncated
+    running products, not by Horner's rule, which would carry an early
+    truncation through every later power; one libmp call each for ln u and
+    cos u, with u from the exact x; and one truncation of the sum.
+
+    The rounding bound, in units of 2^-P, for x / c on the closed interval
+    and eps the residual budget.  Each constant is computed at P + 32 bits
+    and truncated once, so it is within 2 units while its magnitude stays
+    below 2^20 (the catalog's largest, thm16 at r = 3, is about 2^8).
+    - polynomial: W^p is within 2p - 1 units of w^p, so C_p W^p is within
+      (2p - 1) |C_p| + 2 and the sum within sum_p (2p |C_p| + 2);
+    - log term C_q u^q ln u, ln u within 2 units: (C_q W^q >> P) is within
+      2q |C_q| + 3, the product within 2 |C_q| + |ln u| (2q |C_q| + 3);
+    - cos term: 2 |c_cos| + 2;
+    - residual: 2 + D, D < 50 (ResidualRule.evaluator), plus eps / 6;
+    - the final truncation: 1.
+    At 30 digits (P = 132) this is at most 2^11.2 units, below 2^-120, on
+    every grid point and endpoint of the verify suite.
+    """
     r_eff = rec.effective_r(r)
     ctx = ctx or PrecisionContext.for_digits(30)
     digits = ctx.digits
-    with mp.workdps(digits):
-        cm = mp.mpf(c)
-        poly = [(coeff.eval(digits), p) for p, coeff in rec.poly(r_eff).items()]
+    P = _fixed_bits(digits)
+    wp = P + _GUARD_BITS
+    m = Fraction(1) if rec.interval is None else max(map(abs, rec.interval))
+    cq = Fraction(c)
+    per_w = 1 / (cq * m)    # w = x per_w
+    with mp.workprec(wp):
+        cdigits = prec_to_dps(wp)
+        scale = mp.pi * _to_mpf(m)
+        poly = sorted((p, _fixed(coeff.eval(cdigits) * scale ** p, P))
+                      for p, coeff in rec.poly(r_eff).items())
         log = None
         if rec.log_term is not None:
-            coeff, p = rec.log_term(r_eff)
-            log = coeff.eval(digits), p
-        residual = None
-        if rec.residual is not None:
-            eps = mp.mpf(series_eps) if series_eps is not None else mp.mpf(ctx.target)
-            residual = rec.residual(r_eff).evaluator(eps)
-        cos_coeff = None if rec.cos_coeff is None else rec.cos_coeff(r_eff).eval(digits)
-        if rec.interval is not None:
-            lo, hi = rec.interval
-            eps_edge = mp.mpf(10) ** (-digits + 5)
-            lo_edge = mp.mpf(lo.numerator) / lo.denominator - eps_edge
-            hi_edge = mp.mpf(hi.numerator) / hi.denominator + eps_edge
+            coeff, q = rec.log_term(r_eff)
+            log = _fixed(coeff.eval(cdigits) * scale ** q, P), q
+        cos_coeff = (None if rec.cos_coeff is None
+                     else _fixed(rec.cos_coeff(r_eff).eval(cdigits), P))
+        if log is not None or cos_coeff is not None:
+            pi_per_c = (mp.pi / _to_mpf(cq))._mpf_
+    residual = None
+    if rec.residual is not None:
+        rule = rec.residual(r_eff)
+        eps = mp.mpf(series_eps) if series_eps is not None else mp.mpf(ctx.target)
+        residual = rule.evaluator(eps, digits)
+        per_res = abs(1 / (cq * rule.pi_multiple))
+    if rec.interval is not None:
+        eps_edge = Fraction(1, 10 ** (digits - 5))
+        lo_edge, hi_edge = ((q.numerator << P) // q.denominator
+                            for q in ((rec.interval[0] - eps_edge) / m,
+                                      (rec.interval[1] + eps_edge) / m))
 
     def at(x: float) -> mp.mpf:
-        with mp.workdps(digits):
-            u = mp.pi * mp.mpf(x) / cm
-            if rec.interval is not None:
-                ratio = mp.mpf(x) / cm
-                if ratio < lo_edge or ratio > hi_edge:
-                    raise RegistryError(
-                        f"x/c = {float(ratio)} outside the validity interval of {rec.id}")
-            total = mp.mpf(0)
-            for coeff, p in poly:
-                total += coeff * u ** p
-            if log is not None and u != 0:
-                total += log[0] * u ** log[1] * mp.log(u)
-            if residual is not None and u != 0:
-                total += residual(abs(u))
-            if cos_coeff is not None:
-                total += cos_coeff * mp.cos(u)
-            return +total
+        xn, xd = x.as_integer_ratio()
+        W = (xn * per_w.numerator << P) // (xd * per_w.denominator)
+        if rec.interval is not None and not lo_edge <= W <= hi_edge:
+            raise RegistryError(f"x/c = {x / c} outside the validity "
+                                f"interval of {rec.id}")
+        total, power, k = 0, 1 << P, 0
+        for p, C in poly:
+            for _ in range(p - k):
+                power = power * W >> P
+            k = p
+            total += C * power
+        if log is not None or cos_coeff is not None:
+            u = mpf_mul(pi_per_c, from_rational(xn, xd, wp), wp)
+        if log is not None and xn:
+            C, q = log
+            total += (C * _fixed_power(W, q, P) >> P) * to_fixed(mpf_log(u, wp), P)
+        if cos_coeff is not None:
+            total += cos_coeff * to_fixed(mpf_cos(u, wp), P)
+        if residual is not None:
+            total += residual((abs(xn) * per_res.numerator << P)
+                              // (xd * per_res.denominator)) << P
+        return mp.make_mpf(from_man_exp(total >> P, -P))
     return at
 
 
@@ -918,6 +1027,19 @@ def verify(identity_id: str | IdentityRecord, r: Optional[int] = None,
     return _compare(rec, r_eff, c, xs, N, tol, rec.id)
 
 
+# the seconds the comparisons so far spent on partial sums and on closed
+# forms, summed from their reports under the lock
+_COMPARE_SECONDS = {"partial_s": 0.0, "closed_s": 0.0}
+_COMPARE_SECONDS_LOCK = threading.Lock()
+
+
+def compare_seconds() -> Dict[str, float]:
+    """Seconds so far of the grid and endpoint comparisons: partial_s on
+    the float64 partial sums, closed_s on the closed forms."""
+    with _COMPARE_SECONDS_LOCK:
+        return dict(_COMPARE_SECONDS)
+
+
 def _compare(rec: IdentityRecord, r: int, c: float, xs: np.ndarray, N: int,
              tol: float, report_id: str) -> VerificationReport:
     """The float64 N-term partial sums against the closed form at xs."""
@@ -933,11 +1055,15 @@ def _compare(rec: IdentityRecord, r: int, c: float, xs: np.ndarray, N: int,
     errors = np.abs(closed - partial)
     worst = int(np.argmax(errors))
     max_err = float(errors[worst])
-    return VerificationReport(id=report_id, r=r, c=c, grid=len(xs), N=N,
-                              tol=tol, max_error=max_err,
-                              passed=bool(max_err <= tol),
-                              worst_x=float(xs[worst]),
-                              partial_s=t1 - t0, closed_s=t2 - t1)
+    report = VerificationReport(id=report_id, r=r, c=c, grid=len(xs), N=N,
+                                tol=tol, max_error=max_err,
+                                passed=bool(max_err <= tol),
+                                worst_x=float(xs[worst]),
+                                partial_s=t1 - t0, closed_s=t2 - t1)
+    with _COMPARE_SECONDS_LOCK:
+        _COMPARE_SECONDS["partial_s"] += report.partial_s
+        _COMPARE_SECONDS["closed_s"] += report.closed_s
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,8 @@ class TestVerify:
         lines = [json.loads(line) for line in err.splitlines()]
         assert code == 0 and len(lines) == 8
         counts = {f"{name}_{field}" for name in memos for field in ("hits", "misses")}
-        assert all(set(line) == {"criterion", "elapsed_s", *counts} for line in lines)
+        assert all(set(line) == {"criterion", "elapsed_s", "partial_s", "closed_s",
+                                 *counts} for line in lines)
         for name, memo in memos.items():
             info = memo.cache_info()
             assert sum(line[f"{name}_hits"] for line in lines) == info.hits > 0
@@ -198,6 +199,62 @@ class TestVerify:
         structural = next(line for line in lines
                           if line["criterion"] == "structural-exact-checks")
         assert structural["series_value_hits"] > structural["series_value_misses"] > 0
+
+    def test_all_reports_compare_seconds_on_stderr(self, capsys):
+        # each criterion's line carries the seconds its registry comparisons
+        # spent on partial sums and on closed forms; stdout is unchanged
+        from trigsum.registry import compare_seconds
+        before = compare_seconds()
+        code, out, err = run(capsys, "verify", "--all")
+        spent = {k: v - before[k] for k, v in compare_seconds().items()}
+        lines = {line["criterion"]: line for line in map(json.loads, err.splitlines())}
+        assert code == 0 and len(out.splitlines()) == 8 and "_s" not in out
+        sweep = lines["identity-registry-sweep"]
+        assert sweep["partial_s"] > 0 and sweep["closed_s"] > 0
+        assert lines["exact-golden-values"]["partial_s"] == 0
+        assert lines["exact-golden-values"]["closed_s"] == 0
+        for key in ("partial_s", "closed_s"):
+            assert abs(sum(line[key] for line in lines.values()) - spent[key]) < 0.01
+
+
+# sums below expr.MAX_POWER whose cos-power image is deep enough that the
+# recursive mapping._node_denominator_loci exhausts Python's recursion limit
+_DEEP_COSPOW_SUMS = ["t^48+t^47", "t^48/(2-t)"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 2: the recursive mapping._node_denominator_loci "
+                          "ends these as error: internal: RecursionError")
+def test_deep_cospow_images_map_or_refuse(capsys):
+    """Each sum gets an answer that passes the Abel check at 8 points of a
+    period (or of its validity interval), or exit 2 with one `error:` line
+    that is not an internal error."""
+    import mpmath as mp
+
+    from trigsum.evaluate import eval_complex_batch, eval_real_batch
+    from trigsum.expr import parse_expr
+    for text in _DEEP_COSPOW_SUMS:
+        code, out, err = run(capsys, "map", "cospow", "--sum", text, "--kind", "cos",
+                             "--format", "json")
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (text, err)
+            assert not lines[0].startswith("error: internal:"), (text, lines[0])
+            continue
+        assert code == 0, (text, err)
+        answer = json.loads(out)
+        with mp.workdps(30):
+            lo, hi = ((mp.mpf(0), +mp.pi) if answer["validity"] is None else
+                      (eval_real_batch([parse_expr(e)], [{"c": 1}], 30)[0][0]
+                       for e in answer["validity"]))
+            xs = [lo + (2 * k + 1) * (hi - lo) / 16 for k in range(8)]
+            series = eval_complex_batch([parse_expr(text)],
+                                        [{"t": mp.cos(x) * mp.expj(x)} for x in xs], 30)
+            closed = eval_real_batch([parse_expr(answer["closed_form"])],
+                                     [{"x": x, "c": 1} for x in xs], 30)
+            for x, (value,), (got,) in zip(xs, series, closed):
+                tol = mp.mpf(10) ** -20 * max(1, abs(value.real))
+                assert abs(got - value.real) <= tol, (text, x)
 
 
 class TestVerifyValues:

@@ -429,6 +429,34 @@ class TestZetaOdd:
             assert abs(a.value - ref.value) < 1e-20
 
 
+class TestResidualSumIntegers:
+    """_residual_sum on integer terms counting units of one fixed-point
+    scale, as the registry's residual series gives them."""
+
+    ONE = 1 << 200
+
+    def test_geometric_sum(self):
+        from itertools import count
+
+        from trigsum.dirichlet import _residual_sum
+        terms = (self.ONE >> 3 * k for k in count(1))     # ratio 1/8
+        target = self.ONE >> 60
+        total, bound, used = _residual_sum(terms, target)
+        # the first term t with 8 t <= target is ONE >> 63, the 21st
+        assert used == 20 and isinstance(total, int)
+        assert total == sum(self.ONE >> 3 * k for k in range(1, 21))
+        with mp.workprec(300):
+            tail = mp.mpf(self.ONE) / 7 - total      # sum_k>=1 8^-k = 1/7
+            assert 0 < tail <= bound <= mp.mpf(target) / 6
+
+    def test_ratio_cap_exact_on_integers(self):
+        from trigsum.dirichlet import _residual_sum
+        total, _, used = _residual_sum(iter([100, 25, 0]), 0)
+        assert (total, used) == (125, 2)    # a ratio of exactly 1/4 passes
+        with pytest.raises(PrecisionError, match="ratio 0.260 exceeded cap"):
+            _residual_sum(iter([100, 26, 0]), 0)
+
+
 class TestIdentityGroups:
     @pytest.mark.parametrize("group,count", [("multiplication", 28),
                                              ("connon", 16),

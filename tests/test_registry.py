@@ -10,8 +10,9 @@ import pytest
 
 from trigsum import exact
 from trigsum.dirichlet import PrecisionContext, dirichlet_oracle
-from trigsum.registry import (LN2, ONE, SQRT2, SQRT3, Coeff, RegistryError,
-                              ResidualRule, _blocks, _closed_form_evaluator,
+from trigsum.registry import (DEFAULT_GRID, LN2, ONE, SQRT2, SQRT3, Coeff,
+                              RegistryError, ResidualRule, _blocks,
+                              _closed_form_evaluator, _fixed_bits,
                               _SERIES_VALUE_CACHE_SIZE, _grid_points,
                               _series_partial_float, _series_value,
                               _zeta_odd_value, closed_form_eval,
@@ -174,8 +175,46 @@ def _residual_reference(rule, w):
         return rule.sign * scale ** (2 * r) * total, scale
 
 
+def _residual_direct(rule, u):
+    """The residual at u >= 0 at the working precision from the exact
+    coefficients: with scale = pi_multiple pi, w = u / scale, n = 2r and
+    f_k = (2k)! / ((n+2k)! k), the terms (coeff(k) scale^(n+2k) - f_k
+    scale^n) w^(n+2k), which fall like w^(2k) / 4^k, plus the terms
+    f_k scale^n w^(n+2k), summed directly for w < 1 and by the Beta
+    integral at w = 1, each sum until its terms fall below 10^-dps."""
+    n, scale = 2 * rule.r, rule.pi_multiple * mp.pi
+    w = u / scale
+    if w == 0:
+        return mp.mpf(0)
+    small = mp.mpf(10) ** -mp.mp.dps
+    if w < 1:
+        ones, f, k = mp.mpf(0), 2 * scale ** n / mp.factorial(n + 2), 1
+        while True:
+            term = f * w ** (n + 2 * k)
+            ones += term
+            if term < small:
+                break
+            f *= mp.mpf((2 * k + 1) * (2 * k + 2) * k) / (
+                (n + 2 * k + 1) * (n + 2 * k + 2) * (k + 1))
+            k += 1
+    else:
+        ones = -scale ** n * mp.quad(lambda t: (1 - t) ** (n - 1) * mp.log(1 - t * t),
+                                     [0, 1]) / mp.factorial(n - 1)
+    rest, k = mp.mpf(0), 1
+    while True:
+        q = rule.coeff(k)
+        f = mp.factorial(2 * k) / (mp.factorial(n + 2 * k) * k)
+        term = ((mp.mpf(q.numerator) / q.denominator * scale ** (n + 2 * k)
+                 - f * scale ** n) * w ** (n + 2 * k))
+        rest += term
+        if abs(term) < small:
+            break
+        k += 1
+    return rule.sign * (ones + rest)
+
+
 @pytest.mark.parametrize("alternating", [False, True], ids=["thm16", "thm21"])
-@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("r", [*range(1, 7), 12, 40, 100])
 def test_residual_eval_within_eps(r, alternating):
     rule = ResidualRule(r, alternating)
     for w in ("1e-6", "0.5", "1"):
@@ -184,6 +223,26 @@ def test_residual_eval_within_eps(r, alternating):
             eps = mp.mpf("1e-20")
             got = rule.eval(scale * mp.mpf(w), eps)
         assert abs(got - want) <= eps, (w, got, want)
+
+
+@pytest.mark.parametrize("alternating", [False, True], ids=["thm16", "thm21"])
+@pytest.mark.parametrize("r", [1, 2, 5, 6, 12, 40, 100])
+def test_residual_evaluator_within_rounding_bound(r, alternating):
+    # at an exact W and a budget of about 2^-P the fixed-point residual is
+    # within 2 units of 2^-P plus eps / 6, although the terms of its closed
+    # part reach 2^(2r) while their sum stays below 1 (without the guard
+    # bits the error reaches 2^14 units at r = 6, w = 0.995)
+    rule = ResidualRule(r, alternating)
+    bits = _fixed_bits(30)
+    eps = mp.mpf("1e-40")
+    at = rule.evaluator(eps, 30)
+    for W in ((1 << bits) // 10 ** 6, (9 << bits) // 20, (19 << bits) // 20,
+              (199 << bits) // 200, 1 << bits):
+        with mp.workdps(60):
+            w = mp.mpf(W) / 2 ** bits
+            want = _residual_direct(rule, rule.pi_multiple * mp.pi * w)
+            err = abs(mp.mpf(at(W)) / 2 ** bits - want)
+            assert err <= mp.mpf(2) ** (1 - bits) + eps / 6, (w, err)
 
 
 class TestVerify:
@@ -608,16 +667,17 @@ def test_row_evaluator_matches_single_points(rid, r, eps):
 
 
 # closed_form_eval at single points, pinned as the repr at 30 digits (which
-# round-trips the bits); captured before the per-row evaluator came in
+# round-trips the bits); captured when the closed forms moved to fixed
+# point, each within 1e-30 of the value the earlier mpf evaluation pinned
 _PINNED_VALUES = {
-    ('thm16-zeta-odd-cos', 2, 0.5, None): "mpf('-0.0303787428264659158107053517411965')",
-    ('thm16-zeta-odd-cos', 1, 1.9, '5e-7'): "mpf('1.0708631911560044280078254309378')",
-    ('thm21-eta-odd', 1, 1.0, None): "mpf('-1.20205690315959428540001074531769')",
-    ('thm21-eta-odd', 2, -0.3, '5e-8'): "mpf('0.594257926118936315517450153067068')",
-    ('thm11-cos', 3, 1.3, None): "mpf('-0.591495686898297243371098064521486')",
-    ('example2-fourier', None, 0.2, None): "mpf('-0.0108684966493475334327538060055968')",
-    ('eq59-lambda-shift', 2, 0.6, None): "mpf('-0.224243844984526396065016310647519')",
-    ('cor7-frakd', 1, 0.125, None): "mpf('0.616850275068084913677155687492232')",
+    ('thm16-zeta-odd-cos', 2, 0.5, None): "mpf('-0.0303787428264659158107053517409869')",
+    ('thm16-zeta-odd-cos', 1, 1.9, '5e-7'): "mpf('1.07086319115600442800782543093852')",
+    ('thm21-eta-odd', 1, 1.0, None): "mpf('-1.20205690315959428540001074531775')",
+    ('thm21-eta-odd', 2, -0.3, '5e-8'): "mpf('0.594257926118936315517450153067074')",
+    ('thm11-cos', 3, 1.3, None): "mpf('-0.591495686898297243371098064521494')",
+    ('example2-fourier', None, 0.2, None): "mpf('-0.0108684966493475334327538060056165')",
+    ('eq59-lambda-shift', 2, 0.6, None): "mpf('-0.224243844984526396065016310647275')",
+    ('cor7-frakd', 1, 0.125, None): "mpf('0.616850275068084913677155687492259')",
 }
 
 
@@ -628,6 +688,84 @@ def test_pinned_closed_form_values(key):
                          series_eps=None if eps is None else mp.mpf(eps))
     with mp.workdps(30):
         assert repr(v) == _PINNED_VALUES[key]
+
+
+def _fixed_point_reference(rec, r, c, x):
+    """The closed form at x at 60 digits from the record's exact parts,
+    each summed directly, and the rounding bound of _closed_form_evaluator
+    in units of 2^-P (residual budget aside), both from those parts."""
+    with mp.workdps(60):
+        lo, hi = rec.interval or (F(1), F(1))
+        m = max(abs(lo), abs(hi))
+        scale = mp.pi * m.numerator / m.denominator
+        u = mp.pi * mp.mpf(x) / mp.mpf(c)
+        total, bound = mp.mpf(0), 1
+        for p, coeff in rec.poly(r).items():
+            cp = coeff.eval(60)
+            total += cp * u ** p
+            bound += 2 * p * abs(cp * scale ** p) + 2
+        if rec.log_term is not None and u != 0:
+            coeff, q = rec.log_term(r)
+            cq = coeff.eval(60)
+            total += cq * u ** q * mp.log(u)
+            Cq = abs(cq * scale ** q)
+            bound += 2 * Cq + abs(mp.log(u)) * (2 * q * Cq + 3)
+        if rec.cos_coeff is not None:
+            cc = rec.cos_coeff(r).eval(60)
+            total += cc * mp.cos(u)
+            bound += 2 * abs(cc) + 2
+        if rec.residual is not None:
+            total += _residual_direct(rec.residual(r), abs(u))
+            bound += 2 + 50
+        return total, bound
+
+
+@pytest.mark.parametrize("rid,r,endpoints", _sweep_rows())
+def test_closed_form_within_fixed_point_bound(rid, r, endpoints):
+    """At every grid point (or both endpoints) of each sweep row the
+    fixed-point closed form agrees with the direct 60-digit sum of its
+    exact parts within the docstring's bound, and within 1e-25."""
+    rec = get_record(rid)
+    r = rec.effective_r(r)
+    c = float(np.pi) if rec.kind == "cospow" else 1.0
+    if endpoints:
+        xs = [float(end) * c for end in rec.interval]
+    else:
+        xs = _grid_points(rec, c, DEFAULT_GRID).tolist()
+    # a residual budget far below 2^-P, so that the rounding shows
+    eps = mp.mpf("1e-45")
+    unit = mp.mpf(2) ** -_fixed_bits(CTX.digits)
+    for x in xs:
+        want, bound = _fixed_point_reference(rec, r, c, x)
+        got = closed_form_eval(rec, r, c=c, x=x, ctx=CTX, series_eps=eps)
+        with mp.workdps(60):
+            err = abs(got - want)
+            assert err <= bound * unit + eps / 6, (x, err, bound)
+            assert err <= 1e-25, (x, err)
+
+
+@pytest.mark.parametrize("alternating", [False, True], ids=["thm16", "thm21"])
+def test_residual_slope_bound(alternating):
+    # D = R'(1) = scale^(2r) sum_k c_k f_k (2r + 2k), the residual's slope
+    # in w at w = 1, stays below the 50 that the rounding bound charges for
+    # one unit of error in w; it peaks at r = 2 of Thm 16 (48.6)
+    for r in (*range(1, 13), 40, 100):
+        rule = ResidualRule(r, alternating)
+        with mp.workdps(30):
+            scale = rule.pi_multiple * mp.pi
+            slope = scale ** (2 * r) * mp.nsum(
+                lambda k: ((1 - 4 ** -k if alternating else 1) * mp.zeta(2 * k)
+                           * mp.factorial(2 * k) * (2 * r + 2 * k)
+                           / (mp.factorial(2 * r + 2 * k) * k)), [1, mp.inf])
+        assert slope <= 50, (r, slope)
+
+
+@pytest.mark.parametrize("rid", ["thm11-cos", "thm11-sin", "thm16-zeta-odd-cos",
+                                 "thm21-eta-odd", "cor8-cald"])
+def test_verify_at_the_largest_r(rid):
+    # r = 100 is the CLI's cap: coefficients down to 1/200! and powers of
+    # u up to (2 pi)^200 meet in the fixed-point sum
+    assert verify(rid, 100, grid=20).passed
 
 
 # The closed forms of every record at r = 1..3 (fixed records at their own
