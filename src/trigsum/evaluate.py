@@ -2,9 +2,9 @@
 
 A call compiles its expressions once into a program and runs that program
 at every point it is given, inside one ``mp.workdps``.  The program lists
-the distinct nodes of all the call's roots in postorder, in the order a
-depth-first walk first reaches them (a quotient takes its denominator
-first and checks it for zero before it reaches its numerator), so each
+the distinct nodes of all the call's roots in the order of
+``expr.postorder`` (a quotient takes its denominator first and checks it
+for zero before its numerator's first new step), so each
 distinct node is evaluated once per point, and a point that fails raises
 the error that such a walk meets first.  Rationals and pi become numbers
 once per call, at the call's precision.  The program holds no node and
@@ -39,7 +39,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .expr import (BranchCutError, DomainError, EvalError, Expr, ExprError,
-                   PoleError, UnboundSymbolError)
+                   PoleError, UnboundSymbolError, postorder)
 
 __all__ = ["eval_real", "eval_complex", "eval_real_batch",
            "eval_complex_batch", "ComplexVal"]
@@ -188,7 +188,15 @@ class _Program:
         self._paired, self._prec_rounding = paired, tuple(mp.mp._prec_rounding)
         self._slots: Dict[Expr, int] = {}
         self._unpaired: Dict[tuple, tuple] = {}
-        self.roots = [self._slot(e) for e in roots]
+        for x in postorder(roots, marked=True):
+            if x.__class__ is tuple:
+                num, den = x[0].args
+                if num not in self._slots and num.kind not in ("rat", "pi"):
+                    # the numerator's steps may fail: check the denominator first
+                    self.steps.append(_guard(self.values, self._slots[den]))
+            else:
+                self._slots[x] = self._compile(x)
+        self.roots = [self._slots[e] for e in roots]
         del self._slots, self._unpaired   # the program keeps no node
 
     def __call__(self, bindings: Mapping[str, object]) -> tuple:
@@ -197,13 +205,6 @@ class _Program:
         for step in self.steps:
             step()
         return tuple(+values[i] for i in self.roots)
-
-    def _slot(self, x: Expr) -> int:
-        """The slot of x's value, compiling x the first time it is reached."""
-        i = self._slots.get(x)
-        if i is None:
-            i = self._slots[x] = self._compile(x)
-        return i
 
     def _new_slot(self, value=None) -> int:
         self.values.append(value)
@@ -215,7 +216,7 @@ class _Program:
         return out
 
     def _compile(self, x: Expr) -> int:
-        kind = x.kind
+        kind, slots = x.kind, self._slots
         if kind == "rat":
             q = x.value
             return self._new_slot(self._number(mp.mpf(q.numerator) / q.denominator))
@@ -224,21 +225,16 @@ class _Program:
         if kind == "sym":
             return self._step(_bound, x.value)
         if kind == "neg":
-            return self._step(_unary, operator.neg, self._slot(x.args[0]))
+            return self._step(_unary, operator.neg, slots[x.args[0]])
         if kind in ("add", "mul"):
-            a, b = self._slot(x.args[0]), self._slot(x.args[1])
+            a, b = slots[x.args[0]], slots[x.args[1]]
             return self._step(_binary, getattr(operator, kind), a, b)
         if kind == "div":
-            num, den = x.args
-            d = self._slot(den)
-            if num not in self._slots and num.kind not in ("rat", "pi"):
-                # the numerator's steps may fail: check the denominator first
-                self.steps.append(_guard(self.values, d))
-            return self._step(_quotient, self._slot(num), d)
+            return self._step(_quotient, slots[x.args[0]], slots[x.args[1]])
         if kind == "pow":
-            return self._step(_power, self._slot(x.args[0]), x.value)
+            return self._step(_power, slots[x.args[0]], x.value)
         if kind == "call":
-            return self._call(x.value, self._slot(x.args[0]))
+            return self._call(x.value, slots[x.args[0]])
         return self._step(_fail, ExprError, f"unknown node kind {kind!r}")
 
     def _call(self, name: str, arg: int) -> int:

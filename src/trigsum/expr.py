@@ -5,17 +5,17 @@ negation, sums, products, quotients, integer powers and a fixed set of
 function heads.  Expressions form a hash-consed DAG: each node is interned
 on (kind, args, value), so structurally equal expressions are one object,
 equality is identity and a shared subterm is stored once.  Nodes are
-immutable and hash by identity (which is what ``==`` means).  One memo
-rule covers every walk over the DAG.  A result that depends on the node
-alone lives in a slot on the node, filled once asked: ``fold``,
-``to_text``, ``free_symbols``, and ``trigpoly``'s ``split_rational`` and
-term expansion.  A pass whose result also depends on its call's arguments
-goes through ``walk_once``, which keeps one memo per call.  Numeric
-evaluation, which runs at many points, instead compiles the distinct nodes
-once per call into a program that it runs at each point
-(``trigsum.evaluate``).  Either way a distinct node is worked on once.  No
-slot, memo or program holds a cycle back to its own node, so a dropped DAG
-is freed at once, without the garbage collector.  Parsing inverts printing:
+immutable and hash by identity (which is what ``==`` means).  Every pass
+over the DAG is a loop over one walk, ``postorder``, which keeps its own
+stack.  A result that depends on the node alone lives in a slot on the
+node, filled bottom-up by ``fill``: ``fold``, ``to_text``,
+``free_symbols``, and ``trigpoly``'s ``split_rational`` and term
+expansion.  A pass whose result also depends on its call's arguments keeps
+one dict per call.  Numeric evaluation compiles the walk once per call into
+a program that it runs at each point (``trigsum.evaluate``).  Either way a
+distinct node is worked on once.  No slot, memo or program holds a cycle
+back to its own node, so a dropped DAG is freed at once, without the
+garbage collector.  Parsing inverts printing:
 ``parse_expr(to_text(e)) is e``.  The intern table is an implementation
 detail that callers never see: a plain dict from key to a weak reference to
 the node.  A hit takes no lock and a miss inserts under one after looking
@@ -67,7 +67,8 @@ __all__ = [
     "substitute",
     "fold",
     "free_symbols",
-    "walk_once",
+    "postorder",
+    "fill",
     "eval_real",
     "eval_complex",
     "ComplexVal",
@@ -178,6 +179,53 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({to_text(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# the one walk
+
+def postorder(roots, stop=None, marked: bool = False):
+    """Yield each distinct node reachable from the sequence ``roots`` once,
+    children before parents, left to right, but a quotient's denominator
+    before its numerator; a node where ``stop(node)`` is true comes without
+    its children.  With ``marked``, a quotient also comes as the 1-tuple
+    ``(node,)`` between its denominator's nodes and its numerator's."""
+    seen, path, pending = set(), [], [iter(roots)]  # path: the nodes entered
+    while pending:
+        for node in pending[-1]:
+            if marked and node.__class__ is tuple:     # a quotient's mark
+                yield node
+            elif node not in seen:
+                seen.add(node)
+                args = node.args
+                if args and not (stop and stop(node)):
+                    if node.kind == "div":
+                        args = (args[1], (node,), args[0]) if marked else args[::-1]
+                    path.append(node)
+                    pending.append(iter(args))
+                    break
+                yield node
+        else:
+            pending.pop()
+            if path:
+                yield path.pop()
+
+
+def fill(e: Expr, slot: str, make, kinds=None):
+    """The value of ``slot`` on ``e``, set where empty to ``make(node)`` on
+    each node below e, children first; the walk stops at a filled slot and
+    at a kind not in ``kinds`` (default: all; e's own is one of them)."""
+    get = _SLOTS[slot]
+    if get(e) is None:
+        stop = get if kinds is None else lambda x: x.kind not in kinds or get(x)
+        for x in (e,) if all(map(stop, e.args)) else postorder((e,), stop):
+            if get(x) is None and (kinds is None or x.kind in kinds):
+                _set(x, slot, make(x))
+    return get(e)
+
+
+_SLOTS = {s: getattr(Expr, s).__get__   # true once filled, bar an empty frozenset
+          for s in ("_fold", "_text", "_free", "_split", "_terms")}
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +345,23 @@ _EVEN_HEADS = ("cos", "sec", "cosh")
 
 def _strip_sign(e: Expr):
     """Pull the sign of a product tree out front: e == sign * result."""
-    if e.kind == "neg":
-        s, inner = _strip_sign(e.args[0])
-        return -s, inner
-    if e.kind == "rat" and rat_value(e) < 0:
-        return -1, rational(-rat_value(e))
-    if e.kind in ("mul", "div"):
-        s1, a = _strip_sign(e.args[0])
-        s2, b = _strip_sign(e.args[1])
-        if s1 == s2 == 1 and (a, b) == e.args:
-            return 1, e
-        rebuilt = mul(a, b) if e.kind == "mul" else div(a, b)
-        return s1 * s2, rebuilt
-    return 1, e
+    if _unsigned(e) or e.kind in ("mul", "div") and all(map(_unsigned, e.args)):
+        return 1, e
+    memo = {}
+    for x in postorder((e,), _unsigned):
+        if x.kind == "neg":
+            s, inner = memo[x.args[0]]
+            memo[x] = -s, inner
+        elif x.kind in ("mul", "div"):
+            (s1, a), (s2, b) = memo[x.args[0]], memo[x.args[1]]
+            memo[x] = s1 * s2, x if (a, b) == x.args else rebuild(x, (a, b))
+        else:                   # a leaf of the product, or a negative rational
+            memo[x] = (1, x) if _unsigned(x) else (-1, rational(-rat_value(x)))
+    return memo[e]
+
+
+def _unsigned(e: Expr) -> bool:   # neither a sign nor a product holding one
+    return e.kind not in ("neg", "mul", "div") and (e.kind != "rat" or e.value >= 0)
 
 
 def func(name: str, a: Expr) -> Expr:
@@ -345,19 +397,15 @@ def _is_square(n: int) -> bool:
 def fold(e: Expr) -> Expr:
     """Rebuild a DAG bottom-up through the folding constructors, once per
     distinct node."""
-    out = e._fold
-    if out is None:
-        out = _fold(e)
-        # a node that folds to itself records True, not a cycle to itself
-        _set(e, "_fold", True if out is e else out)
-        return out
+    out = e._fold or fill(e, "_fold", _fold)
     return e if out is True else out
 
 
-def _fold(e: Expr) -> Expr:
-    if e.kind in ("rat", "pi", "sym"):
-        return e
-    return rebuild(e, tuple(map(fold, e.args)))
+def _fold(e: Expr):
+    """The fold slot of e, its children folded; a node that folds to itself
+    records True, not a cycle to itself."""
+    out = rebuild(e, tuple(map(fold, e.args))) if e.args else e
+    return True if out is e else out
 
 
 def rebuild(e: Expr, args: tuple) -> Expr:
@@ -379,44 +427,22 @@ def rebuild(e: Expr, args: tuple) -> Expr:
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Replace symbols by expressions; the result is folded."""
-    if e.kind == "sym":
-        return bindings.get(e.value, e)  # type: ignore[arg-type]
-    if e.kind in ("rat", "pi"):
-        return e
-    return rebuild(e, tuple(substitute(a, bindings) for a in e.args))
+    """Replace symbols by expressions; the result is folded.  Each distinct
+    node is rebuilt once."""
+    memo = {}
+    for x in postorder((e,)):
+        memo[x] = (bindings.get(x.value, x) if x.kind == "sym"  # type: ignore
+                   else rebuild(x, tuple(memo[a] for a in x.args)) if x.args else x)
+    return memo[e]
 
 
 def free_symbols(e: Expr) -> frozenset:
-    out = e._free
-    if out is None:
-        out = frozenset((e.value,)) if e.kind == "sym" else frozenset().union(
-            *map(free_symbols, e.args))
-        _set(e, "_free", out)
-    return out
+    return e._free if e._free is not None else fill(e, "_free", _free)
 
 
-_MISS = object()
-
-
-class walk_once:
-    """One call's walk over a DAG: ``worker(node, recurse, *extra)`` runs once
-    per distinct node, and ``recurse(child)`` answers from this call's memo.
-    The answers are shared, so callers only read them.  The walk is an
-    object rather than a recursive closure: a closure refers to itself, and
-    that cycle would keep the memo, with every node in it, until the garbage
-    collector runs."""
-
-    __slots__ = ("_worker", "_extra", "_memo")
-
-    def __init__(self, worker, *extra):
-        self._worker, self._extra, self._memo = worker, extra, {}
-
-    def __call__(self, x: Expr):
-        out = self._memo.get(x, _MISS)
-        if out is _MISS:
-            out = self._memo[x] = self._worker(x, self, *self._extra)
-        return out
+def _free(e: Expr) -> frozenset:
+    return frozenset((e.value,)) if e.kind == "sym" else frozenset().union(
+        *(a._free for a in e.args))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +496,9 @@ def _tokenize(text: str):
 # accepts; deeper input is a ParseError instead of a RecursionError.
 MAX_NESTING = 100
 # Largest |n| of a power that the operator pair expands; a larger one is an
-# ExprError before any term is built.  t^48 is the largest power that every
-# map kind answers: the cos-power image of t^52 is a sum deep enough to
-# exhaust the default recursion limit of the walks over it.
+# ExprError before any term is built.  Every walk keeps its own stack, so a
+# higher cap would answer too: `map cospow` on t^52 takes 0.2 s and prints
+# 20-22 kB, on t^64 0.2 s and 33-37 kB (fresh process, 2 vCPUs).
 MAX_POWER = 48
 
 
@@ -618,16 +644,12 @@ def _prec(e: Expr) -> int:
 
 
 def _wrap(e: Expr, minimum: int) -> str:
-    s = to_text(e)
+    s = e._text
     return f"({s})" if _prec(e) < minimum else s
 
 
 def to_text(e: Expr) -> str:
-    out = e._text
-    if out is None:
-        out = _to_text(e)
-        _set(e, "_text", out)
-    return out
+    return e._text or fill(e, "_text", _to_text)
 
 
 def _to_text(e: Expr) -> str:
@@ -664,7 +686,7 @@ def _to_text(e: Expr) -> str:
         base = _wrap(e.args[0], _PREC_ATOM)
         return f"{base}^{n}" if n >= 0 else f"{base}^-{-n}"
     if e.kind == "call":
-        return f"{e.value}({to_text(e.args[0])})"
+        return f"{e.value}({e.args[0]._text})"
     raise ExprError(f"unknown node kind {e.kind!r}")
 
 

@@ -23,9 +23,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
     Expr, ExprError, PI,
-    add, mul, div, func, rational, symbol, fold, walk_once,
+    add, mul, div, func, rational, symbol, fold, postorder,
 )
-from .operators import apply_operator, simplify_collect
+from .operators import _images, simplify_collect
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError, collect_terms, split_rational,
     find_trig_base, tpoly_from_expr, _common_zero_loci,
@@ -115,26 +115,15 @@ def _denominator_loci(e: Expr) -> List[Tuple[AngleLocus, Expr]]:
     """Zero loci of denominators surviving in a closed form; each distinct
     node is visited once."""
     found: List[Tuple[AngleLocus, Expr]] = []
-    walk_once(_node_denominator_loci, found)(e)
+    for x in postorder((e,)):
+        base = find_trig_base(x.args[1]) if x.kind == "div" else None
+        if base is not None:
+            ratio, key, base_expr = base
+            D = tpoly_from_expr(x.args[1], ratio, key)
+            if D is None:
+                raise MappingError(f"cannot place zeros of denominator {x.args[1]}")
+            found.extend((locus, base_expr) for locus in _common_zero_loci(D, D))
     return found
-
-
-def _node_denominator_loci(x: Expr, walk, found: List) -> None:
-    """One node of ``_denominator_loci``: its children through ``walk``, then
-    the zero loci of its own denominator, if it is a quotient, to ``found``."""
-    for a in x.args:
-        walk(a)
-    if x.kind != "div":
-        return
-    den = x.args[1]
-    base = find_trig_base(den)
-    if base is None:
-        return
-    ratio, key, base_expr = base
-    D = tpoly_from_expr(den, ratio, key)
-    if D is None:
-        raise MappingError(f"cannot place zeros of denominator {den}")
-    found.extend((locus, base_expr) for locus in _common_zero_loci(D, D))
 
 
 def _map_common(S: Expr, point: Tuple[Expr, Expr], cos_kind: bool,
@@ -143,8 +132,8 @@ def _map_common(S: Expr, point: Tuple[Expr, Expr], cos_kind: bool,
     """Re (``cos_kind``) or Im of S at the circle point (Re t, Im t),
     simplified, with its guard and denominator loci in x; a locus that
     cannot be solved is a MappingError."""
-    pair = apply_operator(fold(S), *point, var="t")
-    outcome = simplify_collect(pair.cos_part if cos_kind else pair.sin_part)
+    cos_part, sin_part = _images(fold(S), *point, "t")
+    outcome = simplify_collect(cos_part if cos_kind else sin_part)
     try:
         loci = _loci_in_x([*outcome.guards, *_denominator_loci(outcome.expr)],
                           theta)

@@ -12,8 +12,8 @@ composition), never by series expansion:
   C[ln u] = (1/2) ln(u^2 + w^2)          S[ln u] = arccot(u / w)
   ... (cot, sec, csc, arctan, arccot, sinh, cosh, sqrt)
 
-where (u, w) is the operator pair of the argument; the recursion bottoms out
-at the variable itself with the pair (arg, shift).  Products use
+where (u, w) is the operator pair of the argument; the walk starts at the
+variable itself with the pair (arg, shift).  Products use
   C[vu] = C[v]C[u] - S[v]S[u],  S[vu] = C[v]S[u] + S[v]C[u],
 quotients the conjugate form with denominator C[v]^2 + S[v]^2, and
 composition reuses the same table with the argument's pair substituted.
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tu
 from .expr import (
     Expr, ExprError, EvalError, MAX_POWER, ZERO, ONE,
     add, sub, mul, div, neg, ipow, func, rational,
-    free_symbols, fold, is_zero, rebuild, walk_once,
+    free_symbols, fold, is_zero, postorder, rebuild, substitute,
 )
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError,
@@ -157,49 +157,54 @@ SUPPORTED_HEADS = tuple(sorted(_RULES))
 
 
 def apply_operator(e: Expr, arg: Expr, shift: Expr, var: str = "x") -> OperatorPair:
-    """Apply the operator pair to ``e`` in ``var`` by structural recursion.
+    """Apply the operator pair to ``e`` in ``var``, children before parents
+    over ``expr.postorder``, each distinct node once.
 
     ``arg``/``shift`` are substituted for the variable's pair at the leaves,
     so symbolic as well as concrete shifts work.  No series is ever
     generated.  Raises UnsupportedHeadError for heads without a table entry
     (e.g. tanh) applied to a var-dependent argument.
     """
-    from .expr import substitute
     if is_zero(fold(shift)):
         # zero shift: identity and annihilator, structurally
         return OperatorPair(substitute(e, {var: arg}), ZERO, arg, shift)
-    cos_p, sin_p = _pair(e, arg, shift, var)
+    cos_p, sin_p = _images(e, arg, shift, var)
     return OperatorPair(fold(cos_p), fold(sin_p), arg, shift)
 
 
-def _pair(e: Expr, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:
+def _images(e: Expr, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:
+    """``apply_operator``'s images, unfolded, at a shift not folding to 0."""
+    pairs: Dict[Expr, Tuple[Expr, Expr]] = {}
+    for x in postorder((e,), lambda x: var not in free_symbols(x)):
+        pairs[x] = _pair(x, pairs, arg, shift, var)
+    return pairs[e]
+
+
+def _pair(e: Expr, pairs: Dict, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:
+    """One node of ``apply_operator``'s walk, its children's pairs in
+    ``pairs``; the walk does not go into a subtree free of ``var``."""
     if var not in free_symbols(e):
         return e, ZERO
     if e.kind == "sym":
         return arg, shift
     if e.kind == "neg":
-        c, s = _pair(e.args[0], arg, shift, var)
+        c, s = pairs[e.args[0]]
         return neg(c), neg(s)
     if e.kind == "add":
-        c1, s1 = _pair(e.args[0], arg, shift, var)
-        c2, s2 = _pair(e.args[1], arg, shift, var)
+        (c1, s1), (c2, s2) = pairs[e.args[0]], pairs[e.args[1]]
         return add(c1, c2), add(s1, s2)
     if e.kind == "mul":
-        c1, s1 = _pair(e.args[0], arg, shift, var)
-        c2, s2 = _pair(e.args[1], arg, shift, var)
-        return _product_pair((c1, s1), (c2, s2))
+        return _product_pair(pairs[e.args[0]], pairs[e.args[1]])
     if e.kind == "div":
-        cu, su = _pair(e.args[0], arg, shift, var)
-        cv, sv = _pair(e.args[1], arg, shift, var)
-        return _quotient_pair((cu, su), (cv, sv))
+        return _quotient_pair(pairs[e.args[0]], pairs[e.args[1]])
     if e.kind == "pow":
         n = e.value
         if abs(n) > MAX_POWER:
             raise ExprError(f"power exponent {n} exceeds {MAX_POWER} in magnitude")
-        out = _power_pair(_pair(e.args[0], arg, shift, var), abs(n))
+        out = _power_pair(pairs[e.args[0]], abs(n))
         return _quotient_pair((ONE, ZERO), out) if n < 0 else out
     if e.kind == "call":
-        x, y = _pair(e.args[0], arg, shift, var)
+        x, y = pairs[e.args[0]]
         if is_zero(fold(y)):
             # zero shift: the operators act as identity and annihilator
             return func(e.value, x), ZERO  # type: ignore[arg-type]
@@ -297,16 +302,16 @@ class SimplifyOutcome(NamedTuple):
     branch_rewrites: int
 
 
-def _simplify_node(x: Expr, walk) -> Tuple[Expr, Tuple, int]:
+def _simplify_node(x: Expr, done: Dict) -> Tuple[Expr, Tuple, int]:
     """One node of ``simplify_collect``'s walk: the rewritten node with the
-    guards and the branch count of its subtree, its children through
-    ``walk``."""
+    guards and the branch count of its subtree, its children's in ``done``."""
     if x.kind in ("rat", "pi", "sym"):
         return x, (), 0
-    children = [walk(a) for a in x.args]
+    children = [done[a] for a in x.args]
     guards = tuple(g for _, child_guards, _ in children for g in child_guards)
     branches = sum(n for _, _, n in children)
-    out = rebuild(x, tuple(child for child, _, _ in children))
+    args = tuple(child for child, _, _ in children)
+    out = x if args == x.args else rebuild(x, args)     # x is folded
     if x.kind == "div" and out.kind == "div":
         folded = fold_const_denominator(out.args[0], out.args[1])
         if folded is not None:
@@ -337,5 +342,8 @@ def simplify_collect(e: Expr) -> SimplifyOutcome:
     subterm adds its subtree's guards and branch count at each of its
     occurrences.
     """
-    out, guards, branches = walk_once(_simplify_node)(fold(e))
+    done: Dict[Expr, Tuple[Expr, Tuple, int]] = {}
+    for x in postorder((fold(e),)):
+        done[x] = _simplify_node(x, done)
+    out, guards, branches = done[x]     # the root, which comes last
     return SimplifyOutcome(collect_terms(out), list(guards), branches)

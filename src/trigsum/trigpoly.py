@@ -28,13 +28,14 @@ value continuously across branch jumps, which is the convention under
 which the closed forms equal their series sums on the whole validity
 interval.
 
-Every walk here follows the one memo rule of ``trigsum.expr``.  A result
-that depends on the node alone is kept in a slot on the node: the split of
-a product into coefficient and factors (``split_rational``) and the
-multilinear expansion of ``collect_terms``; an atom's split or expansion
-would hold the atom itself, so it is built when asked, not kept.  A walk
-that depends on its call's arguments, such as TPoly extraction in a base
-angle or the search for that angle, goes through ``expr.walk_once``.
+Every pass here is a loop over the one walk of ``trigsum.expr``,
+``postorder``.  A result that depends on the node alone is kept in a slot
+on the node, filled by ``expr.fill``: the split of a product into
+coefficient and factors (``split_rational``) and the multilinear expansion
+of ``collect_terms``; an atom's split or expansion would hold the atom
+itself, so it is built when asked, not kept.  A pass that depends on its
+call's arguments, such as TPoly extraction in a base angle or the search
+for that angle, keeps one dict per call over the walk.
 Factor maps are keyed on the interned atom; printed text is only the sort
 key of output order.
 """
@@ -49,7 +50,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .expr import (
     Expr, PI, ZERO, ONE,
     add, sub, mul, div, neg, ipow, func, rational, is_rat, rat_value,
-    to_text, walk_once,
+    fill, postorder, to_text,
 )
 
 __all__ = [
@@ -325,13 +326,12 @@ def split_rational(e: Expr) -> Tuple[Fraction, _Key]:
     """
     if e.kind == "rat":
         return e.value, ()
-    if e.kind not in ("neg", "mul", "div", "pow"):
+    if e.kind not in _PRODUCTS:
         return Fraction(1), ((e, 1),)
-    out = e._split
-    if out is None:
-        out = _split_product(e)
-        object.__setattr__(e, "_split", out)
-    return out
+    return e._split or fill(e, "_split", _split_product, _PRODUCTS)
+
+
+_PRODUCTS = ("neg", "mul", "div", "pow")
 
 
 def _split_product(e: Expr) -> Tuple[Fraction, _Key]:
@@ -370,71 +370,40 @@ def find_trig_base(e: Expr) -> Optional[Tuple[Fraction, _Key, Expr]]:
     equals an integer multiple of base_expr = base_ratio * key-product, or
     None when the arguments do not share one symbolic part.
     """
-    args: List[Tuple[Fraction, _Key]] = []
-    walk_once(_trig_arguments, args)(e)
-    if not args:
+    args = [split_rational(x.args[0]) for x in postorder((e,), _is_trig)
+            if _is_trig(x)]
+    # a sign as in sin(-u) is folded before extraction; bail here
+    if not args or len({k for _, k in args}) > 1 or any(r <= 0 for r, _ in args):
         return None
-    key0 = args[0][1]
-    if any(k != key0 for _, k in args[1:]):
-        return None
-    ratios = [r for r, _ in args]
-    if any(r <= 0 for r in ratios):
-        # fold sin(-u) style signs before extraction; bail here
-        return None
-    g = ratios[0]
-    for r in ratios[1:]:
+    (g, key0), ratios = args[0], [r for r, _ in args[1:]]
+    for r in ratios:
         g = Fraction(gcd(g.numerator * r.denominator, r.numerator * g.denominator),
                      g.denominator * r.denominator)
     return g, key0, _rebuild_from_key(g, key0)
 
 
-def _trig_arguments(x: Expr, walk, found: List[Tuple[Fraction, _Key]]) -> None:
-    """One node of ``find_trig_base``: a sin/cos argument's split goes to
-    ``found``, any other node's children through ``walk``."""
-    if x.kind == "call" and x.value in ("sin", "cos"):
-        found.append(split_rational(x.args[0]))
-        return
-    for a in x.args:
-        walk(a)
+def _is_trig(x: Expr) -> bool:     # find_trig_base splits, not walks, its argument
+    return x.kind == "call" and x.value in ("sin", "cos")
 
 
 def tpoly_from_expr(e: Expr, base_ratio: Fraction, base_key: _Key) -> Optional[TPoly]:
     """Extract ``e`` as a TPoly in the base angle, or None if unsupported."""
-    return walk_once(_tpoly, base_ratio, base_key)(e)
+    return _tpolys((e,), base_ratio, base_key)[0]
 
 
-def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[TPoly]:
-    """One node of ``tpoly_from_expr``, its children through ``extract``."""
+def _tpolys(roots, base_ratio: Fraction, base_key: _Key) -> List[Optional[TPoly]]:
+    """``tpoly_from_expr`` of each root, in one walk that skips calls' arguments."""
+    done: Dict[Expr, Optional[TPoly]] = {}
+    for x in postorder(roots, lambda x: x.kind == "call"):
+        done[x] = _tpoly(x, done, base_ratio, base_key)
+    return [done[e] for e in roots]
+
+
+def _tpoly(e: Expr, done, base_ratio: Fraction, base_key: _Key) -> Optional[TPoly]:
+    """One node of ``tpoly_from_expr``, its children's in ``done``."""
     if e.kind == "rat":
         v = rat_value(e)
         return TPoly(((v.numerator,) if v else (), ()), _KZERO, v.denominator)
-    if e.kind == "neg":
-        inner = extract(e.args[0])
-        return None if inner is None else -inner
-    if e.kind == "add":
-        a, b = extract(e.args[0]), extract(e.args[1])
-        return None if a is None or b is None else a + b
-    if e.kind == "mul":
-        a, b = extract(e.args[0]), extract(e.args[1])
-        return None if a is None or b is None else a * b
-    if e.kind == "div":
-        a, b = extract(e.args[0]), extract(e.args[1])
-        if a is None or b is None or not b.is_const() or b.is_zero():
-            return None
-        return a * b.inv()
-    if e.kind == "pow":
-        n = e.value
-        base = extract(e.args[0])
-        if base is None:
-            return None
-        if n < 0:
-            if not base.is_const() or base.is_zero():
-                return None
-            base, n = base.inv(), -n
-        out = _ONE
-        for _ in range(n):
-            out = out * base
-        return out
     if e.kind == "call":
         name = e.value
         if name == "sqrt" and is_rat(e.args[0]) and rat_value(e.args[0]) == 3:
@@ -451,7 +420,27 @@ def _tpoly(e: Expr, extract, base_ratio: Fraction, base_key: _Key) -> Optional[T
                 return TPoly((_chebyshev(m, (0, 1)), ()))
             return TPoly(_KZERO, (_chebyshev(m - 1, (0, 2)), ())) if m >= 1 else TPoly()
         return None
-    return None
+    parts = [done[a] for a in e.args]
+    if not parts or any(p is None for p in parts):    # pi, a symbol, or none below
+        return None
+    a, b = parts[0], parts[-1]
+    if e.kind == "neg":
+        return -a
+    if e.kind == "add":
+        return a + b
+    if e.kind == "mul":
+        return a * b
+    if e.kind == "div":
+        return a * b.inv() if b.is_const() and not b.is_zero() else None
+    n = e.value     # a pow node
+    if n < 0:
+        if not a.is_const() or a.is_zero():
+            return None
+        a, n = a.inv(), -n
+    out = _ONE
+    for _ in range(n):
+        out = out * a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +597,7 @@ def collapse_inverse_trig(name: str, argument: Expr) -> Optional[CollapseResult]
         base_ratio, base_key, base_expr = Fraction(1), (), ONE
     else:
         base_ratio, base_key, base_expr = found
-    extract = walk_once(_tpoly, base_ratio, base_key)
-    N, D = extract(num_e), extract(den_e)
+    N, D = _tpolys((num_e, den_e), base_ratio, base_key)
     if N is None or D is None:
         return None
 
@@ -709,6 +697,7 @@ _Term = Tuple[Fraction, Dict[Expr, int]]
 
 _EXPAND_POW_LIMIT = 6
 _ATOMS = ("pi", "sym", "call")
+_EXPANDED = ("rat", "neg", "add", "mul", "div", "pow")    # kept on the node
 
 
 def _merge_factors(a: Dict[Expr, int], b: Dict[Expr, int], b_scale: int = 1):
@@ -724,11 +713,7 @@ def _expansion(e: Expr) -> List[_Term]:
     factor dict is changed after it is built."""
     if e.kind in _ATOMS:
         return [(Fraction(1), {e: 1})]
-    out = e._terms
-    if out is None:
-        out = _expand(e)
-        object.__setattr__(e, "_terms", out)
-    return out
+    return e._terms or fill(e, "_terms", _expand, _EXPANDED)
 
 
 def _expand(e: Expr) -> List[_Term]:

@@ -217,18 +217,14 @@ class TestVerify:
             assert abs(sum(line[key] for line in lines.values()) - spent[key]) < 0.01
 
 
-# sums below expr.MAX_POWER whose cos-power image is deep enough that the
-# recursive mapping._node_denominator_loci exhausts Python's recursion limit
+# sums below expr.MAX_POWER whose cos-power images are deep sums; each pass
+# over them walks its own stack, not Python's
 _DEEP_COSPOW_SUMS = ["t^48+t^47", "t^48/(2-t)"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP 2: the recursive mapping._node_denominator_loci "
-                          "ends these as error: internal: RecursionError")
-def test_deep_cospow_images_map_or_refuse(capsys):
+def test_deep_cospow_images_map(capsys):
     """Each sum gets an answer that passes the Abel check at 8 points of a
-    period (or of its validity interval), or exit 2 with one `error:` line
-    that is not an internal error."""
+    period (or of its validity interval)."""
     import mpmath as mp
 
     from trigsum.evaluate import eval_complex_batch, eval_real_batch
@@ -236,11 +232,6 @@ def test_deep_cospow_images_map_or_refuse(capsys):
     for text in _DEEP_COSPOW_SUMS:
         code, out, err = run(capsys, "map", "cospow", "--sum", text, "--kind", "cos",
                              "--format", "json")
-        if code == 2:
-            lines = err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), (text, err)
-            assert not lines[0].startswith("error: internal:"), (text, lines[0])
-            continue
         assert code == 0, (text, err)
         answer = json.loads(out)
         with mp.workdps(30):
@@ -255,6 +246,25 @@ def test_deep_cospow_images_map_or_refuse(capsys):
             for x, (value,), (got,) in zip(xs, series, closed):
                 tol = mp.mpf(10) ** -20 * max(1, abs(value.real))
                 assert abs(got - value.real) <= tol, (text, x)
+
+
+# a typed sum of 2,000 terms: the parser reads it in a loop, and every pass
+# over its images walks its own stack
+_LONG_SUM = "+".join(["t^1+t^2+t^3+t^4+t^5"] * 400)
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "fourier", "--sum", _LONG_SUM, "--kind", "cos"),
+    ("map", "fourier", "--sum", _LONG_SUM, "--kind", "sin"),
+    ("map", "cospow", "--sum", _LONG_SUM, "--kind", "cos"),
+    ("map", "cospow", "--sum", _LONG_SUM, "--kind", "sin"),
+    ("operator", "apply", "--kind", "cos", "--expr", _LONG_SUM.replace("t", "x"),
+     "--arg", "x", "--shift", "h"),
+], ids=["fourier-cos", "fourier-sin", "cospow-cos", "cospow-sin", "operator-cos"])
+def test_long_typed_sum_answers(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out and "internal:" not in err
 
 
 class TestVerifyValues:

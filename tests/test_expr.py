@@ -13,16 +13,17 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trigsum import evaluate, expr as expr_module
+from trigsum import evaluate, expr as expr_module, operators as operators_module
 from trigsum.expr import (
     BranchCutError, DomainError, EvalError, Expr, FUNCTIONS, MAX_NESTING, ONE,
-    PI, ParseError, PoleError, UnboundSymbolError, ZERO, eval_complex,
-    eval_real, fold, func, mul, neg, parse_expr, rational, symbol, to_text,
-    walk_once,
+    PI, ParseError, PoleError, UnboundSymbolError, ZERO, add, eval_complex,
+    eval_real, fold, free_symbols, func, mul, neg, parse_expr, rational,
+    substitute, symbol, to_text,
 )
 from trigsum.evaluate import eval_complex_batch, eval_real_batch
 from trigsum.mapping import map_fourier
 from trigsum.operators import apply_operator
+from trigsum.trigpoly import collect_terms, split_rational
 
 
 class TestParse:
@@ -265,6 +266,81 @@ class TestInterning:
         assert len(set(worked)) == len(worked)
 
 
+class TestDeepDags:
+    """Every pass walks its own stack: a sum of 5,000 terms (t^1 + ... + t^5,
+    1,000 times), built node by node without the parser, is 5,000 deep, and
+    each pass runs on it at the default recursion limit."""
+
+    TERMS = 5000
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        t = symbol("t")
+        total = product = Expr("pow", (t,), 1)
+        for k in range(1, self.TERMS):
+            power = Expr("pow", (t,), k % 5 + 1)
+            total, product = Expr("add", (total, power)), Expr("mul", (product, power))
+        assert sys.getrecursionlimit() < self.TERMS
+        return total, product
+
+    def test_slot_passes(self, deep):
+        total, product = deep
+        text = " + ".join(["t^1 + t^2 + t^3 + t^4 + t^5"] * (self.TERMS // 5))
+        assert to_text(total) == text
+        assert parse_expr(text) is total
+        assert free_symbols(total) == frozenset({"t"})
+        folded = fold(total)
+        assert fold(folded) is folded
+        assert to_text(folded).startswith("t + t^2 + t^3 + t^4 + t^5 + t + t^2")
+        assert split_rational(product) == (1, ((symbol("t"), 3 * self.TERMS),))
+        assert to_text(collect_terms(total)) == (
+            "1000*t + 1000*t^2 + 1000*t^3 + 1000*t^4 + 1000*t^5")
+
+    def test_substitute_and_evaluate(self, deep):
+        total, _ = deep
+        u = substitute(total, {"t": symbol("u")})
+        assert free_symbols(u) == frozenset({"u"})
+        assert to_text(u).startswith("u + u^2 + u^3")
+        [(real,)] = eval_real_batch([total], [{"t": "0.5"}], 30)
+        assert real == 1000 * (1 - mp.mpf(2) ** -5)
+        [(z,)] = eval_complex_batch([total], [{"t": 1j}], 30)
+        assert z == 1000j
+
+    def test_doubling_dag_is_worked_once_per_node(self, monkeypatch):
+        # e_{k+1} = e_k + e_k*x: 2k + 1 distinct nodes, 2^(k+2) - 3 in the
+        # tree, so a pass that revisits shared subterms does 2^k times the work
+        x, y = symbol("x"), symbol("y")
+        e, expected = x, y
+        for _ in range(12):
+            e = Expr("add", (e, Expr("mul", (e, x))))
+            expected = add(expected, mul(expected, y))
+        worked = []     # holds each node, so none is rebuilt
+        rebuild, pair = expr_module.rebuild, operators_module._pair
+
+        def counted_rebuild(node, args):
+            worked.append(node)
+            return rebuild(node, args)
+
+        def counted_pair(node, *rest):
+            worked.append(node)
+            return pair(node, *rest)
+
+        monkeypatch.setattr(expr_module, "rebuild", counted_rebuild)
+        assert substitute(e, {"x": y}) is expected
+        assert len(worked) == len(set(worked)) == 24
+        monkeypatch.undo()
+        worked.clear()
+        monkeypatch.setattr(operators_module, "_pair", counted_pair)
+        cos_part, sin_part = apply_operator(e, x, symbol("h"))[:2]
+        assert len(worked) == len(set(worked)) == 25
+        [(c, s)] = eval_real_batch([cos_part, sin_part], [{"x": "0.1", "h": "0.2"}], 30)
+        with mp.workdps(30):
+            z = mp.mpc("0.1", "0.2")
+            want = z * (1 + z) ** 12
+            assert abs(c - want.real) < mp.mpf(10) ** -25
+            assert abs(s - want.imag) < mp.mpf(10) ** -25
+
+
 class TestEvalReal:
     def test_exp_zero(self):
         assert eval_real(parse_expr("exp(x)"), {"x": 0}, 20) == 1
@@ -443,14 +519,21 @@ class TestEvaluationWalk:
 
 def _reference_eval(e, bindings, digits, field):
     """The recursive walk that evaluation ran before it compiled programs,
-    kept as the reference: each distinct node once, through walk_once."""
+    kept as the reference: each distinct node once, through its own memo."""
     real = field == "real"
     heads = evaluate._REAL_HEADS if real else evaluate._COMPLEX_HEADS
     number = mp.mpf if real else mp.mpc
+    memo = {}
+
+    def value(x):
+        if x not in memo:
+            memo[x] = _reference_value(x, value, vals, number, heads, field)
+        return memo[x]
+
     with mp.workdps(digits):
         vals = {k: (v if isinstance(v, mp.mpf) else mp.mpf(v)) if real
                 else mp.mpc(v) for k, v in bindings.items()}
-        return +walk_once(_reference_value, vals, number, heads, field)(e)
+        return +value(e)
 
 
 def _reference_value(x, value, vals, number, heads, field):
@@ -617,6 +700,8 @@ class TestFold:
         assert func("cos", neg(x)) == func("cos", x)
         assert func("sin", neg(x)) == neg(func("sin", x))
         assert func("sin", mul(rational(-2), x)) == neg(func("sin", mul(rational(2), x)))
+        assert func("sin", rational(-2)) == neg(func("sin", rational(2)))
+        assert func("cos", rational(-2)) == func("cos", rational(2))
 
     def test_exact_calls(self):
         assert func("exp", rational(0)) == rational(1)

@@ -302,18 +302,19 @@ class TestWalksOncePerNode:
         lambda: map_cospow(parse_expr("t/(1-t)^2 + arctan(t)"), kind="cos"),
     ], ids=["map_fourier", "map_cospow"])
     def test_map_request(self, monkeypatch, request_):
-        # the visit lists hold the nodes (and the per-call walks), so no id
+        # the visit lists hold the nodes (and the per-call memos), so no id
         # is reused while they are counted
-        expanded, extracted = [], []
+        expanded, extracted, memos = [], [], []
         expand, tpoly = trigpoly._expand, trigpoly._tpoly
 
         def counted_expand(e):
             expanded.append(e)
             return expand(e)
 
-        def counted_tpoly(e, recurse, *extra):
-            extracted.append((recurse, e))
-            return tpoly(e, recurse, *extra)
+        def counted_tpoly(e, done, *extra):
+            extracted.append((id(done), e))
+            memos.append(done)
+            return tpoly(e, done, *extra)
 
         monkeypatch.setattr(trigpoly, "_expand", counted_expand)
         monkeypatch.setattr(trigpoly, "_tpoly", counted_tpoly)
@@ -345,7 +346,7 @@ class TestWalksOncePerNode:
 ], ids=["map_fourier", "map_cospow", "map_fourier_collected"])
 def test_dropped_result_frees_its_nodes_without_the_collector(request_):
     # a kept split or expansion refers to other nodes only, never to its own
-    # node, and a walk_once memo is not held by a cycle, so the nodes of a
+    # node, and a per-call memo is not held by a cycle, so the nodes of a
     # request go with its last reference even while the collector is off;
     # the earlier tests' garbage is collected first, so that none of it
     # holds a node of this request
