@@ -10,12 +10,18 @@ over the DAG is a loop over one walk, ``postorder``, which keeps its own
 stack.  A result that depends on the node alone lives in a slot on the
 node, filled bottom-up by ``fill``: ``fold``, ``to_text``,
 ``free_symbols``, and ``trigpoly``'s ``split_rational`` and term
-expansion.  A pass whose result also depends on its call's arguments keeps
-one dict per call.  Numeric evaluation compiles the walk once per call into
-a program that it runs at each point (``trigsum.evaluate``).  Either way a
-distinct node is worked on once.  No slot, memo or program holds a cycle
-back to its own node, so a dropped DAG is freed at once, without the
-garbage collector.  Parsing inverts printing:
+expansion.  A leaf, and a node that a folding constructor (``neg``,
+``add``, ``mul``, ``div``, ``ipow``, ``func``) builds over folded
+arguments, is born with its fold slot filled: it is a fixed point of
+``fold``, since none of its constructor's rules applied.  So ``fold``
+walks only what the parser or a raw ``Expr(...)`` built.  A pass whose
+result also depends on its call's arguments keeps one dict per call.
+Numeric evaluation compiles the walk once per call into a program that it
+runs at each point (``trigsum.evaluate``).  Either way a distinct node is
+worked on once.  No slot, memo or program holds a cycle back to its own
+node, so a dropped DAG is freed at once, without the garbage collector.
+Copies are the node itself, and a pickle holds the DAG as flat rows, so
+neither recurses.  Parsing inverts printing:
 ``parse_expr(to_text(e)) is e``.  The intern table is an implementation
 detail that callers never see: a plain dict from key to a weak reference to
 the node.  A hit takes no lock and a miss inserts under one after looking
@@ -155,7 +161,7 @@ class Expr:
                     _set(node, "kind", kind)
                     _set(node, "args", args)
                     _set(node, "value", value)
-                    _set(node, "_fold", None)
+                    _set(node, "_fold", None if args else True)   # a leaf is folded
                     _set(node, "_text", None)
                     _set(node, "_free", None)
                     _set(node, "_split", None)   # trigpoly.split_rational's memo
@@ -171,14 +177,34 @@ class Expr:
     def __delattr__(self, name):
         raise AttributeError("Expr nodes are immutable")
 
-    def __reduce__(self):       # copy and pickle rebuild through the table
-        return Expr, (self.kind, self.args, self.value)
+    def __copy__(self):         # immutable and interned: a copy is the node
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):       # pickle: the DAG as flat rows, children first
+        index, rows = {}, []
+        for x in postorder((self,)):
+            index[x] = len(rows)
+            rows.append((x.kind, tuple(index[a] for a in x.args), x.value))
+        return _from_rows, (rows,)
 
     def __str__(self) -> str:
         return to_text(self)
 
     def __repr__(self) -> str:
         return f"Expr({to_text(self)!r})"
+
+
+def _from_rows(rows) -> Expr:
+    """The node that ``Expr.__reduce__`` flattened into rows (kind, argument
+    indices, value), rebuilt through the intern table; the last row is the
+    root."""
+    nodes = []
+    for kind, args, value in rows:
+        nodes.append(Expr(kind, tuple(nodes[i] for i in args), value))
+    return nodes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +290,22 @@ def is_one(e: Expr) -> bool:
     return e is ONE
 
 
+def _built(kind: str, args: tuple, value: object = None) -> Expr:
+    """A folding constructor's node once none of its rules applied; over
+    folded args (one or two, so the first and the last) it is a fold fixed
+    point, and its slot says so."""
+    node = Expr(kind, args, value)
+    if node._fold is None and args[0]._fold is True and args[-1]._fold is True:
+        _set(node, "_fold", True)
+    return node
+
+
 def neg(a: Expr) -> Expr:
     if is_rat(a):
         return rational(-rat_value(a))
     if a.kind == "neg":
         return a.args[0]
-    return Expr("neg", (a,))
+    return _built("neg", (a,))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -279,7 +315,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if is_zero(b):
         return a
-    return Expr("add", (a, b))
+    return _built("add", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -295,7 +331,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if is_one(b):
         return a
-    return Expr("mul", (a, b))
+    return _built("mul", (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -306,7 +342,7 @@ def div(a: Expr, b: Expr) -> Expr:
             return rational(rat_value(a) / rat_value(b))
         # canonical form: division by a rational becomes a scalar multiple
         return mul(rational(1 / rat_value(b)), a)
-    return Expr("div", (a, b))
+    return _built("div", (a, b))
 
 
 def ipow(a: Expr, n: int) -> Expr:
@@ -320,7 +356,7 @@ def ipow(a: Expr, n: int) -> Expr:
         if v == 0 and n < 0:
             raise ExprError("zero to a negative power")
         return rational(v ** n)
-    return Expr("pow", (a,), n)
+    return _built("pow", (a,), n)
 
 
 _EXACT_CALLS = {
@@ -384,7 +420,7 @@ def func(name: str, a: Expr) -> Expr:
         a = inner
     if name == "arccot" and is_zero(a):
         return div(PI, rational(2))
-    return Expr("call", (a,), name)
+    return _built("call", (a,), name)
 
 
 def _is_square(n: int) -> bool:
@@ -396,7 +432,7 @@ def _is_square(n: int) -> bool:
 
 def fold(e: Expr) -> Expr:
     """Rebuild a DAG bottom-up through the folding constructors, once per
-    distinct node."""
+    distinct node; a node they built is its own fold, found at once."""
     out = e._fold or fill(e, "_fold", _fold)
     return e if out is True else out
 

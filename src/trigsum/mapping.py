@@ -25,7 +25,7 @@ from .expr import (
     Expr, ExprError, PI,
     add, mul, div, func, rational, symbol, fold, postorder,
 )
-from .operators import _images, simplify_collect
+from .operators import apply_operator, simplify_collect
 from .trigpoly import (
     AngleLocus, UnsolvableLocusError, collect_terms, split_rational,
     find_trig_base, tpoly_from_expr, _common_zero_loci,
@@ -132,8 +132,8 @@ def _map_common(S: Expr, point: Tuple[Expr, Expr], cos_kind: bool,
     """Re (``cos_kind``) or Im of S at the circle point (Re t, Im t),
     simplified, with its guard and denominator loci in x; a locus that
     cannot be solved is a MappingError."""
-    cos_part, sin_part = _images(fold(S), *point, "t")
-    outcome = simplify_collect(cos_part if cos_kind else sin_part)
+    pair = apply_operator(fold(S), *point, var="t")
+    outcome = simplify_collect(pair.cos_part if cos_kind else pair.sin_part)
     try:
         loci = _loci_in_x([*outcome.guards, *_denominator_loci(outcome.expr)],
                           theta)

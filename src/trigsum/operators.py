@@ -168,16 +168,11 @@ def apply_operator(e: Expr, arg: Expr, shift: Expr, var: str = "x") -> OperatorP
     if is_zero(fold(shift)):
         # zero shift: identity and annihilator, structurally
         return OperatorPair(substitute(e, {var: arg}), ZERO, arg, shift)
-    cos_p, sin_p = _images(e, arg, shift, var)
-    return OperatorPair(fold(cos_p), fold(sin_p), arg, shift)
-
-
-def _images(e: Expr, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:
-    """``apply_operator``'s images, unfolded, at a shift not folding to 0."""
     pairs: Dict[Expr, Tuple[Expr, Expr]] = {}
     for x in postorder((e,), lambda x: var not in free_symbols(x)):
         pairs[x] = _pair(x, pairs, arg, shift, var)
-    return pairs[e]
+    cos_p, sin_p = pairs[e]
+    return OperatorPair(fold(cos_p), fold(sin_p), arg, shift)
 
 
 def _pair(e: Expr, pairs: Dict, arg: Expr, shift: Expr, var: str) -> Tuple[Expr, Expr]:

@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -15,13 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from trigsum import evaluate, expr as expr_module, operators as operators_module
 from trigsum.expr import (
-    BranchCutError, DomainError, EvalError, Expr, FUNCTIONS, MAX_NESTING, ONE,
-    PI, ParseError, PoleError, UnboundSymbolError, ZERO, add, eval_complex,
-    eval_real, fold, free_symbols, func, mul, neg, parse_expr, rational,
-    substitute, symbol, to_text,
+    BranchCutError, DomainError, EvalError, Expr, ExprError, FUNCTIONS,
+    MAX_NESTING, ONE, PI, ParseError, PoleError, UnboundSymbolError, ZERO, add,
+    div, eval_complex, eval_real, fold, free_symbols, func, ipow, mul, neg,
+    parse_expr, postorder, rational, rebuild, sub, substitute, symbol, to_text,
 )
 from trigsum.evaluate import eval_complex_batch, eval_real_batch
-from trigsum.mapping import map_fourier
+from trigsum.mapping import MappingError, map_cospow, map_fourier
 from trigsum.operators import apply_operator
 from trigsum.trigpoly import collect_terms, split_rational
 
@@ -261,9 +262,128 @@ class TestInterning:
             return worker(e)
 
         monkeypatch.setattr(expr_module, "_fold", counted)
-        map_fourier(parse_expr("-ln(1-t)*t/(1+t^2)"), kind="sine")
-        assert len(worked) > 20
+        S = parse_expr("-ln(1-t)*t/(1+t^2)")
+        map_fourier(S, kind="sine")
+        # the folding constructors build folded nodes, so only the parsed
+        # input reaches the worker, each of its nodes once
+        assert worked and set(worked) <= set(postorder((S,)))
         assert len(set(worked)) == len(worked)
+
+
+def _marks_hold(roots) -> int:
+    """Check that every node below ``roots`` marked folded is a fold fixed
+    point; the number of marked inner nodes."""
+    marked = 0
+    for x in postorder(roots):
+        if x.args and x._fold is True:
+            assert all(a._fold is True for a in x.args), to_text(x)
+            assert rebuild(x, x.args) is x, to_text(x)
+            marked += 1
+    return marked
+
+
+def _or_zero(build):
+    """``build`` over a tuple of arguments; ZERO where it refuses them (a
+    zero denominator, zero to a negative power)."""
+    def make(args):
+        try:
+            return build(*args)
+        except ExprError:
+            return ZERO
+    return make
+
+
+_constructed_leaf = st.one_of(
+    st.integers(-3, 3).map(rational),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4).map(rational),
+    st.sampled_from("xy").map(symbol),
+    st.just(PI),
+)
+
+
+def _constructed_trees(depth):
+    if depth == 0:
+        return _constructed_leaf
+    children = _constructed_trees(depth - 1)
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        _constructed_leaf,
+        children.map(neg),
+        *(pairs.map(_or_zero(build)) for build in (add, sub, mul, div)),
+        st.tuples(children, st.integers(-3, 4)).map(_or_zero(ipow)),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(_or_zero(func)),
+    )
+
+
+class TestFoldedByConstruction:
+    """A node the folding constructors return is marked folded, and a node
+    marked folded is a fold fixed point: rebuilding it over its own args
+    through the constructors gives the node itself."""
+
+    @given(_constructed_trees(4))
+    @example(func("sin", neg(mul(neg(symbol("x")), symbol("y")))))   # signs
+    @example(func("cos", div(neg(symbol("x")), mul(symbol("y"), rational(-2)))))
+    @settings(max_examples=300, deadline=None)
+    def test_constructors_return_fixed_points(self, e):
+        assert all(x._fold is True for x in postorder((e,)))
+        assert fold(e) is e
+        _marks_hold((e,))
+
+    @given(_exprs, _constructed_trees(3))
+    @settings(max_examples=100, deadline=None)
+    def test_a_raw_argument_leaves_its_parent_unmarked(self, raw, built):
+        # a node the parser built may not be folded, so a constructor's node
+        # over it is not marked, and fold still reaches the raw node
+        try:
+            fold(raw)
+        except ExprError:       # a constant zero denominator
+            return
+        for build in (add, mul):
+            e = build(raw, built)
+            _marks_hold((e,))
+            assert fold(e) is build(fold(raw), built)
+
+    def test_operator_images_of_raw_input_are_folded(self):
+        # a subtree free of the variable enters the images as the parser
+        # built it; the final folds still reach it
+        e = parse_expr("x*(2*3) + sin(1 - 1)*x + exp(x)*(pi + 0)")
+        raw, folded = apply_operator(e, symbol("x"), symbol("h")), apply_operator(
+            fold(e), symbol("x"), symbol("h"))
+        assert raw[:2] == folded[:2]
+        assert to_text(raw.cos_part) == "x*6 + cos(h)*exp(x)*pi"
+
+    def test_marks_hold_on_the_golden_rows(self):
+        # every node of every pinned output of tests/test_golden.py
+        from test_golden import MAP_ROWS, OPERATOR_ROWS
+        roots = []
+        for family, sum_text, kind, c, *_ in MAP_ROWS:
+            S = parse_expr(sum_text)
+            try:
+                result = (map_fourier(S, c=parse_expr(c) if c else None, kind=kind)
+                          if family == "fourier" else map_cospow(S, kind=kind))
+            except MappingError:
+                continue
+            roots += [result.closed_form, *result.singular_points]
+        for text, arg, shift, *_ in OPERATOR_ROWS:
+            roots += apply_operator(parse_expr(text), parse_expr(arg), parse_expr(shift))[:2]
+        assert all(x._fold is True for x in postorder(roots))
+        assert _marks_hold(roots) > 300
+
+    def test_marks_hold_on_the_grammar(self, monkeypatch):
+        # one pass of the symbolic benchmark's requests for seeds 1 and 7:
+        # every node of every printed result
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from wl_symbolic import NoTracer, make_ops, run_op
+        roots = []
+        for seed in (1, 7):
+            for op in make_ops(seed, 0):
+                result = run_op(op, NoTracer())
+                if hasattr(result, "closed_form"):
+                    roots += [result.closed_form, *result.singular_points]
+                elif hasattr(result, "cos_part"):
+                    roots += [result.cos_part, result.sin_part]
+        assert all(x._fold is True for x in postorder(roots))
+        assert _marks_hold(roots) > 1000
 
 
 class TestDeepDags:
@@ -295,6 +415,15 @@ class TestDeepDags:
         assert split_rational(product) == (1, ((symbol("t"), 3 * self.TERMS),))
         assert to_text(collect_terms(total)) == (
             "1000*t + 1000*t^2 + 1000*t^3 + 1000*t^4 + 1000*t^5")
+
+    def test_copies_and_pickles_are_the_node(self, deep):
+        # nodes are immutable and interned, and a pickle holds the DAG as
+        # flat rows, so neither recurses into a deep node
+        total, _ = deep
+        small = parse_expr("sin(x)^2/(1 - cos(2*x)) + 1/3")
+        for e in (total, small):
+            assert copy.copy(e) is e and copy.deepcopy(e) is e
+            assert pickle.loads(pickle.dumps(e)) is e
 
     def test_substitute_and_evaluate(self, deep):
         total, _ = deep
