@@ -414,10 +414,9 @@ def func(name: str, a: Expr) -> Expr:
                                          math.isqrt(v.denominator)))
     if name in _ODD_HEADS or name in _EVEN_HEADS:
         sign, inner = _strip_sign(a)
-        if sign < 0:
+        if inner is not a:      # the rules above, checked on what is built
             body = func(name, inner)
-            return body if name in _EVEN_HEADS else neg(body)
-        a = inner
+            return neg(body) if sign < 0 and name in _ODD_HEADS else body
     if name == "arccot" and is_zero(a):
         return div(PI, rational(2))
     return _built("call", (a,), name)

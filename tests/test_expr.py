@@ -282,6 +282,15 @@ def _marks_hold(roots) -> int:
     return marked
 
 
+def _fold_unmarked(e):
+    """What fold gives when it trusts no mark: every node rebuilt through
+    the constructors, children first."""
+    done = {}
+    for x in postorder((e,)):
+        done[x] = rebuild(x, tuple(done[a] for a in x.args)) if x.args else x
+    return done[e]
+
+
 def _or_zero(build):
     """``build`` over a tuple of arguments; ZERO where it refuses them (a
     zero denominator, zero to a negative power)."""
@@ -329,19 +338,22 @@ class TestFoldedByConstruction:
         assert fold(e) is e
         _marks_hold((e,))
 
-    @given(_exprs, _constructed_trees(3))
-    @settings(max_examples=100, deadline=None)
-    def test_a_raw_argument_leaves_its_parent_unmarked(self, raw, built):
+    @given(_exprs, _constructed_trees(3), st.sampled_from(FUNCTIONS))
+    @example(parse_expr("(-x)*((-1)*0)"), ONE, "sin")    # signs pulled to 0
+    @example(parse_expr("x*((-1)*(-1)*0)"), ONE, "cosh")
+    @example(parse_expr("(-x)*(y*0)"), ONE, "arccot")
+    @settings(max_examples=150, deadline=None)
+    def test_a_raw_argument_leaves_its_parent_unmarked(self, raw, built, head):
         # a node the parser built may not be folded, so a constructor's node
-        # over it is not marked, and fold still reaches the raw node
+        # over it is not marked, and fold still reaches the raw node; func
+        # may pull signs out of it first, and then builds over what is left
         try:
             fold(raw)
         except ExprError:       # a constant zero denominator
             return
-        for build in (add, mul):
-            e = build(raw, built)
+        for e in (add(raw, built), mul(raw, built), func(head, raw)):
             _marks_hold((e,))
-            assert fold(e) is build(fold(raw), built)
+            assert fold(e) is _fold_unmarked(e)
 
     def test_operator_images_of_raw_input_are_folded(self):
         # a subtree free of the variable enters the images as the parser
@@ -351,6 +363,15 @@ class TestFoldedByConstruction:
             fold(e), symbol("x"), symbol("h"))
         assert raw[:2] == folded[:2]
         assert to_text(raw.cos_part) == "x*6 + cos(h)*exp(x)*pi"
+        # a product whose signs cancel and whose value is zero, under an odd
+        # and an even head: the images are the folded input's, and no
+        # sin(0) or cosh(0) is left marked folded
+        for text in ("sin((-x)*((-1)*0))", "cosh(x*((-1)*(-1)*0))"):
+            e = parse_expr(text)
+            assert apply_operator(e, symbol("x"), symbol("h"))[:2] == apply_operator(
+                fold(e), symbol("x"), symbol("h"))[:2]
+        assert fold(parse_expr("sin(0)")) is ZERO
+        assert fold(parse_expr("cosh(0)")) is ONE
 
     def test_marks_hold_on_the_golden_rows(self):
         # every node of every pinned output of tests/test_golden.py
